@@ -83,13 +83,6 @@ def _build_parser() -> _Parser:
     common.add_argument(
         "--json", action="store_true", help="emit the JSON payload instead of text"
     )
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        metavar="K",
-        help="worker hint; computation stays sequential for reproducibility",
-    )
 
     word_args = argparse.ArgumentParser(add_help=False)
     word_args.add_argument("word", help="braid word, e.g. 's1 s2^-1 s1^3'")
@@ -515,16 +508,6 @@ def run(argv: list[str]) -> CommandResult:
         args = parser.parse_args(argv)
         command = args.command
         json_mode = getattr(args, "json", False)
-        threads = getattr(args, "threads", 1)
-        if threads < 1:
-            raise _UsageError(
-                f"--threads must be at least 1, got {threads}", parser.format_usage()
-            )
-        if threads > 1:
-            diagnostics.append(
-                f"note: --threads {threads} requested; computation runs "
-                f"sequentially for reproducibility"
-            )
         outcome = _HANDLERS[command](args)
         payload, notes = outcome if isinstance(outcome, tuple) else (outcome, [])
         diagnostics.extend(notes)

@@ -10,9 +10,14 @@ success probability into a sample count, and every estimate records the
 seed, the generator algorithm, and the rescaling factor needed to audit
 or reproduce it.
 
-The per-crossing step is the dense elementary braiding matrix acting on
-the full fusion-path state vector, not a gate-level compilation: at desk
-scale only the induced statistics matter, and those are exact here.
+The circuit itself is run by ``su2q.plat_branch`` (``jones_plat_branch``
+on the Jones scale), the same engine behind the exact invariants: it
+returns the prefactor, the bottom bend state and the braided branch,
+and the estimators sample that branch and contract it once more for the
+exact companion value.  Each crossing is the dense elementary braiding
+matrix acting on the full fusion-path state vector, not a gate-level
+compilation: at desk scale only the induced statistics matter, and
+those are exact here.
 """
 
 from __future__ import annotations
@@ -23,21 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .braid import BraidWord
-from .diagram import plat_profile
 from .errors import DomainError, LimitError
-from .su2q import (
-    BraidingOperator,
-    ColorLabel,
-    ColoredSpace,
-    _braid_phase,
-    _elementary_matrix,
-    _paths,
-    _plat_pieces,
-    _qdim,
-    _standard_path,
-    colored_invariant,
-    jones_value_from_plat,
-)
+from .su2q import NORM_TOL, BraidingOperator, ColoredSpace, jones_plat_branch, plat_branch
 
 __all__ = [
     "GENERATOR_ID",
@@ -58,7 +50,6 @@ GENERATOR_ID = "numpy-PCG64"
 #: Largest per-quadrature sample budget an estimator will actually run.
 SAMPLE_LIMIT = 10_000_000
 
-NORM_TOL = 1e-10
 UNITARY_TOL = 1e-10
 
 _PART_INDEX = {"real": 0, "imag": 1}
@@ -92,7 +83,7 @@ class StateVector:
                 f"{self.space.coupled_dimension}"
             )
         deviation = abs(np.linalg.norm(amps) - 1.0)
-        if deviation > NORM_TOL:
+        if not deviation <= NORM_TOL:
             raise DomainError(f"state is not normalized: |norm - 1| = {deviation:.3e}")
 
     @property
@@ -119,9 +110,7 @@ def bend_state(space: ColoredSpace) -> StateVector:
     carry equal colors); this is the state a row of caps or cups
     prepares, and the one the plat estimators interfere against.
     """
-    path = _standard_path(space.doubled)
-    index = space.paths().index(path)
-    return StateVector.basis(space.coupled_dimension, index, space)
+    return StateVector.basis(space.coupled_dimension, space.bend_index(), space)
 
 
 def _square_unitary(matrix, tol: float = UNITARY_TOL) -> np.ndarray:
@@ -129,7 +118,7 @@ def _square_unitary(matrix, tol: float = UNITARY_TOL) -> np.ndarray:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DomainError(f"operator must be a square matrix, got shape {mat.shape}")
     defect = np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max()
-    if defect > tol:
+    if not defect <= tol:
         raise DomainError(f"operator is not unitary: defect {defect:.3e}")
     return mat
 
@@ -325,28 +314,6 @@ def _check_run_seed(seed):
         raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
-def _braided_bend_branch(w: BraidWord, strand: tuple[int, ...], r: int):
-    """Stream the word over the top bend state, one crossing per step.
-
-    Returns the bottom bend reference vector, the braided branch
-    vector, and the number of controlled crossing applications (always
-    the letter count of the word).
-    """
-    dom = _paths(strand, r)
-    state = np.zeros(len(dom), dtype=complex)
-    state[dom.index(_standard_path(strand))] = 1.0
-    current = strand
-    steps = 0
-    for generator, sign in w.letters:
-        current, step = _elementary_matrix(current, generator, sign, r)
-        state = step @ state
-        steps += 1
-    cod = _paths(current, r)
-    reference = np.zeros(len(cod), dtype=complex)
-    reference[cod.index(_standard_path(current))] = 1.0
-    return reference, state, steps
-
-
 def _sampled_overlap(reference, branch, planned: int, seed: int) -> complex:
     """Mean of per-quadrature ancilla readings, on derived per-sample seeds.
 
@@ -386,23 +353,7 @@ def estimate_markov_trace(
     """
     _check_error_budget(delta, confidence)
     _check_run_seed(seed)
-    profile, strand, prefactor = _plat_pieces(w, colors, r)
-    reference, branch, steps = _braided_bend_branch(w, strand, r)
-    scale = 1.0 / (abs(prefactor) * math.sqrt(2.0))
-    planned = plan_samples(delta * scale, confidence)
-    overlap = _sampled_overlap(reference, branch, planned, seed)
-    return TraceEstimate(
-        value=prefactor * overlap,
-        delta=delta,
-        confidence=confidence,
-        samples_used=2 * planned,
-        seed=seed,
-        r=r,
-        scale=scale,
-        crossing_steps=steps,
-        exact=colored_invariant(w, colors, r),
-        tractable_root=r in TRACTABLE_ROOTS,
-    )
+    return _estimate(plat_branch(w, colors, r), w, r, delta, confidence, seed)
 
 
 def approx_jones(
@@ -427,8 +378,12 @@ def approx_jones(
             "braiding degenerates ([2]_q = 0); that point is classically "
             "tractable but outside this sampler's domain"
         )
-    strand, prefactor = _jones_pieces(w, r)
-    reference, branch, steps = _braided_bend_branch(w, strand, r)
+    return _estimate(jones_plat_branch(w, r), w, r, delta, confidence, seed)
+
+
+def _estimate(pieces, w: BraidWord, r: int, delta, confidence, seed) -> TraceEstimate:
+    """Sample the engine's branch; its exact contraction rides along."""
+    prefactor, reference, branch = pieces
     scale = 1.0 / (abs(prefactor) * math.sqrt(2.0))
     planned = plan_samples(delta * scale, confidence)
     overlap = _sampled_overlap(reference, branch, planned, seed)
@@ -440,17 +395,7 @@ def approx_jones(
         seed=seed,
         r=r,
         scale=scale,
-        crossing_steps=steps,
-        exact=jones_value_from_plat(w, r),
+        crossing_steps=len(w.letters),
+        exact=prefactor * complex(np.vdot(reference, branch)),
         tractable_root=r in TRACTABLE_ROOTS,
     )
-
-
-def _jones_pieces(w: BraidWord, r: int):
-    """Strand colors and prefactor on the unknot-normalized Jones scale."""
-    count = plat_profile(w).component_count
-    profile, strand, prefactor = _plat_pieces(w, (ColorLabel(1),) * count, r)
-    framing = _braid_phase(1, 1, 0, r)
-    prefactor *= (-1) ** (count - 1) * framing ** (-2 * profile.linking_sum())
-    prefactor /= _qdim(1, r)
-    return strand, prefactor

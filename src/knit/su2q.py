@@ -18,8 +18,15 @@ A plat-closed braid is evaluated as a single matrix element of the
 braided word between the standard cap and cup paths, then corrected by
 per-component framing phases and bend signs so the result is an ambient
 isotopy invariant normalized to ``[2j+1]_q`` on the color-``j`` unknot.
-With every color 1/2 this reproduces the Jones values computed from the
-exact bracket route (see ``jones_value_from_plat``).
+One engine computes that element: ``plat_branch`` streams the top bend
+state through the word one elementary twist per letter and returns the
+scalar prefactor, the bottom bend state and the braided branch state.
+``colored_invariant``, ``jones_value_from_plat`` and the sampled
+estimators of ``qsim`` all contract or sample those three pieces; the
+dense word matrices of ``braiding_operator_for_word`` serve as the
+independent check.  With every color 1/2 this reproduces the Jones
+values computed from the exact bracket route (see
+``jones_value_from_plat``).
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from .errors import DomainError, LimitError
 
 __all__ = [
     "DENSE_LIMIT",
+    "NORM_TOL",
     "UNITARITY_TOL",
     "BraidingOperator",
     "ColorLabel",
@@ -49,8 +57,10 @@ __all__ = [
     "braiding_operator_for_word",
     "colored_invariant",
     "fusion_range",
+    "jones_plat_branch",
     "jones_value_from_plat",
     "normalize_ambient",
+    "plat_branch",
     "q_clebsch_gordan",
     "q_integer",
     "r_matrix",
@@ -61,6 +71,9 @@ DENSE_LIMIT = 4096
 
 # Every constructed braiding operator is checked against this bound.
 UNITARITY_TOL = 1e-10
+
+# Largest norm drift a propagated or constructed state may show.
+NORM_TOL = 1e-10
 
 # A positive braid letter applies the reciprocal of the channel phase
 # below (its inverse applies the phase itself).  The sign convention is
@@ -346,20 +359,6 @@ def _paths(colors: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
     return tuple(found)
 
 
-def _standard_path(colors: tuple[int, ...]) -> tuple[int, ...]:
-    """The cap/cup contraction path: up to each odd strand, back to 0 after.
-
-    Well-defined exactly when consecutive strands pair up with equal
-    colors, which is what the plat boundary requires.
-    """
-    path = [0]
-    for k, t in enumerate(colors):
-        path.append(path[-1] + t if k % 2 == 0 else path[-1] - t)
-    if path[-1] != 0:
-        raise DomainError("cap colors do not pair up; no contraction path exists")
-    return tuple(path)
-
-
 @dataclass(frozen=True)
 class ColoredSpace:
     """An ordered list of strand colors at a fixed root.
@@ -398,6 +397,19 @@ class ColoredSpace:
     def coupled_dimension(self) -> int:
         return len(self.paths())
 
+    def bend_index(self) -> int:
+        """Position in ``paths()`` of the cap/cup contraction path.
+
+        The path climbs to each odd strand's color and returns to 0 after
+        its partner, so it exists exactly when consecutive strands pair up
+        with equal colors, which is what the plat boundary requires.
+        """
+        doubled = self.doubled
+        if doubled[0::2] != doubled[1::2]:
+            raise DomainError("cap colors do not pair up; no contraction path exists")
+        path = (0,) + tuple(t if k % 2 == 0 else 0 for k, t in enumerate(doubled))
+        return self.paths().index(path)
+
     def swapped(self, position: int) -> "ColoredSpace":
         """The space with factors ``position`` and ``position + 1`` exchanged."""
         if not 1 <= position <= len(self.factors) - 1:
@@ -432,7 +444,7 @@ class BraidingOperator:
         expected = (self.codomain.coupled_dimension, self.domain.coupled_dimension)
         if mat.shape != expected:
             raise DomainError(f"matrix shape {mat.shape} does not match spaces {expected}")
-        if self.unitarity_defect() > UNITARITY_TOL:
+        if not self.unitarity_defect() <= UNITARITY_TOL:
             raise DomainError("braiding matrix failed the unitarity bound")
 
     def unitarity_defect(self) -> float:
@@ -596,13 +608,18 @@ def braiding_operator_for_plat(w: BraidWord, colors, r: int) -> BraidingOperator
 # invariants
 
 
-def _plat_pieces(w: BraidWord, colors, r: int):
-    """Validated setup shared by the exact and the sampled contraction.
+def plat_branch(w: BraidWord, colors, r: int):
+    """The plat contraction engine: ``(prefactor, reference, branch)``.
 
-    Returns the plat profile, the doubled per-strand colors, and the
-    scalar prefactor multiplying the cap-to-cup matrix element: quantum
-    dimensions of the caps, per-component framing phases for self
-    crossings, and per-component bend signs for the extra turns.
+    ``colors`` lists one color per link component, as for
+    ``colored_invariant``.  ``branch`` is the top bend state braided by
+    ``w`` one elementary twist per letter, ``reference`` is the bottom
+    bend state, and ``prefactor * vdot(reference, branch)`` is the
+    invariant.  The scalar prefactor carries the quantum dimension of
+    every cap, and per component the framing phase of its self crossings
+    and the bend sign of its extra turns.  A non-finite prefactor or a
+    branch whose norm drifted from 1 by more than ``NORM_TOL`` means the
+    quantum weights broke down in floating point; that raises LimitError.
     """
     profile = plat_profile(w)
     count = profile.component_count
@@ -620,7 +637,7 @@ def _plat_pieces(w: BraidWord, colors, r: int):
         _check_braidable(color, r)
 
     pair_colors = tuple(labels[profile.pair_component[i]] for i in range(w.index // 2))
-    strand_doubled = tuple(t for color in pair_colors for t in (color.twice_j,) * 2)
+    current = tuple(t for color in pair_colors for t in (color.twice_j,) * 2)
 
     prefactor = 1.0 + 0.0j
     for color in pair_colors:
@@ -630,7 +647,38 @@ def _plat_pieces(w: BraidWord, colors, r: int):
         framing = _braid_phase(t, t, 0, r)
         prefactor *= framing ** (-profile.self_writhe[comp])
         prefactor *= ((-1) ** t) ** (profile.cup_count[comp] - 1)
-    return profile, strand_doubled, prefactor
+
+    branch = _bend_vector(ColoredSpace(current, r))
+    for generator, sign in w.letters:
+        current, step = _elementary_matrix(current, generator, sign, r)
+        branch = step @ branch
+    if not (cmath.isfinite(prefactor) and abs(np.linalg.norm(branch) - 1.0) <= NORM_TOL):
+        raise LimitError(
+            f"plat contraction broke down numerically at r = {r}: the prefactor is "
+            f"not finite or the braided state lost its unit norm"
+        )
+    return prefactor, _bend_vector(ColoredSpace(current, r)), branch
+
+
+def _bend_vector(space: ColoredSpace) -> np.ndarray:
+    vector = np.zeros(space.coupled_dimension, dtype=complex)
+    vector[space.bend_index()] = 1.0
+    return vector
+
+
+def jones_plat_branch(w: BraidWord, r: int):
+    """``plat_branch`` at spin 1/2, rescaled so the unknot contracts to 1.
+
+    The prefactor picks up the spin-1/2 framing phase of the
+    inter-component linking and a component-count sign, and one quantum
+    dimension is divided out.
+    """
+    profile = plat_profile(w)
+    count = profile.component_count
+    prefactor, reference, branch = plat_branch(w, (ColorLabel(1),) * count, r)
+    framing = _braid_phase(1, 1, 0, r)
+    prefactor *= (-1) ** (count - 1) * framing ** (-2 * profile.linking_sum())
+    return prefactor / _qdim(1, r), reference, branch
 
 
 def colored_invariant(w: BraidWord, colors, r: int) -> complex:
@@ -644,32 +692,19 @@ def colored_invariant(w: BraidWord, colors, r: int) -> complex:
     crossings and the bend sign of its extra turns; the color-j unknot
     comes out at ``[2j+1]_q``.
     """
-    _profile, strand_doubled, prefactor = _plat_pieces(w, colors, r)
-    cap = _standard_path(strand_doubled)
-    final, mat = _word_matrix(w, strand_doubled, r)
-    cup = _standard_path(final)
-    dom = _paths(strand_doubled, r)
-    cod = _paths(final, r)
-    element = complex(mat[cod.index(cup), dom.index(cap)])
-    return prefactor * element
+    prefactor, reference, branch = plat_branch(w, colors, r)
+    return prefactor * complex(np.vdot(reference, branch))
 
 
 def jones_value_from_plat(w: BraidWord, r: int) -> complex:
     """Jones value of the plat closure at the root, unknot normalized.
 
-    Evaluates the colored invariant with every component at spin 1/2 and
-    rescales it onto the normalization where the unknot maps to 1: one
-    quantum dimension is divided out and the inter-component linking
-    picks up the spin-1/2 framing phase, with a component-count sign.
-    The result matches evaluating the exact Jones polynomial of the same
-    plat diagram at ``q = exp(2*pi*i/r)``.
+    Contracts the spin-1/2 colored invariant on the scale of
+    ``jones_plat_branch``.  The result matches evaluating the exact Jones
+    polynomial of the same plat diagram at ``q = exp(2*pi*i/r)``.
     """
-    profile = plat_profile(w)
-    count = profile.component_count
-    value = colored_invariant(w, (ColorLabel(1),) * count, r)
-    framing = _braid_phase(1, 1, 0, r)
-    linking = profile.linking_sum()
-    return (-1) ** (count - 1) * framing ** (-2 * linking) * value / _qdim(1, r)
+    prefactor, reference, branch = jones_plat_branch(w, r)
+    return prefactor * complex(np.vdot(reference, branch))
 
 
 def normalize_ambient(value: complex, w_writhe: int, r: int) -> complex:

@@ -53,15 +53,6 @@ class TestUsage:
         res = run([])
         assert res.exit_code == 2
 
-    def test_threads_accepted_with_note(self):
-        res = run(["parse", "s1", "--threads", "4"])
-        assert res.exit_code == 0
-        assert any("sequential" in note for note in res.diagnostics)
-
-    def test_threads_must_be_positive(self):
-        res = run(["parse", "s1", "--threads", "0"])
-        assert res.exit_code == 2
-
 
 class TestParse:
     def test_reports_word_data(self):
@@ -206,6 +197,13 @@ class TestColored:
     def test_malformed_colors_are_a_parse_error(self):
         res = run(["colored", "s2^3", "-n", "4", "--colors", "1,x", "--root", "7"])
         assert res.exit_code == 2
+
+    def test_numerical_breakdown_is_a_limit_error_not_nan(self):
+        res = run(["colored", "s1", "-n", "2", "--colors", "300", "--root", "400", "--json"])
+        assert res.exit_code == 3
+        assert res.payload["kind"] == "limit"
+        assert "NaN" not in res.rendered
+        assert "NaN" not in json.dumps(res.payload)
 
 
 class TestApprox:

@@ -103,6 +103,10 @@ class TestStateVector:
         with pytest.raises(DomainError):
             bend_state(ColoredSpace((HALF, Fraction(3, 2)), 7))
 
+    def test_rejects_nan_amplitudes(self):
+        with pytest.raises(DomainError):
+            StateVector(np.full(2, np.nan))
+
 
 class TestApplyUnitary:
     def test_identity_is_noop(self):
@@ -156,6 +160,10 @@ class TestApplyUnitary:
         psi = random_state(4, 9)
         with pytest.raises(DomainError):
             apply_unitary(psi, np.diag([1.0, 1.0, 1.0, 0.5]))
+
+    def test_rejects_nan_operator(self):
+        with pytest.raises(DomainError):
+            apply_unitary(StateVector.basis(2, 0), np.full((2, 2), np.nan))
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(DomainError):
@@ -402,6 +410,18 @@ class TestEstimateMarkovTrace:
         est = estimate_markov_trace(TREFOIL_PLAT, [HALF], 5, 0.1, seed=3)
         assert est.error_bound_held() is True
 
+    def test_pinned_spin_one_readings(self):
+        # literal values: the per-reading seeding must reproduce them bit for bit
+        w = parse_braid("s2 s1^-1 s3 s2 s2 s1", 4)
+        est = estimate_markov_trace(w, [2], 7, 0.3, seed=0)
+        assert est.value == complex(-1.2570734405791697, -2.3746440671091857)
+        assert est.samples_used == 6284
+        assert est.exact == pytest.approx(colored_invariant(w, [2], 7), abs=1e-12)
+
+    def test_numerical_breakdown_raises_instead_of_sampling_nan(self):
+        with pytest.raises(LimitError):
+            estimate_markov_trace(parse_braid("s1", 2), [300], 400, 0.3)
+
 
 def plat_components(w):
     from knit.diagram import plat_profile
@@ -453,6 +473,20 @@ class TestApproxJones:
         a = approx_jones(TREFOIL_PLAT, 5, 0.1, seed=6)
         b = approx_jones(TREFOIL_PLAT, 5, 0.1, seed=6)
         assert a.value == b.value and a.to_json_dict() == b.to_json_dict()
+
+    @pytest.mark.parametrize(
+        "seed,value",
+        [
+            (0, complex(-0.7928684678019426, 1.3426084557246158)),
+            (1, complex(-0.815813149028072, 1.3477202439221536)),
+            (2, complex(-0.8191496730815497, 1.3230270490812943)),
+        ],
+    )
+    def test_pinned_trefoil_readings(self, seed, value):
+        # literal values: the per-reading seeding must reproduce them bit for bit
+        est = approx_jones(TREFOIL_PLAT, 5, 0.1, seed=seed)
+        assert est.value == value
+        assert est.samples_used == 5808
 
     def test_borromean_rings_estimate(self):
         w = parse_braid(BORROMEAN_PLAT, 6)

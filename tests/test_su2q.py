@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knit.braid import BraidWord, parse_braid
-from knit.diagram import closure_plat
+from knit.braid import BraidWord, parse_braid, random_braid
+from knit.diagram import closure_plat, plat_profile
 from knit.errors import DomainError, LimitError
 from knit.jones import jones_polynomial
 from knit.laurent import evaluate_at_root
@@ -28,6 +28,7 @@ from knit.su2q import (
     fusion_range,
     jones_value_from_plat,
     normalize_ambient,
+    plat_branch,
     q_clebsch_gordan,
     q_integer,
     r_matrix,
@@ -297,6 +298,13 @@ class TestColoredSpace:
         with pytest.raises(DomainError):
             ColoredSpace((ColorLabel(11),), 5)
 
+    def test_bend_index_is_the_cap_path(self):
+        space = ColoredSpace((1, 1, 2, 2), 10)
+        assert space.paths()[space.bend_index()] == (0, 1, 0, 2, 0)
+        for unpaired in ((1, 2, 2, 1), (1, 1, 1)):
+            with pytest.raises(DomainError):
+                ColoredSpace(unpaired, 10).bend_index()
+
 
 class TestBraidingOperatorForWord:
     def test_yang_baxter_with_color_tracking(self):
@@ -310,6 +318,11 @@ class TestBraidingOperatorForWord:
         one = braiding_operator_for_word(parse_braid("s1 s3", 4), (1, 2, 1, 3), 10)
         other = braiding_operator_for_word(parse_braid("s3 s1", 4), (1, 2, 1, 3), 10)
         assert np.abs(one.matrix - other.matrix).max() < 1e-10
+
+    def test_rejects_nan_matrix(self):
+        space = ColoredSpace((1, 1), 5)
+        with pytest.raises(DomainError):
+            BraidingOperator(np.full((2, 2), np.nan), space, space)
 
     def test_unitarity_of_random_words(self):
         rng = np.random.default_rng(7)
@@ -439,6 +452,30 @@ class TestColoredInvariant:
                 assert jones_value_from_plat(w, r) == pytest.approx(
                     oracle_value(word, n, r), abs=1e-8
                 )
+
+    def test_high_spin_unknot_stays_exact(self):
+        for word in ("", "s1", "s1^-1 s1^-1"):
+            value = colored_invariant(parse_braid(word, 2), [150], 200)
+            assert value == pytest.approx(q_integer(151, 200), abs=1e-12)
+
+    def test_numerical_breakdown_is_a_limit_error(self):
+        with pytest.raises(LimitError):
+            colored_invariant(parse_braid("s1", 2), [300], 400)
+
+    @pytest.mark.parametrize(
+        "n,twice_j,r",
+        # every B4-B8 space at spin 1/2 and 1 up to 353 paths; (8, 2, 10) has 883
+        [c for c in itertools.product((4, 6, 8), (1, 2), (5, 7, 10)) if c != (8, 2, 10)],
+    )
+    def test_engine_matches_the_dense_operator(self, n, twice_j, r):
+        for seed in range(3):
+            w = random_braid(n, 4 + 3 * seed, seed=100 * n + 10 * twice_j + r + seed)
+            colors = [twice_j] * plat_profile(w).component_count
+            op = braiding_operator_for_plat(w, [twice_j] * n, r)
+            element = op.matrix[op.codomain.bend_index(), op.domain.bend_index()]
+            prefactor = plat_branch(w, colors, r)[0]
+            want = prefactor * element
+            assert colored_invariant(w, colors, r) == pytest.approx(want, abs=1e-12)
 
     def test_rejects_root_below_component_count(self):
         with pytest.raises(DomainError):
