@@ -18,7 +18,6 @@ import argparse
 import cmath
 import json
 import math
-import os
 import random
 import re
 import sys
@@ -28,16 +27,13 @@ from .braid import BraidWord, parse_braid, random_braid
 from .diagram import closure_plat, closure_trace, plat_profile
 from .errors import DomainError, KnitError, LimitError, ParseError
 from .garside import normal_form, words_equal
-from .jones import jones_polynomial
+from .jones import CROSSING_LIMIT_ENV, jones_polynomial
 from .laurent import evaluate_at_root
 from .qsim import approx_jones
 from .reidemeister import apply_reidemeister, reidemeister_sites
 from .su2q import colored_invariant, normalize_ambient
 
 __all__ = ["CommandResult", "run", "main", "CROSSING_LIMIT_ENV"]
-
-#: Environment variable overriding the state-sum crossing limit.
-CROSSING_LIMIT_ENV = "KNIT_CROSSING_LIMIT"
 
 _GENERATOR_TOKEN = re.compile(r"s(\d+)")
 
@@ -184,30 +180,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _crossing_limit() -> int | None:
-    raw = os.environ.get(CROSSING_LIMIT_ENV)
-    if raw is None:
-        return None
-    try:
-        limit = int(raw)
-    except ValueError:
-        raise DomainError(
-            f"{CROSSING_LIMIT_ENV} must be an integer, got {raw!r}"
-        ) from None
-    if limit < 0:
-        raise DomainError(f"{CROSSING_LIMIT_ENV} must be nonnegative, got {limit}")
-    return limit
-
-
 def _format_word(w: BraidWord) -> str:
     return " ".join(f"s{g}" if s == 1 else f"s{g}^-1" for g, s in w.letters)
 
 
+def _strand_count(strands: int | None, *texts: str) -> int:
+    """``strands`` if given, else one more than the largest generator."""
+    if strands is not None:
+        return strands
+    found = [int(tok) for text in texts for tok in _GENERATOR_TOKEN.findall(text)]
+    return max(found, default=0) + 1
+
+
 def _parse_word(text: str, strands: int | None) -> BraidWord:
-    if strands is None:
-        found = [int(tok) for tok in _GENERATOR_TOKEN.findall(text)]
-        strands = max(found, default=0) + 1
-    return parse_braid(text, strands)
+    return parse_braid(text, _strand_count(strands, text))
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +227,7 @@ def _cmd_nf(args) -> dict:
 
 
 def _cmd_eq(args) -> dict:
-    strands = args.strands
-    if strands is None:
-        found = [
-            int(tok)
-            for text in (args.left, args.right)
-            for tok in _GENERATOR_TOKEN.findall(text)
-        ]
-        strands = max(found, default=0) + 1
+    strands = _strand_count(args.strands, args.left, args.right)
     left = parse_braid(args.left, strands)
     right = parse_braid(args.right, strands)
     return {"equal": words_equal(left, right)}
@@ -282,7 +261,7 @@ def _cmd_closure_info(args) -> dict:
 def _cmd_jones(args) -> dict:
     w = _parse_word(args.word, args.strands)
     close = closure_trace if args.closure_kind == "trace" else closure_plat
-    poly = jones_polynomial(close(w), _crossing_limit())
+    poly = jones_polynomial(close(w))
     payload = {
         "closure": args.closure_kind,
         "strands": w.index,
@@ -353,7 +332,7 @@ def _cmd_approx(args) -> tuple[dict, list[str]]:
 
 
 def _trace_jones(w: BraidWord) -> object:
-    return jones_polynomial(closure_trace(w), _crossing_limit())
+    return jones_polynomial(closure_trace(w))
 
 
 def _random_closure(rng: random.Random):
@@ -380,9 +359,9 @@ def _invariance_trial(family: str, seed_text: str) -> bool:
         moved = apply_reidemeister(d, move, sites[rng.randrange(len(sites))])
         writhe_shift = moved.writhe() - d.writhe()
         expected_shift = (-1, 1) if family == "RI" else (0,)
-        return writhe_shift in expected_shift and jones_polynomial(
-            moved, _crossing_limit()
-        ) == jones_polynomial(d, _crossing_limit())
+        return writhe_shift in expected_shift and (
+            jones_polynomial(moved) == jones_polynomial(d)
+        )
     # triangle slides can be scarce on alternating closures: open sites
     # with strand slides first, falling back to a closure known to have one
     for _ in range(3):
@@ -398,9 +377,9 @@ def _invariance_trial(family: str, seed_text: str) -> bool:
         d = closure_trace(parse_braid("s1 s2 s1", 3))
         sites = reidemeister_sites(d, "RIII")
     moved = apply_reidemeister(d, "RIII", sites[rng.randrange(len(sites))])
-    return moved.writhe() == d.writhe() and jones_polynomial(
-        moved, _crossing_limit()
-    ) == jones_polynomial(d, _crossing_limit())
+    return moved.writhe() == d.writhe() and (
+        jones_polynomial(moved) == jones_polynomial(d)
+    )
 
 
 def _cmd_invariance_test(args) -> dict:

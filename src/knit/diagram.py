@@ -390,12 +390,7 @@ def plat_pair_components(w: BraidWord) -> tuple[int, ...]:
     Components are numbered from 0 in order of their leftmost top strand,
     matching the numbering the orientation pass uses.
     """
-    n = w.index
-    if n % 2:
-        raise DomainError(f"plat closure needs an even braid index, got {n}")
-    _, links, top, _ = _plat_arcs(w)
-    _, component = _orient_plat(links, top)
-    return tuple(component[top[i]] for i in range(0, n, 2))
+    return plat_profile(w).pair_component
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 """Exact Jones polynomial by two independent routes.
 
 Route one is the Kauffman bracket as a brute-force state sum over all
-2^c smoothings of a diagram; route two represents the braid group inside
-the Temperley-Lieb diagram algebra and takes the Markov trace.  The two
-must agree exactly, which is the backbone correctness check for the
-whole package.
+2^c smoothings of a diagram.  Route two represents the braid group
+inside the Temperley-Lieb diagram algebra and takes the Markov trace of
+the trace closure.  It has one engine: a lazily memoised cup-cap action
+``(n, i, matching) -> (matching times E_i, delta^loops)`` and one loop
+that propagates a combination of basis diagrams through a word over it.
+Both routes end in the same bracket-to-Jones step.  The two must agree
+exactly, which is the backbone correctness check for the whole package.
 
 Conventions pinned here once and used everywhere: the bracket variable
 is A with loop value delta = -A^2 - A^-2; a positive crossing smooths
@@ -17,42 +20,49 @@ comes out in negative powers of t.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .braid import BraidWord
-from .diagram import LinkDiagram, closure_trace
+from .diagram import LinkDiagram
 from .errors import DomainError, LimitError
 from .laurent import LaurentPoly
 
 __all__ = [
     "kauffman_bracket",
     "jones_polynomial",
-    "tl_generator_images",
     "markov_trace_jones",
-    "TLMatrixRep",
     "noncrossing_matchings",
     "LOOP_VALUE",
+    "CROSSING_LIMIT_ENV",
 ]
 
 DEFAULT_CROSSING_LIMIT = 20
 DEFAULT_TL_STRANDS = 10
+
+#: Environment variable overriding the state-sum crossing limit.
+CROSSING_LIMIT_ENV = "KNIT_CROSSING_LIMIT"
 
 # delta = -A^2 - A^-2 (exponent numerators are quarter-units)
 LOOP_VALUE = LaurentPoly.from_dict({8: -1, -8: -1})
 
 
 def _crossing_limit(limit: int | None) -> int:
-    if limit is not None:
-        return limit
-    env = os.environ.get("KNIT_CROSSING_LIMIT")
-    if env is not None:
+    source = "crossing limit"
+    if limit is None:
+        raw = os.environ.get(CROSSING_LIMIT_ENV)
+        if raw is None:
+            return DEFAULT_CROSSING_LIMIT
+        source = CROSSING_LIMIT_ENV
         try:
-            return int(env)
+            limit = int(raw)
         except ValueError:
-            raise DomainError(f"KNIT_CROSSING_LIMIT is not an integer: {env!r}")
-    return DEFAULT_CROSSING_LIMIT
+            raise DomainError(
+                f"{source} must be an integer, got {raw!r}"
+            ) from None
+    if limit < 0:
+        raise DomainError(f"{source} must be nonnegative, got {limit}")
+    return limit
 
 
 def kauffman_bracket(d: LinkDiagram, limit: int | None = None) -> LaurentPoly:
@@ -62,7 +72,8 @@ def kauffman_bracket(d: LinkDiagram, limit: int | None = None) -> LaurentPoly:
     B-smoothing joins 0-1 and 2-3.  Each state contributes
     A^(#A - #B) * delta^(loops - 1), counting free circles as loops.
     Raises LimitError past the crossing limit (default 20, or the
-    KNIT_CROSSING_LIMIT environment variable).
+    KNIT_CROSSING_LIMIT environment variable) and DomainError when that
+    limit is negative or not an integer.
     """
     problems = d.validate()
     if problems:
@@ -123,16 +134,15 @@ def kauffman_bracket(d: LinkDiagram, limit: int | None = None) -> LaurentPoly:
     return LaurentPoly.from_dict(total)
 
 
-def _writhe_correction(w: int) -> LaurentPoly:
-    # (-A^3)^(-w) as a polynomial in A
-    return LaurentPoly.monomial(-1 if w % 2 else 1, -12 * w, 4)
+def _bracket_to_jones(bracket: LaurentPoly, writhe: int) -> LaurentPoly:
+    """Times the writhe factor (-A^3)^(-writhe), then t = A^-4."""
+    correction = LaurentPoly.monomial(-1 if writhe % 2 else 1, -12 * writhe, 4)
+    return (correction * bracket).substitute_power(Fraction(-1, 4))
 
 
 def jones_polynomial(d: LinkDiagram, limit: int | None = None) -> LaurentPoly:
     """Jones polynomial in t: writhe-corrected bracket with t = A^-4."""
-    bracket = kauffman_bracket(d, limit)
-    corrected = _writhe_correction(d.writhe()) * bracket
-    return corrected.substitute_power(Fraction(-1, 4))
+    return _bracket_to_jones(kauffman_bracket(d, limit), d.writhe())
 
 
 def noncrossing_matchings(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -169,11 +179,9 @@ def _cupcap_matching(n: int, i: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(tuple(sorted(q)) for q in pairs))
 
 
-def _compose(n: int, upper, lower) -> tuple[tuple[tuple[int, int], ...], int]:
-    """Stack ``lower`` below ``upper``; matching of the result plus the
-    number of closed loops swallowed at the interface."""
-    # nodes: 0..n-1 upper top, n..2n-1 interface, 2n..3n-1 lower bottom
-    parent = list(range(3 * n))
+def _components(size: int, edges) -> list[int]:
+    """Root label of every node 0..size-1 once ``edges`` are joined."""
+    parent = list(range(size))
 
     def find(x):
         while parent[x] != x:
@@ -181,10 +189,17 @@ def _compose(n: int, upper, lower) -> tuple[tuple[tuple[int, int], ...], int]:
             x = parent[x]
         return x
 
-    def union(a, b):
+    for a, b in edges:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[rb] = ra
+    return [find(x) for x in range(size)]
+
+
+def _compose(n: int, upper, lower) -> tuple[tuple[tuple[int, int], ...], int]:
+    """Stack ``lower`` below ``upper``; matching of the result plus the
+    number of closed loops swallowed at the interface."""
+    # nodes: 0..n-1 upper top, n..2n-1 interface, 2n..3n-1 lower bottom
 
     def upper_node(idx):
         return idx if idx < n else n + (2 * n - 1 - idx)
@@ -192,119 +207,58 @@ def _compose(n: int, upper, lower) -> tuple[tuple[tuple[int, int], ...], int]:
     def lower_node(idx):
         return n + idx if idx < n else 2 * n + (2 * n - 1 - idx)
 
-    for a, b in upper:
-        union(upper_node(a), upper_node(b))
-    for a, b in lower:
-        union(lower_node(a), lower_node(b))
+    edges = [(upper_node(a), upper_node(b)) for a, b in upper]
+    edges += [(lower_node(a), lower_node(b)) for a, b in lower]
+    root = _components(3 * n, edges)
 
     external: dict[int, list[int]] = {}
     for p in range(n):
-        external.setdefault(find(p), []).append(p)
-        external.setdefault(find(2 * n + p), []).append(2 * n - 1 - p)
-    pairs = []
-    for members in external.values():
-        pairs.append(tuple(sorted(members)))
-    interface_roots = {find(n + p) for p in range(n)}
+        external.setdefault(root[p], []).append(p)
+        external.setdefault(root[2 * n + p], []).append(2 * n - 1 - p)
+    pairs = [tuple(sorted(members)) for members in external.values()]
+    interface_roots = {root[n + p] for p in range(n)}
     loops = len(interface_roots - set(external))
     return tuple(sorted(pairs)), loops
 
 
 def _closure_loops(n: int, matching) -> int:
-    parent = list(range(2 * n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in matching:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-    for p in range(n):
-        ra, rb = find(p), find(2 * n - 1 - p)
-        if ra != rb:
-            parent[rb] = ra
-    return len({find(x) for x in range(2 * n)})
+    closing = [(p, 2 * n - 1 - p) for p in range(n)]
+    return len(set(_components(2 * n, list(matching) + closing)))
 
 
-@dataclass(frozen=True)
-class TLMatrixRep:
-    """Sparse generator images over the non-crossing diagram basis.
+@lru_cache(maxsize=None)
+def _cupcap_action(n: int, i: int, matching) -> tuple[tuple, LaurentPoly]:
+    """``matching`` times E_i: the composed basis element and delta^loops.
 
-    ``pos[i]`` and ``neg[i]`` are the images of the i-th generator and
-    its inverse, as column dicts: image[col][row] is the coefficient (a
-    polynomial in A) of basis element ``row`` in the image of ``col``.
+    Filled lazily, one (n, i, matching) at a time, as words visit them;
+    it never holds more than Catalan(n) * (n - 1) entries per n.
     """
-
-    n: int
-    basis: tuple[tuple[tuple[int, int], ...], ...]
-    pos: tuple[dict, ...]
-    neg: tuple[dict, ...]
-
-    def index_of(self, matching) -> int:
-        return self.basis.index(matching)
-
-    def matrix_product(self, left: dict, right: dict) -> dict:
-        out: dict[int, dict[int, LaurentPoly]] = {}
-        for col, column in right.items():
-            acc: dict[int, LaurentPoly] = {}
-            for mid, coeff in column.items():
-                for row, c2 in left.get(mid, {}).items():
-                    prior = acc.get(row, LaurentPoly.zero())
-                    acc[row] = prior + coeff * c2
-            cleaned = {r: v for r, v in acc.items() if not v.is_zero()}
-            if cleaned:
-                out[col] = cleaned
-        return out
-
-    def identity_matrix(self) -> dict:
-        return {
-            j: {j: LaurentPoly.one()} for j in range(len(self.basis))
-        }
+    composed, loops = _compose(n, matching, _cupcap_matching(n, i))
+    return composed, LOOP_VALUE**loops
 
 
-def tl_generator_images(n: int, limit: int = DEFAULT_TL_STRANDS) -> TLMatrixRep:
-    """Images of every generator and inverse on the diagram basis.
+def _propagate(n: int, letters, vector: dict) -> dict:
+    """Multiply a combination of basis diagrams by each letter in turn.
 
-    A positive generator maps to A*Id + A^-1*E_i; cup-cap composition
-    absorbs closed loops as powers of delta.
+    A positive generator acts as A*Id + A^-1*E_i, its inverse as
+    A^-1*Id + A*E_i; zero coefficients are dropped after every letter.
     """
-    if n < 2 or n > limit:
-        raise DomainError(f"strand count {n} outside 2..{limit}")
-    basis = noncrossing_matchings(n)
-    index = {m: k for k, m in enumerate(basis)}
     a_plus = LaurentPoly.monomial(1, 1)  # A
     a_minus = LaurentPoly.monomial(1, -1)
-    pos = []
-    neg = []
-    for i in range(1, n):
-        cupcap = _cupcap_matching(n, i)
-        images_pos: dict[int, dict[int, LaurentPoly]] = {}
-        images_neg: dict[int, dict[int, LaurentPoly]] = {}
-        for col, m in enumerate(basis):
-            composed, loops = _compose(n, m, cupcap)
-            scale = LOOP_VALUE**loops
-            row = index[composed]
-            for images, straight, bent in (
-                (images_pos, a_plus, a_minus),
-                (images_neg, a_minus, a_plus),
-            ):
-                column: dict[int, LaurentPoly] = {col: straight}
-                extra = bent * scale
-                column[row] = column.get(row, LaurentPoly.zero()) + extra
-                images[col] = {
-                    r: v for r, v in column.items() if not v.is_zero()
-                }
-        pos.append(images_pos)
-        neg.append(images_neg)
-    return TLMatrixRep(n, basis, tuple(pos), tuple(neg))
+    for gen, sign in letters:
+        straight, bent = (a_plus, a_minus) if sign > 0 else (a_minus, a_plus)
+        nxt: dict[tuple, LaurentPoly] = {}
+        for m, coeff in vector.items():
+            prior = nxt.get(m, LaurentPoly.zero())
+            nxt[m] = prior + coeff * straight
+            composed, scale = _cupcap_action(n, gen, m)
+            prior = nxt.get(composed, LaurentPoly.zero())
+            nxt[composed] = prior + coeff * bent * scale
+        vector = {m: v for m, v in nxt.items() if not v.is_zero()}
+    return vector
 
 
-def markov_trace_jones(
-    w: BraidWord, limit: int = DEFAULT_TL_STRANDS
-) -> LaurentPoly:
+def markov_trace_jones(w: BraidWord) -> LaurentPoly:
     """Jones polynomial of the trace closure through the TL representation.
 
     Propagates the identity diagram through the word, closes every basis
@@ -312,27 +266,13 @@ def markov_trace_jones(
     and lands in t.  Agrees exactly with the state-sum route.
     """
     n = w.index
-    if n > limit:
-        raise DomainError(f"strand count {n} beyond the diagram-basis limit {limit}")
-    a_plus = LaurentPoly.monomial(1, 1)
-    a_minus = LaurentPoly.monomial(1, -1)
-    vector: dict[tuple, LaurentPoly] = {_identity_matching(n): LaurentPoly.one()}
-    for gen, sign in w.letters:
-        cupcap = _cupcap_matching(n, gen)
-        straight, bent = (a_plus, a_minus) if sign > 0 else (a_minus, a_plus)
-        nxt: dict[tuple, LaurentPoly] = {}
-        for m, coeff in vector.items():
-            prior = nxt.get(m, LaurentPoly.zero())
-            nxt[m] = prior + coeff * straight
-            composed, loops = _compose(n, m, cupcap)
-            term = coeff * bent * LOOP_VALUE**loops
-            prior = nxt.get(composed, LaurentPoly.zero())
-            nxt[composed] = prior + term
-        vector = {m: v for m, v in nxt.items() if not v.is_zero()}
-
+    if n > DEFAULT_TL_STRANDS:
+        raise DomainError(
+            f"strand count {n} beyond the diagram-basis limit {DEFAULT_TL_STRANDS}"
+        )
+    start = {_identity_matching(n): LaurentPoly.one()}
     bracket = LaurentPoly.zero()
-    for m, coeff in vector.items():
+    for m, coeff in _propagate(n, w.letters, start).items():
         loops = _closure_loops(n, m)
         bracket = bracket + coeff * LOOP_VALUE ** (loops - 1)
-    corrected = _writhe_correction(w.exponent_sum()) * bracket
-    return corrected.substitute_power(Fraction(-1, 4))
+    return _bracket_to_jones(bracket, w.exponent_sum())

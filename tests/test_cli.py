@@ -140,6 +140,12 @@ class TestJones:
         res = run(["jones", "s1^3", "-n", "2"])
         assert res.exit_code == 1
 
+    def test_crossing_limit_env_must_be_nonnegative(self, monkeypatch):
+        monkeypatch.setenv(CROSSING_LIMIT_ENV, "-1")
+        res = run(["jones", "s1^3", "-n", "2", "--json"])
+        assert res.exit_code == 1
+        assert res.payload["kind"] == "domain"
+
     def test_round_trip_through_json_rendering(self):
         res = run(["jones", "s1 s2^-1 s1 s2^-1", "-n", "3", "--json"])
         assert res.exit_code == 0

@@ -7,11 +7,14 @@ from knit.diagram import LinkDiagram, closure_plat, closure_trace, parse_diagram
 from knit.errors import DomainError, LimitError
 from knit.jones import (
     LOOP_VALUE,
+    _cupcap_action,
+    _cupcap_matching,
+    _identity_matching,
+    _propagate,
     jones_polynomial,
     kauffman_bracket,
     markov_trace_jones,
     noncrossing_matchings,
-    tl_generator_images,
 )
 from knit.laurent import LaurentPoly
 
@@ -56,6 +59,19 @@ def test_bracket_limit_env(monkeypatch):
     monkeypatch.setenv("KNIT_CROSSING_LIMIT", "bogus")
     with pytest.raises(DomainError):
         kauffman_bracket(closure_trace(parse_braid("s1^3", 2)))
+
+
+def test_bracket_negative_limit_is_domain_error(monkeypatch):
+    # a negative cap is a bad setting, not a state sum over too many
+    # crossings, even on the crossing-free unknot
+    unknot = LinkDiagram((), 1)
+    monkeypatch.setenv("KNIT_CROSSING_LIMIT", "-1")
+    with pytest.raises(DomainError):
+        kauffman_bracket(unknot)
+    monkeypatch.delenv("KNIT_CROSSING_LIMIT")
+    with pytest.raises(DomainError):
+        jones_polynomial(unknot, limit=-1)
+    assert kauffman_bracket(unknot, limit=0) == LaurentPoly.one()
 
 
 def test_bracket_hopf():
@@ -108,66 +124,60 @@ def test_catalan_counts():
         assert len(noncrossing_matchings(n)) == expected
 
 
+def _same_action(n, left, right):
+    # both letter sequences, propagated from every basis diagram of B_n
+    for m in noncrossing_matchings(n):
+        start = {m: LaurentPoly.one()}
+        assert _propagate(n, left, start) == _propagate(n, right, start), m
+
+
+def _scaled(n, letters, m):
+    # m times E_i for each i in ``letters``, read from the memoised action
+    scale = LaurentPoly.one()
+    for i in letters:
+        m, factor = _cupcap_action(n, i, m)
+        scale = scale * factor
+    return m, scale
+
+
 def test_tl_rep_small_shape():
-    rep = tl_generator_images(2)
-    assert len(rep.basis) == 2
-    assert len(rep.pos) == 1
+    basis = noncrossing_matchings(2)
+    assert len(basis) == 2
+    identity, cupcap = _identity_matching(2), _cupcap_matching(2, 1)
+    assert set(basis) == {identity, cupcap}
+    assert _cupcap_action(2, 1, identity) == (cupcap, LaurentPoly.one())
+    assert _cupcap_action(2, 1, cupcap) == (cupcap, LOOP_VALUE)
     with pytest.raises(DomainError):
-        tl_generator_images(1)
-    with pytest.raises(DomainError):
-        tl_generator_images(11)
+        markov_trace_jones(BraidWord.identity(11))
 
 
 def test_tl_inverse_contract():
-    rep = tl_generator_images(3)
-    for i in range(2):
-        prod = rep.matrix_product(rep.pos[i], rep.neg[i])
-        assert prod == rep.identity_matrix()
-        prod = rep.matrix_product(rep.neg[i], rep.pos[i])
-        assert prod == rep.identity_matrix()
+    for i in (1, 2):
+        _same_action(3, ((i, 1), (i, -1)), ())
+        _same_action(3, ((i, -1), (i, 1)), ())
 
 
 def test_tl_braid_relation_exact():
-    rep = tl_generator_images(3)
-    g1, g2 = rep.pos
-    lhs = rep.matrix_product(g1, rep.matrix_product(g2, g1))
-    rhs = rep.matrix_product(g2, rep.matrix_product(g1, g2))
-    assert lhs == rhs
+    _same_action(3, ((1, 1), (2, 1), (1, 1)), ((2, 1), (1, 1), (2, 1)))
+    _same_action(4, ((2, -1), (3, -1), (2, -1)), ((3, -1), (2, -1), (3, -1)))
 
 
 def test_tl_far_commutation():
-    rep = tl_generator_images(4)
-    g1, g3 = rep.pos[0], rep.pos[2]
-    assert rep.matrix_product(g1, g3) == rep.matrix_product(g3, g1)
+    _same_action(4, ((1, 1), (3, 1)), ((3, 1), (1, 1)))
+    _same_action(4, ((1, -1), (3, 1)), ((3, 1), (1, -1)))
 
 
 def test_tl_cupcap_relations():
-    # E_i^2 = delta E_i and E_1 E_2 E_1 = E_1, read off the generator
-    # images: E_i = A (g_i - A Id)
-    rep = tl_generator_images(3)
-
-    def cupcap(i):
-        a = LaurentPoly.monomial(1, 1)
-        out = {}
-        for col, column in rep.pos[i].items():
-            adjusted = {}
-            for row, v in column.items():
-                if row == col:
-                    v = v - a
-                scaled = v * a
-                if not scaled.is_zero():
-                    adjusted[row] = scaled
-            out[col] = adjusted
-        return out
-
-    e1, e2 = cupcap(0), cupcap(1)
-    sq = rep.matrix_product(e1, e1)
-    scaled = {
-        col: {row: v * LOOP_VALUE for row, v in column.items()}
-        for col, column in e1.items()
-    }
-    assert sq == scaled
-    assert rep.matrix_product(e1, rep.matrix_product(e2, e1)) == e1
+    # E_i^2 = delta E_i and E_i E_j E_i = E_i for |i - j| = 1, on every
+    # basis diagram of B3 and B4
+    for n in (3, 4):
+        for m in noncrossing_matchings(n):
+            for i in range(1, n):
+                once, scale = _scaled(n, (i,), m)
+                assert _scaled(n, (i, i), m) == (once, scale * LOOP_VALUE)
+                for j in (i - 1, i + 1):
+                    if 1 <= j < n:
+                        assert _scaled(n, (i, j, i), m) == (once, scale)
 
 
 def test_markov_trace_identity_words():
@@ -176,8 +186,9 @@ def test_markov_trace_identity_words():
 
 
 def test_markov_trace_matches_bracket_route():
-    for seed in range(40):
-        w = random_braid(4, 9, seed=seed)
+    words = [random_braid(4, 9, seed=seed) for seed in range(40)]
+    words += [random_braid(6, 12 + seed % 3, seed=600 + seed) for seed in range(4)]
+    for w in words:
         assert markov_trace_jones(w) == jones_polynomial(closure_trace(w))
 
 
