@@ -5,7 +5,8 @@ exact Jones polynomial (with optional numeric evaluation at a root of
 unity), colored invariants, sampled approximation, and a randomized
 self-check of the invariance properties.  Output is human-readable by
 default and JSON with ``--json``; exit codes are 2 for parse or usage
-problems, 1 for domain violations, and 3 for resource limits.
+problems, 1 for domain violations, and 3 for resource limits and for a
+result that is not finite, which would not be valid JSON.
 
 ``run(argv)`` is the library entry point and returns a
 ``CommandResult`` instead of printing; ``main()`` is the console
@@ -490,11 +491,11 @@ def run(argv: list[str]) -> CommandResult:
         outcome = _HANDLERS[command](args)
         payload, notes = outcome if isinstance(outcome, tuple) else (outcome, [])
         diagnostics.extend(notes)
-        rendered = (
-            json.dumps(payload, indent=2, sort_keys=True)
-            if json_mode
-            else _render(command, payload)
-        )
+        try:
+            document = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError:
+            raise LimitError(f"{command} produced a non-finite value") from None
+        rendered = document if json_mode else _render(command, payload)
         return CommandResult(0, payload, diagnostics, command, rendered)
     except _UsageError as exc:
         payload = {"error": str(exc), "kind": "usage"}

@@ -21,11 +21,15 @@ isotopy invariant normalized to ``[2j+1]_q`` on the color-``j`` unknot.
 One engine computes that element: ``plat_branch`` streams the top bend
 state through the word one elementary twist per letter and returns the
 scalar prefactor, the bottom bend state and the braided branch state.
+A twist changes only the fusion label between its two strands, so
+``_twist`` builds it once per (colors, position, sign, root) as a cached
+gather table: each output path reads at most ``2j + 1`` source paths,
+and a letter costs O(D b) on D paths instead of a dense D x D matrix.
 ``colored_invariant``, ``jones_value_from_plat`` and the sampled
 estimators of ``qsim`` all contract or sample those three pieces; the
 dense word matrices of ``braiding_operator_for_word`` serve as the
-independent check.  With every color 1/2 this reproduces the Jones
-values computed from the exact bracket route (see
+independent check of the contraction.  With every color 1/2 this
+reproduces the Jones values computed from the exact bracket route (see
 ``jones_value_from_plat``).
 """
 
@@ -468,41 +472,56 @@ class BraidingOperator:
 # elementary braiding
 
 
-def _elementary_matrix(colors: tuple[int, ...], position: int, sign: int, r: int):
-    """Half-twist of strands ``position``, ``position + 1`` (1-based).
+@lru_cache(maxsize=None)
+def _twist(colors: tuple[int, ...], position: int, sign: int, r: int):
+    """Half-twist of strands ``position``, ``position + 1`` (1-based), in gather form.
 
-    Returns the swapped coloring and the matrix on the fusion-path
-    bases.  On each path the twist recouples the two strands into their
-    mutual channel, applies the channel phase (or its reciprocal, per
-    the letter sign), and recouples back; only the local total between
-    the strands changes, so the matrix is block sparse.
+    Returns the swapped coloring and read-only ``D_out x b`` tables
+    ``idx`` and ``wts``; the twisted state is ``(wts * state[idx]).sum(axis=1)``.
+    On each path the twist recouples the two strands into their mutual
+    channel, applies the channel phase (or its reciprocal, per the letter
+    sign), and recouples back.  Only the label between the strands
+    changes, so an output path reads the source paths that differ from it
+    there, one per open coupling channel; ``b <= 2j + 1`` is the most any
+    path reads, and shorter rows are padded with weight 0.
     """
     ci, cj = colors[position - 1], colors[position]
-    swapped = list(colors)
-    swapped[position - 1], swapped[position] = cj, ci
-    swapped = tuple(swapped)
-    dom = _paths(colors, r)
-    cod = _paths(swapped, r)
-    cod_index = {path: k for k, path in enumerate(cod)}
-    mat = np.zeros((len(cod), len(dom)), dtype=complex)
+    swapped = colors[: position - 1] + (cj, ci) + colors[position + 1 :]
+    source_index = {path: k for k, path in enumerate(_paths(colors, r))}
     exponent = _POSITIVE_CROSSING_EXPONENT * sign
     phase_of = {
         chan: _braid_phase(ci, cj, chan, r) ** exponent for chan in _channels(ci, cj, r)
     }
-    for col, path in enumerate(dom):
-        below, above = path[position - 1], path[position + 1]
+    targets = _paths(swapped, r)
+    blocks = {}
+    for below, above in {(path[position - 1], path[position + 1]) for path in targets}:
         mids_in, channels, rec_in = _recoupling(below, ci, cj, above, r)
         mids_out, channels_out, rec_out = _recoupling(below, cj, ci, above, r)
         # coupling channels ignore the order of the pair
         assert channels == channels_out
         phases = np.array([phase_of[chan] for chan in channels])
-        amps = rec_out @ (phases * rec_in[mids_in.index(path[position])])
-        for mid_label, amp in zip(mids_out, amps):
-            if amp == 0:
-                continue
-            target = list(path)
-            target[position] = mid_label
-            mat[cod_index[tuple(target)], col] += amp
+        blocks[below, above] = mids_in, mids_out, (rec_out * phases) @ rec_in.T
+    width = max(len(mids_in) for mids_in, _, _ in blocks.values())
+    idx = np.zeros((len(targets), width), dtype=np.intp)
+    wts = np.zeros(idx.shape, dtype=complex)
+    for row, path in enumerate(targets):
+        mids_in, mids_out, block = blocks[path[position - 1], path[position + 1]]
+        head, tail = path[:position], path[position + 1 :]
+        idx[row, : len(mids_in)] = [source_index[head + (mid,) + tail] for mid in mids_in]
+        wts[row, : len(mids_in)] = block[mids_out.index(path[position])]
+    idx.flags.writeable = wts.flags.writeable = False
+    return swapped, idx, wts
+
+
+def _elementary_matrix(colors: tuple[int, ...], position: int, sign: int, r: int):
+    """``_twist`` as a dense matrix, for ``r_matrix`` and the dense word operators.
+
+    Returns the swapped coloring and the ``D_out x D`` matrix on the
+    fusion-path bases; the plat engine applies the cached tables instead.
+    """
+    swapped, idx, wts = _twist(colors, position, sign, r)
+    mat = np.zeros((len(idx), len(_paths(colors, r))), dtype=complex)
+    np.add.at(mat, (np.arange(len(idx))[:, None], idx), wts)
     return swapped, mat
 
 
@@ -621,7 +640,10 @@ def plat_branch(w: BraidWord, colors, r: int):
     branch whose norm drifted from 1 by more than ``NORM_TOL`` means the
     quantum weights broke down in floating point; that raises LimitError.
     """
-    profile = plat_profile(w)
+    return _plat_branch(w, plat_profile(w), colors, r)
+
+
+def _plat_branch(w: BraidWord, profile, colors, r: int):
     count = profile.component_count
     _check_root(r)
     if r < count:
@@ -650,8 +672,8 @@ def plat_branch(w: BraidWord, colors, r: int):
 
     branch = _bend_vector(ColoredSpace(current, r))
     for generator, sign in w.letters:
-        current, step = _elementary_matrix(current, generator, sign, r)
-        branch = step @ branch
+        current, idx, wts = _twist(current, generator, sign, r)
+        branch = (wts * branch[idx]).sum(axis=1)
     if not (cmath.isfinite(prefactor) and abs(np.linalg.norm(branch) - 1.0) <= NORM_TOL):
         raise LimitError(
             f"plat contraction broke down numerically at r = {r}: the prefactor is "
@@ -675,7 +697,7 @@ def jones_plat_branch(w: BraidWord, r: int):
     """
     profile = plat_profile(w)
     count = profile.component_count
-    prefactor, reference, branch = plat_branch(w, (ColorLabel(1),) * count, r)
+    prefactor, reference, branch = _plat_branch(w, profile, (ColorLabel(1),) * count, r)
     framing = _braid_phase(1, 1, 0, r)
     prefactor *= (-1) ** (count - 1) * framing ** (-2 * profile.linking_sum())
     return prefactor / _qdim(1, r), reference, branch

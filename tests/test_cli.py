@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from knit import cli
 from knit.braid import parse_braid
 from knit.cli import CROSSING_LIMIT_ENV, CommandResult, main, run
 from knit.diagram import closure_plat, closure_trace
@@ -210,6 +211,14 @@ class TestColored:
         assert res.payload["kind"] == "limit"
         assert "NaN" not in res.rendered
         assert "NaN" not in json.dumps(res.payload)
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    def test_non_finite_payload_is_a_limit_error(self, monkeypatch, mode):
+        monkeypatch.setattr(cli, "colored_invariant", lambda w, colors, r: complex("nan"))
+        res = run(["colored", "s2^3", "-n", "4", "--colors", "1", "--root", "7", *mode])
+        assert res.exit_code == 3
+        assert res.payload["kind"] == "limit"
+        assert "nan" not in res.rendered.lower()
 
 
 class TestApprox:

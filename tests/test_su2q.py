@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knit import su2q
 from knit.braid import BraidWord, parse_braid, random_braid
 from knit.diagram import closure_plat, plat_profile
 from knit.errors import DomainError, LimitError
@@ -37,6 +39,12 @@ from knit.su2q import (
 # Three-component plat word in B_6 whose closure is the Borromean rings:
 # each pair of components is unlinked, all three are not.
 BORROMEAN_PLAT = "s2 s1 s4^-1 s3 s4^-1 s3 s2^-1 s4^-1"
+
+
+# every B4-B8 space at spin 1/2 and 1 up to 353 paths; (8, 2, 10) has 883
+ENGINE_SPACES = [
+    c for c in itertools.product((4, 6, 8), (1, 2), (5, 7, 10)) if c != (8, 2, 10)
+]
 
 
 def unit_root(r):
@@ -462,11 +470,7 @@ class TestColoredInvariant:
         with pytest.raises(LimitError):
             colored_invariant(parse_braid("s1", 2), [300], 400)
 
-    @pytest.mark.parametrize(
-        "n,twice_j,r",
-        # every B4-B8 space at spin 1/2 and 1 up to 353 paths; (8, 2, 10) has 883
-        [c for c in itertools.product((4, 6, 8), (1, 2), (5, 7, 10)) if c != (8, 2, 10)],
-    )
+    @pytest.mark.parametrize("n,twice_j,r", ENGINE_SPACES)
     def test_engine_matches_the_dense_operator(self, n, twice_j, r):
         for seed in range(3):
             w = random_braid(n, 4 + 3 * seed, seed=100 * n + 10 * twice_j + r + seed)
@@ -500,6 +504,55 @@ class TestColoredInvariant:
         value = jones_value_from_plat(word, 7)
         want = evaluate_at_root(jones_polynomial(closure_plat(word)), 7)
         assert value == pytest.approx(want, abs=1e-8)
+
+
+class TestTwist:
+    @pytest.mark.parametrize(
+        "colors,r",
+        [
+            pytest.param(colors, r, id=f"{''.join(map(str, colors))}-r{r}")
+            for colors, r in [((twice_j,) * n, r) for n, twice_j, r in ENGINE_SPACES]
+            + [((1, 1, 2, 2), 7), ((2, 2, 1, 1, 2, 2, 1, 1), 10)]
+        ],
+    )
+    def test_gather_form_matches_the_dense_twist(self, colors, r):
+        rng = np.random.default_rng(len(colors) * r + sum(colors))
+        size = len(su2q._paths(colors, r))
+        v = rng.normal(size=size) + 1j * rng.normal(size=size)
+        v /= np.linalg.norm(v)
+        for position in range(1, len(colors)):
+            for sign in (1, -1):
+                swapped, idx, wts = su2q._twist(colors, position, sign, r)
+                dense_swapped, mat = su2q._elementary_matrix(colors, position, sign, r)
+                assert swapped == dense_swapped
+                gathered = (wts * v[idx]).sum(axis=1)
+                assert np.abs(gathered - mat @ v).max() < 1e-12
+                assert idx.shape[1] <= min(colors[position - 1], colors[position]) + 1
+
+    def test_tables_are_read_only(self):
+        _, idx, wts = su2q._twist((2, 2, 1, 1), 2, 1, 7)
+        for table in (idx, wts):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 0
+
+    def test_engine_value_is_pinned(self):
+        # recorded from the dense per-letter engine
+        value = colored_invariant(random_braid(8, 30, 0), [2], 10)
+        assert value == pytest.approx(-3.303991995634293 + 2.5660968818663488j, abs=1e-12)
+
+    def test_cold_contraction_allocates_no_dense_twist(self):
+        # 883 fusion paths: one dense D x D complex twist alone is 12.5 MB
+        w = random_braid(8, 30, 0)
+        for cached in (su2q._twist, su2q._paths, su2q._recoupling, su2q._six_j):
+            cached.cache_clear()
+        tracemalloc.start()
+        try:
+            colored_invariant(w, [2], 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestNormalizeAmbient:
