@@ -11,7 +11,14 @@ The package is organized bottom-up:
 - su2q: quantum SU(2) representation theory and colored invariants
 - qsim: state-vector simulation and sampled trace estimation
 - cli: the `knit` command
+
+The exact layers need only the standard library.  ``su2q`` and ``qsim``
+need numpy, so their names (and the two modules themselves) are
+imported on first access through the module ``__getattr__``; importing
+``knit`` or running an exact ``knit`` command never loads numpy.
 """
+
+from importlib import import_module as _import_module
 
 from .braid import BraidWord, Permutation, parse_braid, random_braid
 from .diagram import LinkDiagram, closure_plat, closure_trace, plat_profile
@@ -19,30 +26,35 @@ from .errors import DomainError, KnitError, LimitError, ParseError
 from .garside import NormalForm, is_trivial, normal_form, words_equal
 from .jones import jones_polynomial, kauffman_bracket, markov_trace_jones
 from .laurent import LaurentPoly, evaluate_at_root
-from .qsim import (
-    StateVector,
-    TraceEstimate,
-    apply_unitary,
-    approx_jones,
-    bend_state,
-    estimate_markov_trace,
-    hadamard_test_sample,
-    plan_samples,
-)
-from .su2q import (
-    BraidingOperator,
-    ColorLabel,
-    ColoredSpace,
-    DegenerateColorError,
-    braiding_operator_for_plat,
-    colored_invariant,
-    fusion_range,
-    jones_value_from_plat,
-    normalize_ambient,
-    q_clebsch_gordan,
-    q_integer,
-    r_matrix,
-)
+
+#: Public names of the numpy-backed modules, by home module.
+_NUMERIC = {
+    "qsim": (
+        "StateVector",
+        "TraceEstimate",
+        "apply_unitary",
+        "approx_jones",
+        "bend_state",
+        "estimate_markov_trace",
+        "hadamard_test_sample",
+        "plan_samples",
+    ),
+    "su2q": (
+        "BraidingOperator",
+        "ColorLabel",
+        "ColoredSpace",
+        "DegenerateColorError",
+        "braiding_operator_for_plat",
+        "colored_invariant",
+        "fusion_range",
+        "jones_value_from_plat",
+        "normalize_ambient",
+        "q_clebsch_gordan",
+        "q_integer",
+        "r_matrix",
+    ),
+}
+_HOME = {name: module for module, names in _NUMERIC.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -90,3 +102,18 @@ __all__ = [
     "r_matrix",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """Import ``su2q`` or ``qsim`` on first use of it or of one of its names."""
+    if name in _NUMERIC:
+        return _import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_HOME) | set(_NUMERIC))

@@ -10,7 +10,10 @@ result that is not finite, which would not be valid JSON.
 
 ``run(argv)`` is the library entry point and returns a
 ``CommandResult`` instead of printing; ``main()`` is the console
-script.
+script, also run by ``python -m knit`` and ``python -m knit.cli``.
+
+Only ``colored`` and ``approx`` need numpy; their handlers import
+``su2q`` and ``qsim`` when called, so the exact commands start without it.
 """
 
 from __future__ import annotations
@@ -30,9 +33,6 @@ from .errors import DomainError, KnitError, LimitError, ParseError
 from .garside import normal_form, words_equal
 from .jones import CROSSING_LIMIT_ENV, jones_polynomial
 from .laurent import evaluate_at_root
-from .qsim import approx_jones
-from .reidemeister import apply_reidemeister, reidemeister_sites
-from .su2q import colored_invariant, normalize_ambient
 
 __all__ = ["CommandResult", "run", "main", "CROSSING_LIMIT_ENV"]
 
@@ -297,6 +297,8 @@ def _parse_colors(text: str) -> list[int]:
 
 
 def _cmd_colored(args) -> dict:
+    from .su2q import colored_invariant, normalize_ambient
+
     w = _parse_word(args.word, args.strands)
     colors = _parse_colors(args.colors)
     r = args.root
@@ -321,6 +323,8 @@ def _cmd_colored(args) -> dict:
 
 
 def _cmd_approx(args) -> tuple[dict, list[str]]:
+    from .qsim import approx_jones
+
     w = _parse_word(args.word, args.strands)
     estimate = approx_jones(w, args.root, args.delta, args.confidence, args.seed)
     notes = []
@@ -345,6 +349,8 @@ def _random_closure(rng: random.Random):
 
 
 def _invariance_trial(family: str, seed_text: str) -> bool:
+    from .reidemeister import apply_reidemeister, reidemeister_sites
+
     rng = random.Random(seed_text)
     w, d = _random_closure(rng)
     if family == "markov-conjugate":
@@ -528,3 +534,7 @@ def main(argv: list[str] | None = None) -> int:
     if result.rendered:
         print(result.rendered, file=stream)
     return result.exit_code
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -227,6 +227,8 @@ def _check_error_budget(delta, confidence):
         raise DomainError(f"additive error target must be a number, got {delta!r}")
     if not delta > 0:
         raise DomainError(f"additive error target must be positive, got {delta}")
+    if not delta < math.inf:
+        raise DomainError(f"additive error target must be finite, got {delta}")
     if isinstance(confidence, bool) or not isinstance(confidence, (int, float)):
         raise DomainError(f"confidence must be a number, got {confidence!r}")
     if not 0.5 < confidence < 1.0:
@@ -240,11 +242,13 @@ def plan_samples(delta: float, confidence: float = 0.75) -> int:
 
     A two-sided Hoeffding bound on ±1 readings, with a union bound
     across the real and imaginary estimators:
-    N = ceil(2 ln(4 / (1 - confidence)) / delta^2).  Monotone
-    decreasing in ``delta``; both parameter boundaries are errors.
+    N = ceil(2 ln(4 / (1 - confidence)) / delta^2), and at least 1.
+    Monotone non-increasing in ``delta``; both parameter boundaries and a
+    non-finite ``delta`` are errors.
     """
     _check_error_budget(delta, confidence)
-    return math.ceil(2.0 * math.log(4.0 / (1.0 - confidence)) / (delta * delta))
+    bound = 2.0 * math.log(4.0 / (1.0 - confidence)) / (delta * delta)
+    return max(1, math.ceil(bound))
 
 
 @dataclass(frozen=True)

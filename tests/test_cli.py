@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from knit import cli
+from knit import su2q
 from knit.braid import parse_braid
 from knit.cli import CROSSING_LIMIT_ENV, CommandResult, main, run
 from knit.diagram import closure_plat, closure_trace
@@ -214,7 +214,7 @@ class TestColored:
 
     @pytest.mark.parametrize("mode", [[], ["--json"]])
     def test_non_finite_payload_is_a_limit_error(self, monkeypatch, mode):
-        monkeypatch.setattr(cli, "colored_invariant", lambda w, colors, r: complex("nan"))
+        monkeypatch.setattr(su2q, "colored_invariant", lambda w, colors, r: complex("nan"))
         res = run(["colored", "s2^3", "-n", "4", "--colors", "1", "--root", "7", *mode])
         assert res.exit_code == 3
         assert res.payload["kind"] == "limit"
@@ -257,6 +257,15 @@ class TestApprox:
     def test_zero_delta_is_domain_error(self):
         res = run(["approx", "s2^3", "-n", "4", "--root", "5", "--delta", "0"])
         assert res.exit_code == 1
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    def test_infinite_delta_is_domain_error(self, mode):
+        res = run(["approx", "s1^2", "-n", "2", "--root", "5", "--delta", "inf", *mode])
+        assert res.exit_code == 1
+        assert res.payload == {
+            "error": "additive error target must be finite, got inf",
+            "kind": "domain",
+        }
 
 
 class TestInvarianceTest:

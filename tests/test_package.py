@@ -1,0 +1,124 @@
+"""Tests for the package surface: lazy numeric exports, start-up without
+numpy, and the ``python -m knit`` entry points."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import knit
+from knit import su2q
+from knit.cli import run
+
+SRC = Path(knit.__file__).resolve().parents[1]
+
+HOME_MODULES = [
+    importlib.import_module(f"knit.{name}")
+    for name in ("braid", "diagram", "errors", "garside", "jones", "laurent", "qsim", "su2q")
+]
+
+EXACT_COMMANDS = [
+    ["parse", "s1 s2^-1 s1"],
+    ["nf", "s1 s2 s1 s2^-1", "--json"],
+    ["eq", "s1 s2 s1", "s2 s1 s2"],
+    ["closure-info", "s2^3", "-n", "4", "--closure", "plat", "--json"],
+    ["jones", "s1^3"],
+    ["jones", "s2^3", "-n", "4", "--closure", "plat", "--at-root", "5", "--json"],
+    ["invariance-test", "--trials", "2"],
+]
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports knit from this source tree."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+class TestLazyExports:
+    @pytest.mark.parametrize("name", [n for n in knit.__all__ if n != "__version__"])
+    def test_every_public_name_is_its_home_object(self, name):
+        value = getattr(knit, name)
+        homes = [m for m in HOME_MODULES if name in vars(m)]
+        assert homes
+        assert all(vars(m)[name] is value for m in homes)
+
+    def test_star_import_binds_every_public_name(self):
+        namespace = {}
+        exec("from knit import *", namespace)
+        assert set(knit.__all__) <= set(namespace)
+        assert namespace["colored_invariant"] is su2q.colored_invariant
+
+    def test_dir_lists_every_public_name(self):
+        assert set(knit.__all__) <= set(dir(knit))
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            knit.no_such_name  # noqa: B018
+
+    def test_numeric_modules_are_reachable_after_a_bare_import(self):
+        done = _python(
+            "-c",
+            "import sys, knit\n"
+            "assert 'numpy' not in sys.modules\n"
+            "assert knit.su2q.__name__ == 'knit.su2q'\n"
+            "assert knit.qsim.approx_jones is knit.approx_jones\n",
+        )
+        assert done.returncode == 0, done.stderr
+
+
+class TestStartWithoutNumpy:
+    def test_exact_commands_run_with_numpy_blocked(self):
+        expected = [run(argv).rendered for argv in EXACT_COMMANDS]
+        done = _python(
+            "-c",
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from knit import parse_braid, words_equal, jones_polynomial, markov_trace_jones\n"
+            "from knit.cli import run\n"
+            f"for argv in {EXACT_COMMANDS!r}:\n"
+            "    result = run(argv)\n"
+            "    assert result.exit_code == 0, (argv, result.rendered)\n"
+            "    print(result.rendered)\n",
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "".join(text + "\n" for text in expected)
+
+    @pytest.mark.parametrize("argv", [
+        ["colored", "s2^3", "-n", "4", "--colors", "1", "--root", "5"],
+        ["approx", "s2^3", "-n", "4", "--root", "5", "--delta", "0.5"],
+    ], ids=["colored", "approx"])
+    def test_numeric_commands_load_numpy(self, argv):
+        done = _python(
+            "-c",
+            "import sys\n"
+            "from knit.cli import main\n"
+            "assert 'numpy' not in sys.modules\n"
+            f"assert main({argv!r}) == 0\n"
+            "assert 'numpy' in sys.modules\n",
+        )
+        assert done.returncode == 0, done.stderr
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["knit", "knit.cli"])
+    def test_python_dash_m_prints_the_payload(self, module):
+        done = _python("-m", module, "jones", "s1^3", "--json")
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == run(["jones", "s1^3", "--json"]).payload
+        assert json.loads(done.stdout)["polynomial"]["pretty"] == "t^1 + t^3 - t^4"
+
+    def test_python_dash_m_passes_the_exit_code(self):
+        done = _python("-m", "knit", "jones", "s2", "-n", "2")
+        assert done.returncode == 2
+        assert "out of range" in done.stderr
+        assert done.stdout == ""

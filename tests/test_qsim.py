@@ -291,6 +291,26 @@ class TestPlanSamples:
         with pytest.raises(DomainError):
             plan_samples(0.1, confidence)
 
+    @pytest.mark.parametrize("delta", [math.inf, math.nan])
+    def test_rejects_non_finite_delta(self, delta):
+        with pytest.raises(DomainError):
+            plan_samples(delta, 0.75)
+
+    @pytest.mark.parametrize("delta", [10.0, 1e150, 1e300, 1.7e308])
+    def test_plans_at_least_one_reading(self, delta):
+        assert plan_samples(delta, 0.75) == 1
+
+    @pytest.mark.parametrize("estimate", [
+        lambda delta: approx_jones(TREFOIL_PLAT, 5, delta),
+        lambda delta: estimate_markov_trace(TREFOIL_PLAT, [HALF], 5, delta),
+    ], ids=["approx_jones", "estimate_markov_trace"])
+    def test_estimators_reject_infinite_delta_and_sample_a_huge_one(self, estimate):
+        with pytest.raises(DomainError, match="finite"):
+            estimate(math.inf)
+        est = estimate(1e300)
+        assert est.samples_used == 2
+        assert math.isfinite(abs(est.value))
+
 
 class TestEstimateMarkovTrace:
     def test_identity_word_lands_on_quantum_dimension(self):
