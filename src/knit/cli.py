@@ -181,10 +181,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _format_word(w: BraidWord) -> str:
-    return " ".join(f"s{g}" if s == 1 else f"s{g}^-1" for g, s in w.letters)
-
-
 def _strand_count(strands: int | None, *texts: str) -> int:
     """``strands`` if given, else one more than the largest generator."""
     if strands is not None:
@@ -205,7 +201,7 @@ def _cmd_parse(args) -> dict:
     w = _parse_word(args.word, args.strands)
     perm = w.permutation()
     return {
-        "word": _format_word(w),
+        "word": str(w),
         "strands": w.index,
         "length": len(w.letters),
         "exponent_sum": w.exponent_sum(),
@@ -513,9 +509,6 @@ def run(argv: list[str]) -> CommandResult:
     except LimitError as exc:
         payload = {"error": str(exc), "kind": "limit"}
         return CommandResult(3, payload, diagnostics, command, f"error: {exc}")
-    except DomainError as exc:
-        payload = {"error": str(exc), "kind": "domain"}
-        return CommandResult(1, payload, diagnostics, command, f"error: {exc}")
     except KnitError as exc:
         payload = {"error": str(exc), "kind": "domain"}
         return CommandResult(1, payload, diagnostics, command, f"error: {exc}")

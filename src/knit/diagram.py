@@ -28,9 +28,10 @@ __all__ = [
     "PlatProfile",
     "closure_trace",
     "closure_plat",
-    "plat_pair_components",
+    "component_labels",
     "plat_profile",
     "parse_diagram",
+    "require_plat_index",
 ]
 
 
@@ -85,22 +86,27 @@ class Crossing:
         return f"X[{a},{b},{c},{d};{'+' if self.sign > 0 else '-'}]"
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict[int, int] = {}
+def component_labels(size: int, joins) -> list[int]:
+    """The smallest member of each node's class once ``joins`` are merged.
 
-    def find(self, x: int) -> int:
-        root = self.parent.setdefault(x, x)
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+    Nodes are 0..size-1 and each join is a pair of nodes.
+    """
+    parent = list(range(size))
 
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in joins:
+        ra, rb = find(a), find(b)
+        # the smaller root wins, so every root is its class's minimum
+        if ra < rb:
+            parent[rb] = ra
+        elif rb < ra:
+            parent[ra] = rb
+    return [find(x) for x in range(size)]
 
 
 @dataclass(frozen=True)
@@ -152,29 +158,34 @@ class LinkDiagram:
                 )
         return problems
 
-    def _require_valid(self):
+    def require_valid(self):
+        """Raise DomainError naming every invariant violation, if any."""
         problems = self.validate()
         if problems:
             raise DomainError("invalid diagram: " + "; ".join(problems))
 
     def writhe(self) -> int:
-        self._require_valid()
+        self.require_valid()
         return sum(c.sign for c in self.crossings)
 
     def crossing_count(self) -> int:
         return len(self.crossings)
 
     def component_edge_sets(self) -> list[frozenset[int]]:
-        """Edge labels grouped by link component (free circles excluded)."""
-        self._require_valid()
-        uf = _UnionFind()
+        """Edge labels grouped by link component (free circles excluded),
+        in order of each component's smallest label."""
+        self.require_valid()
+        edges = self.edges
+        index = {e: i for i, e in enumerate(edges)}
+        joins = []
         for c in self.crossings:
-            uf.union(c.under_in, c.under_out)
-            uf.union(c.over_in, c.over_out)
+            joins.append((index[c.under_in], index[c.under_out]))
+            joins.append((index[c.over_in], index[c.over_out]))
         groups: dict[int, set[int]] = {}
-        for e in self.edges:
-            groups.setdefault(uf.find(e), set()).add(e)
-        return [frozenset(g) for _, g in sorted(groups.items())]
+        # edges ascend, so each class first appears at its smallest label
+        for e, root in zip(edges, component_labels(len(edges), joins)):
+            groups.setdefault(root, set()).add(e)
+        return [frozenset(g) for g in groups.values()]
 
     def component_count(self) -> int:
         return len(self.component_edge_sets()) + self.unknot_count
@@ -245,160 +256,129 @@ def parse_diagram(text: str) -> LinkDiagram:
     return diagram
 
 
+def require_plat_index(w: BraidWord):
+    """Raise DomainError unless ``w`` has an even index, as a plat needs."""
+    if w.index % 2:
+        raise DomainError(f"plat closure needs an even braid index, got {w.index}")
+
+
+def _walk(w: BraidWord, plat: bool):
+    """One pass over the word for either closure.
+
+    Every letter ends the two arcs it meets and starts two new ones;
+    an arc end is ``2 * label`` at its top and ``2 * label + 1`` at its
+    bottom, and ``link`` pairs each end with the end it runs into.  The
+    closures differ only in their boundary: a trace closure joins bottom
+    p to top p, a plat closure caps tops (2i-1, 2i) and cups bottoms
+    likewise.  Each component is then walked from its leftmost top arc,
+    oriented downward since the diagram reads top to bottom.
+
+    Returns the letters as arc quadruples ``(a, b, c, d, sign)`` (a
+    upper-left, b upper-right, c lower-left, d lower-right), the arc
+    pairs the boundary joins, the top and bottom arcs, and per arc its
+    direction (+1 down, -1 up) and component number.
+    """
+    n = w.index
+    if plat:
+        require_plat_index(w)
+    size = n + 2 * len(w.letters) + 1
+    link = [0] * (2 * size)
+    top = list(range(1, n + 1))
+    bottom = top.copy()
+    quads = []
+    fresh = n
+    for gen, sign in w.letters:
+        a = bottom[gen - 1]
+        b = bottom[gen]
+        c = fresh + 1
+        d = fresh = fresh + 2
+        quads.append((a, b, c, d, sign))
+        # each strand path joins the bottom end of its upper arc to the
+        # top end of its lower arc
+        link[2 * a + 1] = 2 * d
+        link[2 * d] = 2 * a + 1
+        link[2 * b + 1] = 2 * c
+        link[2 * c] = 2 * b + 1
+        bottom[gen - 1] = c
+        bottom[gen] = d
+    if plat:
+        caps = [(top[i], top[i + 1]) for i in range(0, n, 2)]
+        cups = [(bottom[i], bottom[i + 1]) for i in range(0, n, 2)]
+        joins = caps + cups
+        ends = [(2 * x, 2 * y) for x, y in caps]
+        ends += [(2 * x + 1, 2 * y + 1) for x, y in cups]
+    else:
+        joins = list(zip(bottom, top))
+        ends = [(2 * x + 1, 2 * y) for x, y in joins]
+    for e1, e2 in ends:
+        link[e1] = e2
+        link[e2] = e1
+
+    direction = [0] * size
+    component = [0] * size
+    count = 0
+    for start in top:
+        if direction[start]:
+            continue
+        direction[start] = 1
+        component[start] = count
+        nxt = link[2 * start + 1]  # flowing down, leave by the bottom end
+        while not direction[nxt >> 1]:
+            # entering at the top end means the arc flows downward
+            direction[nxt >> 1] = -1 if nxt & 1 else 1
+            component[nxt >> 1] = count
+            nxt = link[nxt ^ 1]
+        count += 1
+    return quads, joins, top, bottom, direction, component, count
+
+
+def _closure(w: BraidWord, plat: bool) -> LinkDiagram:
+    quads, joins, top, bottom, direction, _, _ = _walk(w, plat)
+    # the boundary merges the arcs it joins into a single diagram edge
+    label = component_labels(len(direction), joins)
+    crossings = []
+    for a, b, c, d, sign in quads:
+        # a positive letter carries the left strand over
+        over, under = ((a, d), (b, c)) if sign > 0 else ((b, c), (a, d))
+        d_over = direction[over[0]]
+        d_under = direction[under[0]]
+        o_in, o_out = over if d_over > 0 else (over[1], over[0])
+        u_in, u_out = under if d_under > 0 else (under[1], under[0])
+        crossings.append(
+            Crossing.from_strands(
+                label[u_in],
+                label[u_out],
+                label[o_in],
+                label[o_out],
+                sign * d_over * d_under,
+            )
+        )
+    used = {e for c in crossings for e in c.edges}
+    circles = len({label[x] for x in top + bottom} - used)
+    return LinkDiagram(tuple(crossings), circles).relabeled()
+
+
 def closure_trace(w: BraidWord) -> LinkDiagram:
     """Close a braid by joining the i-th bottom end back to the i-th top end.
 
     Strands are oriented downward through the braid body, so a positive
     letter becomes a +1 crossing and the writhe equals the exponent sum.
     """
-    n = w.index
-    fresh = n
-    current = list(range(1, n + 1))
-    top = list(range(1, n + 1))
-    raw: list[tuple[int, int, int, int, int]] = []
-    for gen, sign in w.letters:
-        a = current[gen - 1]
-        b = current[gen]
-        c, d = fresh + 1, fresh + 2
-        fresh += 2
-        raw.append((a, b, c, d, sign))
-        current[gen - 1] = c
-        current[gen] = d
-
-    uf = _UnionFind()
-    for p in range(n):
-        uf.union(current[p], top[p])
-    crossings = []
-    for a, b, c, d, sign in raw:
-        a, b, c, d = uf.find(a), uf.find(b), uf.find(c), uf.find(d)
-        if sign > 0:
-            # the strand from upper-left runs over to lower-right
-            crossings.append(Crossing.from_strands(b, c, a, d, 1))
-        else:
-            crossings.append(Crossing.from_strands(a, d, b, c, -1))
-
-    used = {e for cr in crossings for e in cr.edges}
-    circles = len({uf.find(p + 1) for p in range(n)} - used)
-    return LinkDiagram(tuple(crossings), circles).relabeled()
-
-
-def _plat_arcs(w: BraidWord):
-    """Arc labels and end links for the plat closure of ``w``.
-
-    An arc end is (label, 0) at its top, (label, 1) at its bottom.  Links
-    pair up ends through crossings, caps and cups; every end occurs in
-    exactly one link, so the links define the link components.
-    """
-    n = w.index
-    fresh = n
-    current = list(range(1, n + 1))
-    top = list(range(1, n + 1))
-    raw = []
-    links: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    for gen, sign in w.letters:
-        a = current[gen - 1]
-        b = current[gen]
-        c, d = fresh + 1, fresh + 2
-        fresh += 2
-        raw.append((a, b, c, d, sign))
-        # each strand path joins the bottom end of its upper arc to the
-        # top end of its lower arc
-        links.append(((a, 1), (d, 0)))
-        links.append(((b, 1), (c, 0)))
-        current[gen - 1] = c
-        current[gen] = d
-    for i in range(0, n, 2):
-        links.append(((top[i], 0), (top[i + 1], 0)))
-        links.append(((current[i], 1), (current[i + 1], 1)))
-    return raw, links, top, current
-
-
-def _orient_plat(links, top):
-    """Direction flag per arc (+1 down, -1 up) and component per arc.
-
-    Each component is traversed starting from its leftmost top arc,
-    which is oriented downward: the diagram reads top to bottom.
-    """
-    link_of: dict[tuple[int, int], tuple[int, int]] = {}
-    for e1, e2 in links:
-        link_of[e1] = e2
-        link_of[e2] = e1
-    direction: dict[int, int] = {}
-    component: dict[int, int] = {}
-    comp_id = 0
-    for start in top:
-        if start in direction:
-            continue
-        direction[start] = 1
-        component[start] = comp_id
-        arc, end = start, 1  # flowing down, exit at the bottom end
-        while True:
-            nxt_arc, nxt_end = link_of[(arc, end)]
-            if nxt_arc in direction:
-                break
-            # entering at the top end means the arc flows downward
-            direction[nxt_arc] = 1 if nxt_end == 0 else -1
-            component[nxt_arc] = comp_id
-            arc, end = nxt_arc, 1 - nxt_end
-        comp_id += 1
-    return direction, component
-
-
-def _plat_crossings(raw, direction):
-    crossings = []
-    for a, b, c, d, sign in raw:
-        # geometric ends: a upper-left, b upper-right, c lower-left,
-        # d lower-right; a positive letter carries the left strand over
-        over = (a, d) if sign > 0 else (b, c)
-        under = (b, c) if sign > 0 else (a, d)
-        d_over = direction[over[0]]
-        d_under = direction[under[0]]
-        o_in, o_out = over if d_over > 0 else (over[1], over[0])
-        u_in, u_out = under if d_under > 0 else (under[1], under[0])
-        crossings.append(
-            Crossing.from_strands(u_in, u_out, o_in, o_out, sign * d_over * d_under)
-        )
-    return crossings
+    return _closure(w, plat=False)
 
 
 def closure_plat(w: BraidWord) -> LinkDiagram:
     """Close an even-index braid with caps (2i-1, 2i) on top and bottom."""
-    n = w.index
-    if n % 2:
-        raise DomainError(f"plat closure needs an even braid index, got {n}")
-    raw, links, top, bottom = _plat_arcs(w)
-    direction, _ = _orient_plat(links, top)
-    crossings = _plat_crossings(raw, direction)
-
-    # caps and cups merge their two arcs into a single diagram edge
-    uf = _UnionFind()
-    for i in range(0, n, 2):
-        uf.union(top[i], top[i + 1])
-        uf.union(bottom[i], bottom[i + 1])
-    merged = tuple(
-        Crossing(tuple(uf.find(e) for e in c.edges), c.sign) for c in crossings
-    )
-    used = {e for c in merged for e in c.edges}
-    boundary_classes = {uf.find(t) for t in top} | {uf.find(b) for b in bottom}
-    circles = len(boundary_classes - used)
-    return LinkDiagram(merged, circles).relabeled()
-
-
-def plat_pair_components(w: BraidWord) -> tuple[int, ...]:
-    """Component index of each top cap pair (2i-1, 2i) of the plat closure.
-
-    Components are numbered from 0 in order of their leftmost top strand,
-    matching the numbering the orientation pass uses.
-    """
-    return plat_profile(w).pair_component
+    return _closure(w, plat=True)
 
 
 @dataclass(frozen=True)
 class PlatProfile:
     """Per-component geometry of a plat closure.
 
-    Components are numbered from 0 in order of their leftmost top strand,
-    the same numbering ``plat_pair_components`` uses.  ``self_writhe``
+    Components are numbered from 0 in order of their leftmost top strand;
+    ``pair_component`` gives the component of each top cap pair
+    (2i-1, 2i) in that numbering.  ``self_writhe``
     counts signed crossings where a component crosses itself;
     ``cup_count`` counts the bottom arcs belonging to each component
     (equal to its top-arc count).  ``writhe`` is the signed crossing
@@ -423,21 +403,16 @@ def plat_profile(w: BraidWord) -> PlatProfile:
     so ``writhe`` agrees with ``closure_plat(w).writhe()``; components
     with no crossings at all (free circles) still count.
     """
-    n = w.index
-    if n % 2:
-        raise DomainError(f"plat closure needs an even braid index, got {n}")
-    raw, links, top, bottom = _plat_arcs(w)
-    direction, component = _orient_plat(links, top)
-    count = max(component.values()) + 1
+    quads, _, top, bottom, direction, component, count = _walk(w, plat=True)
     self_writhe = [0] * count
     total = 0
-    for a, b, _c, _d, sign in raw:
+    for a, b, _c, _d, sign in quads:
         signed = sign * direction[a] * direction[b]
         total += signed
         if component[a] == component[b]:
             self_writhe[component[a]] += signed
     cups = [0] * count
-    for i in range(0, n, 2):
+    for i in range(0, w.index, 2):
         cups[component[bottom[i]]] += 1
-    pairs = tuple(component[top[i]] for i in range(0, n, 2))
+    pairs = tuple(component[top[i]] for i in range(0, w.index, 2))
     return PlatProfile(count, pairs, tuple(self_writhe), tuple(cups), total)

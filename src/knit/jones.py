@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .braid import BraidWord
-from .diagram import LinkDiagram
+from .diagram import LinkDiagram, component_labels
 from .errors import DomainError, LimitError
 from .laurent import LaurentPoly
 
@@ -75,9 +75,7 @@ def kauffman_bracket(d: LinkDiagram, limit: int | None = None) -> LaurentPoly:
     KNIT_CROSSING_LIMIT environment variable) and DomainError when that
     limit is negative or not an integer.
     """
-    problems = d.validate()
-    if problems:
-        raise DomainError("invalid diagram: " + "; ".join(problems))
+    d.require_valid()
     c = d.crossing_count()
     cap = _crossing_limit(limit)
     if c > cap:
@@ -87,44 +85,23 @@ def kauffman_bracket(d: LinkDiagram, limit: int | None = None) -> LaurentPoly:
     if c == 0 and d.unknot_count == 0:
         raise DomainError("the empty diagram has no bracket")
 
-    # two occurrences of each edge, as flat node ids 4*crossing + slot
-    occurrence: dict[int, list[int]] = {}
-    for ci, cr in enumerate(d.crossings):
-        for si, e in enumerate(cr.edges):
-            occurrence.setdefault(e, []).append(4 * ci + si)
-    base = list(range(4 * c))
-
-    def find(parent, x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(parent, a, b):
-        ra, rb = find(parent, a), find(parent, b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for ends in occurrence.values():
-        union(base, ends[0], ends[1])
+    # loops are counted on the 2c edge labels; a smoothing joins two
+    # pairs of the edges at its crossing
+    index = {e: i for i, e in enumerate(d.edges)}
+    smoothings = []
+    for cr in d.crossings:
+        e0, e1, e2, e3 = (index[e] for e in cr.edges)
+        smoothings.append((((e0, e3), (e1, e2)), ((e0, e1), (e2, e3))))
 
     delta_powers = [LaurentPoly.one()]
 
     total: dict[int, int] = {}
     for state in range(1 << c):
-        parent = base.copy()
-        b_count = 0
-        for ci in range(c):
-            k = 4 * ci
-            if (state >> ci) & 1:
-                b_count += 1
-                union(parent, k, k + 1)
-                union(parent, k + 2, k + 3)
-            else:
-                union(parent, k, k + 3)
-                union(parent, k + 1, k + 2)
-        loops = len({find(parent, x) for x in range(4 * c)})
-        loops += d.unknot_count
+        joins = []
+        for ci, pairs in enumerate(smoothings):
+            joins += pairs[(state >> ci) & 1]
+        b_count = state.bit_count()
+        loops = len(set(component_labels(2 * c, joins))) + d.unknot_count
         while loops > len(delta_powers):
             delta_powers.append(delta_powers[-1] * LOOP_VALUE)
         weight = 4 * (c - 2 * b_count)  # A^(#A - #B) in quarter-units
@@ -179,23 +156,6 @@ def _cupcap_matching(n: int, i: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(tuple(sorted(q)) for q in pairs))
 
 
-def _components(size: int, edges) -> list[int]:
-    """Root label of every node 0..size-1 once ``edges`` are joined."""
-    parent = list(range(size))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-    return [find(x) for x in range(size)]
-
-
 def _compose(n: int, upper, lower) -> tuple[tuple[tuple[int, int], ...], int]:
     """Stack ``lower`` below ``upper``; matching of the result plus the
     number of closed loops swallowed at the interface."""
@@ -209,7 +169,7 @@ def _compose(n: int, upper, lower) -> tuple[tuple[tuple[int, int], ...], int]:
 
     edges = [(upper_node(a), upper_node(b)) for a, b in upper]
     edges += [(lower_node(a), lower_node(b)) for a, b in lower]
-    root = _components(3 * n, edges)
+    root = component_labels(3 * n, edges)
 
     external: dict[int, list[int]] = {}
     for p in range(n):
@@ -223,7 +183,7 @@ def _compose(n: int, upper, lower) -> tuple[tuple[tuple[int, int], ...], int]:
 
 def _closure_loops(n: int, matching) -> int:
     closing = [(p, 2 * n - 1 - p) for p in range(n)]
-    return len(set(_components(2 * n, list(matching) + closing)))
+    return len(set(component_labels(2 * n, list(matching) + closing)))
 
 
 @lru_cache(maxsize=None)

@@ -14,15 +14,16 @@ The circuit itself is run by ``su2q.plat_branch`` (``jones_plat_branch``
 on the Jones scale), the same engine behind the exact invariants: it
 returns the prefactor, the bottom bend state and the braided branch,
 and the estimators sample that branch and contract it once more for the
-exact companion value.  Each crossing is the dense elementary braiding
-matrix acting on the full fusion-path state vector, not a gate-level
-compilation: at desk scale only the induced statistics matter, and
-those are exact here.
+exact companion value.  Each crossing is the cached block-sparse half
+twist of ``su2q._twist``, gathered over the full fusion-path state
+vector, not a gate-level compilation: at desk scale only the induced
+statistics matter, and those are exact here.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,6 +230,9 @@ def _check_error_budget(delta, confidence):
         raise DomainError(f"additive error target must be positive, got {delta}")
     if not delta < math.inf:
         raise DomainError(f"additive error target must be finite, got {delta}")
+    if delta > sys.float_info.max:
+        # an int no float can hold; printing it could exceed str's digit cap
+        raise DomainError("additive error target must be finite, got an int beyond float range")
     if isinstance(confidence, bool) or not isinstance(confidence, (int, float)):
         raise DomainError(f"confidence must be a number, got {confidence!r}")
     if not 0.5 < confidence < 1.0:
@@ -247,6 +251,7 @@ def plan_samples(delta: float, confidence: float = 0.75) -> int:
     non-finite ``delta`` are errors.
     """
     _check_error_budget(delta, confidence)
+    delta = float(delta)  # an int's exact square could overflow the division
     bound = 2.0 * math.log(4.0 / (1.0 - confidence)) / (delta * delta)
     return max(1, math.ceil(bound))
 

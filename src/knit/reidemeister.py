@@ -49,9 +49,7 @@ def _occurrences(d: LinkDiagram) -> dict[int, list[tuple[int, int]]]:
 
 def faces(d: LinkDiagram) -> list[tuple[tuple[int, int], ...]]:
     """All faces as corner tuples (crossing, slot), canonically rotated."""
-    problems = d.validate()
-    if problems:
-        raise DomainError("invalid diagram: " + "; ".join(problems))
+    d.require_valid()
     occ = _occurrences(d)
 
     def step(ci: int, si: int) -> tuple[int, int]:
@@ -101,9 +99,7 @@ def reidemeister_sites(d: LinkDiagram, move: str) -> tuple[Site, ...]:
     """All admissible sites for the move on this diagram, sorted."""
     if move not in MOVES:
         raise DomainError(f"unknown move {move!r}")
-    problems = d.validate()
-    if problems:
-        raise DomainError("invalid diagram: " + "; ".join(problems))
+    d.require_valid()
 
     if move == "RI+":
         sites = []

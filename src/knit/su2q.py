@@ -44,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from .braid import BraidWord
-from .diagram import plat_profile
+from .diagram import plat_profile, require_plat_index
 from .errors import DomainError, LimitError
 
 __all__ = [
@@ -601,8 +601,7 @@ def braiding_operator_for_plat(w: BraidWord, colors, r: int) -> BraidingOperator
     arriving at the bottom (after the word's permutation) must pair up
     the same way.
     """
-    if w.index % 2:
-        raise DomainError(f"plat closure needs an even braid index, got {w.index}")
+    require_plat_index(w)
     labels = tuple(as_color(c) for c in colors)
     if len(labels) != w.index:
         raise DomainError(f"need {w.index} strand colors, got {len(labels)}")
@@ -708,7 +707,7 @@ def colored_invariant(w: BraidWord, colors, r: int) -> complex:
 
     ``colors`` lists one color for each link component, in the order the
     components first touch the top boundary (the numbering of
-    ``plat_pair_components``).  The value is the cap-to-cup matrix
+    ``plat_profile(w).pair_component``).  The value is the cap-to-cup matrix
     element of the braided word times the quantum dimension of every
     cap, corrected per component by the framing phase of its self
     crossings and the bend sign of its extra turns; the color-j unknot

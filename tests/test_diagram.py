@@ -5,10 +5,11 @@ from knit.braid import BraidWord, parse_braid, random_braid
 from knit.diagram import (
     Crossing,
     LinkDiagram,
+    PlatProfile,
     closure_plat,
     closure_trace,
     parse_diagram,
-    plat_pair_components,
+    plat_profile,
 )
 from knit.errors import DomainError, ParseError
 
@@ -98,9 +99,63 @@ def test_plat_hopf():
 
 
 def test_plat_pair_component_indices():
-    assert plat_pair_components(BraidWord.identity(4)) == (0, 1)
-    assert plat_pair_components(parse_braid("s2^3", 4)) == (0, 0)
-    assert plat_pair_components(parse_braid("s2^2", 4)) == (0, 1)
+    assert plat_profile(BraidWord.identity(4)).pair_component == (0, 1)
+    assert plat_profile(parse_braid("s2^3", 4)).pair_component == (0, 0)
+    assert plat_profile(parse_braid("s2^2", 4)).pair_component == (0, 1)
+
+
+PLAT_PINS = [
+    (
+        "s2 s1 s3^-1 s2",
+        4,
+        "X[1,2,3,4;-], X[3,2,5,6;+], X[7,1,4,8;-], X[5,7,8,6;-]",
+        PlatProfile(2, (0, 1), (0, 0), (1, 1), -2),
+    ),
+    (
+        "s2^3 s1 s3^-1",
+        4,
+        "X[1,2,3,4;+], X[5,6,2,1;+], X[7,8,6,5;+], X[9,9,7,4;-], X[10,3,8,10;+]",
+        PlatProfile(1, (0, 0), (3,), (2,), 3),
+    ),
+    (
+        "s1 s2 s3 s4 s5 s2^-1 s4",
+        6,
+        "X[1,2,3,3;-], X[4,5,6,2;-], X[6,5,7,8;+], X[9,10,11,8;-], "
+        "X[11,10,12,13;+], X[14,7,4,1;+], X[12,9,14,13;-]",
+        PlatProfile(1, (0, 0, 0), (-1,), (3,), -1),
+    ),
+    (
+        "s3 s4 s1 s3 s5 s1 s4^-1",
+        6,
+        "X[1,2,3,3;-], X[4,2,5,6;+], X[7,8,9,9;-], X[5,1,10,11;-], "
+        "X[12,13,4,6;-], X[8,7,14,14;-], X[13,12,11,10;-]",
+        PlatProfile(3, (0, 1, 2), (-2, -1, 0), (1, 1, 1), -5),
+    ),
+]
+
+
+@pytest.mark.parametrize("text,n,pd,profile", PLAT_PINS)
+def test_plat_closure_and_profile_pins(text, n, pd, profile):
+    w = parse_braid(text, n)
+    assert closure_plat(w).to_text() == pd
+    assert plat_profile(w) == profile
+
+
+def test_component_edge_sets_order():
+    # classes are listed by their smallest edge label
+    d = closure_trace(parse_braid("s1^2 s2^2", 3))
+    assert d.to_text() == "X[1,2,3,4;+], X[4,3,2,5;+], X[6,5,7,8;+], X[8,7,1,6;+]"
+    assert d.component_edge_sets() == [
+        frozenset({1, 3, 5, 8}),
+        frozenset({2, 4}),
+        frozenset({6, 7}),
+    ]
+    d = closure_plat(parse_braid("s3 s4 s1 s3 s5 s1 s4^-1", 6))
+    assert d.component_edge_sets() == [
+        frozenset({1, 2, 3, 6, 11, 13}),
+        frozenset({4, 5, 10, 12}),
+        frozenset({7, 8, 9, 14}),
+    ]
 
 
 def test_borromean_trace_components():

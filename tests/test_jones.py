@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from knit.braid import BraidWord, parse_braid, random_braid
 from knit.diagram import LinkDiagram, closure_plat, closure_trace, parse_diagram
@@ -190,6 +191,22 @@ def test_markov_trace_matches_bracket_route():
     words += [random_braid(6, 12 + seed % 3, seed=600 + seed) for seed in range(4)]
     for w in words:
         assert markov_trace_jones(w) == jones_polynomial(closure_trace(w))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 6).flatmap(
+        lambda n: st.builds(
+            lambda letters: BraidWord(n, tuple(letters)),
+            st.lists(
+                st.tuples(st.integers(1, n - 1), st.sampled_from((-1, 1))),
+                max_size=10,
+            ),
+        )
+    )
+)
+def test_bracket_route_matches_tl_route(w):
+    assert jones_polynomial(closure_trace(w)) == markov_trace_jones(w)
 
 
 def test_markov_trace_conjugation_invariance():

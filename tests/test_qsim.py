@@ -296,7 +296,14 @@ class TestPlanSamples:
         with pytest.raises(DomainError):
             plan_samples(delta, 0.75)
 
-    @pytest.mark.parametrize("delta", [10.0, 1e150, 1e300, 1.7e308])
+    @pytest.mark.parametrize("delta", [10**400, 2**1024])
+    def test_rejects_int_delta_beyond_float_range(self, delta):
+        with pytest.raises(DomainError, match="finite"):
+            plan_samples(delta, 0.75)
+        with pytest.raises(DomainError, match="finite"):
+            approx_jones(TREFOIL_PLAT, 5, delta)
+
+    @pytest.mark.parametrize("delta", [10.0, 1e150, 1e300, 1.7e308, 10**200, 2**1023])
     def test_plans_at_least_one_reading(self, delta):
         assert plan_samples(delta, 0.75) == 1
 
