@@ -334,8 +334,10 @@ def _walk(w: BraidWord, plat: bool):
 
 def _closure(w: BraidWord, plat: bool) -> LinkDiagram:
     quads, joins, top, bottom, direction, _, _ = _walk(w, plat)
-    # the boundary merges the arcs it joins into a single diagram edge
-    label = component_labels(len(direction), joins)
+    # the boundary merges the arcs it joins into a single diagram edge;
+    # edges are numbered 1, 2, ... in order of first appearance
+    merged = component_labels(len(direction), joins)
+    number: dict[int, int] = {}
     crossings = []
     for a, b, c, d, sign in quads:
         # a positive letter carries the left strand over
@@ -344,18 +346,13 @@ def _closure(w: BraidWord, plat: bool) -> LinkDiagram:
         d_under = direction[under[0]]
         o_in, o_out = over if d_over > 0 else (over[1], over[0])
         u_in, u_out = under if d_under > 0 else (under[1], under[0])
-        crossings.append(
-            Crossing.from_strands(
-                label[u_in],
-                label[u_out],
-                label[o_in],
-                label[o_out],
-                sign * d_over * d_under,
-            )
-        )
-    used = {e for c in crossings for e in c.edges}
-    circles = len({label[x] for x in top + bottom} - used)
-    return LinkDiagram(tuple(crossings), circles).relabeled()
+        signed = sign * d_over * d_under
+        # slots in the order of Crossing.from_strands
+        ends = (u_in, o_in, u_out, o_out) if signed > 0 else (u_in, o_out, u_out, o_in)
+        edges = tuple(number.setdefault(merged[x], len(number) + 1) for x in ends)
+        crossings.append(Crossing(edges, signed))
+    circles = len({merged[x] for x in top + bottom}.difference(number))
+    return LinkDiagram(tuple(crossings), circles)
 
 
 def closure_trace(w: BraidWord) -> LinkDiagram:

@@ -7,9 +7,14 @@ pair is left-weighted: every generator that can start x(i+1) must be able
 to end xi.  Two words represent the same braid element exactly when these
 data coincide, so equality testing reduces to computing the form.
 
-Simple elements are represented by their permutations.  For a permutation
-braid x, a generator si can start x iff x(i) > x(i+1), and can end x iff
-i appears after i+1 in the image list.
+While the form is built, simple elements are 0-based image tuples of
+their permutations, and sets of generators are int bitmasks (bit i for
+s(i+1)).  For a permutation braid x, a generator si can start x iff
+x(i) > x(i+1), and can end x iff i appears after i+1 in the image list.
+
+The form is built one letter at a time: each letter is a simple factor
+multiplied on the right, and the pairs are then repaired from right to
+left, stopping at the first pair that is already left-weighted.
 """
 
 from __future__ import annotations
@@ -27,42 +32,43 @@ def _half_twist(n: int) -> Permutation:
     return Permutation(tuple(range(n, 0, -1)))
 
 
-def _tau(p: Permutation) -> Permutation:
-    """Conjugation by Delta; an involution on simple elements."""
-    n = p.n
-    return Permutation(tuple(n + 1 - p(n + 1 - i) for i in range(1, n + 1)))
+def _starting_set(t: tuple[int, ...]) -> int:
+    """Bitmask of the generators that can start the simple element t:
+    bit i is set when t[i] > t[i+1]."""
+    bits = 0
+    for i in range(len(t) - 1):
+        if t[i] > t[i + 1]:
+            bits |= 1 << i
+    return bits
 
 
-def _starting_set(p: Permutation) -> set[int]:
-    return {i for i in range(1, p.n) if p(i) > p(i + 1)}
+def _finishing_set(t: tuple[int, ...]) -> int:
+    """Bitmask of the generators that can end t: the starting set of t^-1."""
+    inv = [0] * len(t)
+    for i, v in enumerate(t):
+        inv[v] = i
+    return _starting_set(inv)
 
 
-def _finishing_set(p: Permutation) -> set[int]:
-    inv = p.inverse()
-    return {i for i in range(1, p.n) if inv(i) > inv(i + 1)}
+def _append_gen(t: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """The simple element t followed by s(i+1): swap the values i, i+1."""
+    return tuple(i + 1 if v == i else i if v == i + 1 else v for v in t)
 
 
-def _append_gen(p: Permutation, i: int) -> Permutation:
-    """The simple element p followed by si (swap the values i, i+1)."""
-    return p.then(Permutation.transposition(p.n, i))
+def _strip_gen(t: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """Remove a leading s(i+1) from t: swap the entries at positions i, i+1."""
+    return t[:i] + (t[i + 1], t[i]) + t[i + 2:]
 
 
-def _strip_gen(p: Permutation, i: int) -> Permutation:
-    """Remove a leading si from p (swap the entries at positions i, i+1)."""
-    t = list(p.targets)
-    t[i - 1], t[i] = t[i], t[i - 1]
-    return Permutation(tuple(t))
-
-
-def _left_weight_pair(x: Permutation, y: Permutation) -> tuple[Permutation, Permutation]:
-    """Slide leading generators of y into x until the pair is left-weighted."""
-    while True:
-        movable = _starting_set(y) - _finishing_set(x)
-        if not movable:
-            return x, y
-        i = min(movable)
-        x = _append_gen(x, i)
-        y = _strip_gen(y, i)
+def _left_weight_pair(x: tuple[int, ...], y: tuple[int, ...]):
+    """Slide leading generators of y into x until the pair is left-weighted;
+    None when it already is."""
+    moved = False
+    while movable := _starting_set(y) & ~_finishing_set(x):
+        i = (movable & -movable).bit_length() - 1  # the smallest movable
+        x, y = _append_gen(x, i), _strip_gen(y, i)
+        moved = True
+    return (x, y) if moved else None
 
 
 @dataclass(frozen=True)
@@ -100,11 +106,11 @@ class NormalForm:
 def _positive_lift_word(p: Permutation) -> list[int]:
     """A reduced word (generator indices) for the permutation braid of p."""
     word: list[int] = []
-    while not p.is_identity():
-        s = _starting_set(p)
-        i = min(s)
-        word.append(i)
-        p = _strip_gen(p, i)
+    t = tuple(v - 1 for v in p.targets)
+    while starting := _starting_set(t):
+        i = (starting & -starting).bit_length() - 1
+        word.append(i + 1)
+        t = _strip_gen(t, i)
     return word
 
 
@@ -115,44 +121,40 @@ def normal_form(w: BraidWord) -> NormalForm:
         if w.letters:
             raise DomainError("B_1 has no generators")
         return NormalForm(1, 0, ())
-    delta = _half_twist(n)
+    identity = tuple(range(n))
+    delta = identity[::-1]
 
-    # Each positive letter lifts to its transposition; each negative letter
-    # si^-1 equals Delta^-1 times the simple element with permutation w0*si.
-    powers: list[int] = []
-    factors: list[Permutation] = []
+    # A positive letter si is the simple element si; a negative one is
+    # Delta^-1 times the simple element Delta si^-1.  Pushing each Delta^-1
+    # to the front conjugates every letter to its left by Delta, which maps
+    # si to s(n-i); so a letter is flipped when an odd number of negative
+    # letters follow it.
+    infimum = -sum(1 for _, sign in w.letters if sign < 0)
+    after = -infimum
+    factors: list[tuple[int, ...]] = []
     for gen, sign in w.letters:
-        t = Permutation.transposition(n, gen)
-        if sign > 0:
-            powers.append(0)
-            factors.append(t)
-        else:
-            powers.append(-1)
-            factors.append(delta.then(t))
-
-    # Push all Delta powers to the front; tau has order two.
-    total = 0
-    for i in range(len(factors) - 1, -1, -1):
-        if total % 2:
-            factors[i] = _tau(factors[i])
-        total += powers[i]
-
-    # Left-weighting sweeps until stable.
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(factors) - 1):
-            x, y = factors[i], factors[i + 1]
-            x2, y2 = _left_weight_pair(x, y)
-            if x2.targets != x.targets:
-                factors[i], factors[i + 1] = x2, y2
-                changed = True
-
-    factors = [f for f in factors if not f.is_identity()]
-    while factors and factors[0].targets == delta.targets:
-        factors.pop(0)
-        total += 1
-    return NormalForm(n, total, tuple(factors))
+        if sign < 0:
+            after -= 1
+        i = gen - 1 if after % 2 == 0 else n - 1 - gen
+        # Multiply the left-weighted form by the letter's simple factor,
+        # repairing pairs from the right until one is already left-weighted.
+        factors.append(_append_gen(identity if sign > 0 else delta, i))
+        k = len(factors) - 1
+        while k:
+            pair = _left_weight_pair(factors[k - 1], factors[k])
+            if pair is None:
+                break
+            factors[k - 1], factors[k] = pair
+            k -= 1
+        # Delta factors can only surface at the front, identities at the back.
+        while factors and factors[0] == delta:
+            factors.pop(0)
+            infimum += 1
+        while factors and factors[-1] == identity:
+            factors.pop()
+    return NormalForm(
+        n, infimum, tuple(Permutation(tuple(v + 1 for v in f)) for f in factors)
+    )
 
 
 def words_equal(a: BraidWord, b: BraidWord) -> bool:

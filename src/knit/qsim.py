@@ -23,6 +23,7 @@ statistics matter, and those are exact here.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -223,22 +224,29 @@ def hadamard_test_sample(U, psi: StateVector, part: str, rng_seed) -> int:
     return _reading(p_plus, rng_seed)
 
 
-def _check_error_budget(delta, confidence):
-    if isinstance(delta, bool) or not isinstance(delta, (int, float)):
+def _is_real(x) -> bool:
+    """A real number other than a bool; numpy's real scalars count."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _check_error_budget(delta, confidence) -> tuple[float, float]:
+    """The error target and the confidence as floats, once both are valid."""
+    if not _is_real(delta):
         raise DomainError(f"additive error target must be a number, got {delta!r}")
     if not delta > 0:
         raise DomainError(f"additive error target must be positive, got {delta}")
     if not delta < math.inf:
         raise DomainError(f"additive error target must be finite, got {delta}")
-    if delta > sys.float_info.max:
+    if isinstance(delta, int) and delta > sys.float_info.max:
         # an int no float can hold; printing it could exceed str's digit cap
         raise DomainError("additive error target must be finite, got an int beyond float range")
-    if isinstance(confidence, bool) or not isinstance(confidence, (int, float)):
+    if not _is_real(confidence):
         raise DomainError(f"confidence must be a number, got {confidence!r}")
     if not 0.5 < confidence < 1.0:
         raise DomainError(
             f"confidence must lie strictly between 1/2 and 1, got {confidence}"
         )
+    return float(delta), float(confidence)
 
 
 def plan_samples(delta: float, confidence: float = 0.75) -> int:
@@ -250,8 +258,8 @@ def plan_samples(delta: float, confidence: float = 0.75) -> int:
     Monotone non-increasing in ``delta``; both parameter boundaries and a
     non-finite ``delta`` are errors.
     """
-    _check_error_budget(delta, confidence)
-    delta = float(delta)  # an int's exact square could overflow the division
+    # as floats: an int's exact square could overflow the division
+    delta, confidence = _check_error_budget(delta, confidence)
     bound = 2.0 * math.log(4.0 / (1.0 - confidence)) / (delta * delta)
     return max(1, math.ceil(bound))
 
@@ -360,7 +368,7 @@ def estimate_markov_trace(
     The deterministic exact value rides along for comparison.
     Identical arguments and seed reproduce the estimate bit for bit.
     """
-    _check_error_budget(delta, confidence)
+    delta, confidence = _check_error_budget(delta, confidence)
     _check_run_seed(seed)
     return _estimate(plat_branch(w, colors, r), w, r, delta, confidence, seed)
 
@@ -379,7 +387,7 @@ def approx_jones(
     the spin-1/2 strand degenerates at that point and the braiding
     machinery is empty.
     """
-    _check_error_budget(delta, confidence)
+    delta, confidence = _check_error_budget(delta, confidence)
     _check_run_seed(seed)
     if r == 2:
         raise DomainError(

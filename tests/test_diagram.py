@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -200,6 +202,22 @@ def test_validate_plat_closures_clean():
     for seed in range(10):
         w = random_braid(6, 12, seed=100 + seed)
         assert closure_plat(w).validate() == []
+
+
+def test_closures_number_edges_in_first_appearance_order():
+    # the closures label edges canonically, as relabeled() would
+    rng = random.Random(808)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        w = random_braid(n, rng.randint(0, 20) if n > 1 else 0, seed=rng.randrange(10**6))
+        closures = [closure_trace(w)] + ([closure_plat(w)] if n % 2 == 0 else [])
+        for d in closures:
+            assert d.relabeled() == d
+
+
+def test_relabeled_renames_parsed_edges():
+    d = parse_diagram("X[7,9,4,2;+], X[4,2,9,7;+], O[1]")
+    assert d.relabeled().to_text() == "X[1,2,3,4;+], X[3,4,2,1;+], O[1]"
 
 
 def test_text_round_trip():

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knit.braid import BraidWord, parse_braid, random_braid
+from knit.braid import BraidWord, Permutation, parse_braid, random_braid
 from knit.errors import DomainError
 from knit.garside import NormalForm, is_trivial, normal_form, words_equal
 
@@ -30,6 +30,61 @@ def check_left_canonical(nf: NormalForm):
         starting = descents(b.targets)
         finishing = descents(inverse_targets(a.targets))
         assert starting <= finishing, f"pair not left-weighted: {a} | {b}"
+
+
+def _sweep_normal_form(w: BraidWord) -> NormalForm:
+    """Test-only oracle: the form by whole-word left-weighting sweeps.
+
+    Every letter becomes a simple factor (a negative one after a Delta^-1),
+    the Delta powers are pushed to the front, and left-weighting passes run
+    over all adjacent pairs until none changes; then identity factors are
+    dropped and leading Delta factors join the infimum.  A pair (x, y) is
+    repaired by sliding the smallest generator that can start y but cannot
+    end x, until there is none; x is held by its inverse, so that both
+    slides swap two adjacent positions.
+    """
+    n = w.index
+    identity, delta = list(range(n)), list(range(n - 1, -1, -1))
+
+    def inverse(t):
+        inv = [0] * n
+        for i, v in enumerate(t):
+            inv[v] = i
+        return inv
+
+    powers, factors = [], []
+    for gen, sign in w.letters:
+        f = identity[:] if sign > 0 else delta[:]
+        a, b = f.index(gen - 1), f.index(gen)
+        f[a], f[b] = f[b], f[a]
+        powers.append(0 if sign > 0 else -1)
+        factors.append(f)
+    total = 0
+    for k in range(len(factors) - 1, -1, -1):
+        if total % 2:
+            factors[k] = [n - 1 - factors[k][n - 1 - i] for i in range(n)]
+        total += powers[k]
+    changed = True
+    while changed:
+        changed = False
+        for k in range(len(factors) - 1):
+            x_inv, y = inverse(factors[k]), factors[k + 1][:]
+            moved = False
+            while movable := [
+                i for i in range(n - 1) if y[i] > y[i + 1] and x_inv[i] < x_inv[i + 1]
+            ]:
+                i = movable[0]
+                x_inv[i], x_inv[i + 1] = x_inv[i + 1], x_inv[i]
+                y[i], y[i + 1] = y[i + 1], y[i]
+                moved = True
+            if moved:
+                factors[k], factors[k + 1] = inverse(x_inv), y
+                changed = True
+    factors = [f for f in factors if f != identity]
+    while factors and factors[0] == delta:
+        factors.pop(0)
+        total += 1
+    return NormalForm(n, total, tuple(Permutation(tuple(v + 1 for v in f)) for f in factors))
 
 
 def insert_relator(w: BraidWord, rng: random.Random) -> BraidWord:
@@ -180,3 +235,36 @@ def descents_word(targets):
         for j in range(i + 1, n)
         if targets[i] > targets[j]
     ]
+
+
+@st.composite
+def words_b2_b8(draw, max_size=40):
+    n = draw(st.integers(2, 8))
+    letters = draw(
+        st.lists(
+            st.tuples(st.integers(1, n - 1), st.sampled_from((-1, 1))),
+            max_size=max_size,
+        )
+    )
+    return BraidWord(n, tuple(letters))
+
+
+@settings(max_examples=150, deadline=None)
+@given(words_b2_b8())
+def test_form_matches_sweep_oracle(w):
+    assert normal_form(w) == _sweep_normal_form(w)
+
+
+def test_form_matches_sweep_oracle_on_seeded_corpus():
+    rng = random.Random(9050)
+    for _ in range(3000):
+        w = random_braid(rng.randint(2, 8), rng.randint(0, 60), seed=rng.randrange(10**6))
+        assert normal_form(w) == _sweep_normal_form(w), str(w)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_long_b6_words(seed):
+    w = random_braid(6, 300, seed)
+    check_left_canonical(normal_form(w))
+    assert is_trivial(w * w.inverse())
+    assert is_trivial(w.inverse() * w)

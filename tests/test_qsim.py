@@ -318,6 +318,33 @@ class TestPlanSamples:
         assert est.samples_used == 2
         assert math.isfinite(abs(est.value))
 
+    @pytest.mark.parametrize("delta, confidence", [
+        (np.float32(0.1), 0.75),
+        (np.int64(1), 0.75),
+        (0.1, np.float32(0.9)),
+        (np.float64(0.1), 0.75),
+        (np.int32(2), np.float16(0.75)),
+    ])
+    def test_accepts_numpy_real_scalars(self, delta, confidence):
+        assert plan_samples(delta, confidence) == plan_samples(float(delta), float(confidence))
+
+    def test_numpy_float64_plans_as_its_float(self):
+        assert plan_samples(np.float64(0.1)) == plan_samples(0.1) == 555
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), np.bool_(False), 0.1 + 0j, "0.1", None])
+    def test_rejects_bools_and_non_reals(self, value):
+        with pytest.raises(DomainError, match="error target must be a number"):
+            plan_samples(value, 0.75)
+        with pytest.raises(DomainError, match="confidence must be a number"):
+            plan_samples(0.1, value)
+
+    def test_estimators_take_numpy_scalars_as_floats(self):
+        est = approx_jones(TREFOIL_PLAT, 5, np.float32(0.25), np.float32(0.8), seed=3)
+        assert est == approx_jones(TREFOIL_PLAT, 5, float(np.float32(0.25)), float(np.float32(0.8)), seed=3)
+        assert type(est.delta) is float and type(est.confidence) is float
+        est = estimate_markov_trace(TREFOIL_PLAT, [HALF], 5, np.int64(1), seed=3)
+        assert est == estimate_markov_trace(TREFOIL_PLAT, [HALF], 5, 1.0, seed=3)
+
 
 class TestEstimateMarkovTrace:
     def test_identity_word_lands_on_quantum_dimension(self):
