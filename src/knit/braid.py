@@ -18,16 +18,21 @@ import random
 import re
 from dataclasses import dataclass
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, LimitError, ParseError
 
 __all__ = [
     "BraidWord",
+    "LETTER_LIMIT",
     "Permutation",
     "parse_braid",
     "random_braid",
 ]
 
 _TOKEN = re.compile(r"s(\d+)(?:\^(-?\d+))?")
+
+#: Most letters a parsed word may expand to; a power that would pass it
+#: raises LimitError before any letter is stored.
+LETTER_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -186,7 +191,8 @@ def parse_braid(text: str, index: int) -> BraidWord:
 
     Tokens are separated by whitespace; powers expand into repeated letters.
     Raises ParseError (with a position) on malformed text and on generator
-    indices outside 1..index-1.
+    indices outside 1..index-1, and LimitError when the word would pass
+    LETTER_LIMIT letters.
     """
     if index < 1:
         raise DomainError(f"braid index must be >= 1, got {index}")
@@ -210,7 +216,16 @@ def parse_braid(text: str, index: int) -> BraidWord:
             raise ParseError(
                 f"generator s{gen} out of range for braid index {index}", pos
             )
-        power = int(m.group(2)) if m.group(2) is not None else 1
+        digits = m.group(2) or "1"
+        # a power with more digits than LETTER_LIMIT is past it, and int()
+        # is never asked to read one (it refuses past ~4,300 digits)
+        short = len(digits.lstrip("-0")) <= len(str(LETTER_LIMIT))
+        power = int(digits) if short else None
+        if power is None or len(letters) + abs(power) > LETTER_LIMIT:
+            raise LimitError(
+                f"the power at position {pos} takes the word past "
+                f"{LETTER_LIMIT} letters"
+            )
         if power == 0:
             raise ParseError("zero power is not a letter", pos)
         sign = 1 if power > 0 else -1

@@ -62,7 +62,14 @@ def _strip_gen(t: tuple[int, ...], i: int) -> tuple[int, ...]:
 
 def _left_weight_pair(x: tuple[int, ...], y: tuple[int, ...]):
     """Slide leading generators of y into x until the pair is left-weighted;
-    None when it already is."""
+    None when it already is.
+
+    A half twist y moves past x in one step: x Delta = Delta tau(x), where
+    tau(x) = Delta^-1 x Delta maps each si to s(n-i).
+    """
+    n = len(x)
+    if y == tuple(range(n - 1, -1, -1)):
+        return None if x == y else (y, tuple(n - 1 - v for v in reversed(x)))
     moved = False
     while movable := _starting_set(y) & ~_finishing_set(x):
         i = (movable & -movable).bit_length() - 1  # the smallest movable

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
-from knit.braid import BraidWord, Permutation, parse_braid, random_braid
-from knit.errors import DomainError, ParseError
+from knit import braid
+from knit.braid import LETTER_LIMIT, BraidWord, Permutation, parse_braid, random_braid
+from knit.errors import DomainError, LimitError, ParseError
 
 
 def test_parse_expands_powers():
@@ -152,3 +155,31 @@ def test_permutation_basics():
     assert q.inverse().targets == (3, 1, 2)
     assert q(1) == 2
     assert sorted(len(c) for c in q.cycles()) == [3]
+
+
+def test_power_up_to_the_letter_limit_parses():
+    w = parse_braid(f"s1^-{LETTER_LIMIT}", 2)
+    assert len(w) == LETTER_LIMIT and w.letters[0] == (1, -1)
+    assert parse_braid("s1^0003", 2) == parse_braid("s1 s1 s1", 2)
+
+
+@pytest.mark.parametrize(
+    "power",
+    [str(LETTER_LIMIT + 1), f"-{LETTER_LIMIT + 1}", "9" * 23, "-" + "9" * 23, "9" * 5000],
+)
+def test_power_past_the_letter_limit_is_refused_before_expanding(power):
+    tracemalloc.start()
+    try:
+        with pytest.raises(LimitError, match="letters"):
+            parse_braid(f"s1^{power}", 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # the letters of the power were never stored
+
+
+def test_letter_limit_counts_the_whole_word(monkeypatch):
+    monkeypatch.setattr(braid, "LETTER_LIMIT", 10)
+    assert len(parse_braid("s1^4 s2^-3 s1 s2^2", 3)) == 10
+    with pytest.raises(LimitError):
+        parse_braid("s1^4 s2^-3 s1 s2^3", 3)

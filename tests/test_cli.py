@@ -5,7 +5,7 @@ import json
 import pytest
 
 from knit import su2q
-from knit.braid import parse_braid
+from knit.braid import LETTER_LIMIT, parse_braid
 from knit.cli import CROSSING_LIMIT_ENV, CommandResult, main, run
 from knit.diagram import closure_plat, closure_trace
 from knit.jones import jones_polynomial
@@ -53,6 +53,21 @@ class TestUsage:
     def test_missing_subcommand(self):
         res = run([])
         assert res.exit_code == 2
+
+
+class TestLetterLimit:
+    @pytest.mark.parametrize("power", ["99999999999999999999999", str(LETTER_LIMIT + 1)])
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    @pytest.mark.parametrize(
+        "command", [["parse", "s1^{p}"], ["nf", "s1^-{p}"], ["eq", "s1", "s1^{p}"]]
+    )
+    def test_huge_power_is_a_limit_error(self, command, mode, power):
+        argv = [arg.format(p=power) for arg in command] + ["-n", "2"] + mode
+        res = run(argv)
+        assert res.exit_code == 3
+        assert res.payload["kind"] == "limit"
+        assert f"{LETTER_LIMIT} letters" in res.payload["error"]
+        assert res.rendered == f"error: {res.payload['error']}"
 
 
 class TestParse:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from knit.braid import BraidWord, Permutation, parse_braid, random_braid
 from knit.errors import DomainError
-from knit.garside import NormalForm, is_trivial, normal_form, words_equal
+from knit.garside import NormalForm, _left_weight_pair, is_trivial, normal_form, words_equal
 
 
 def descents(targets):
@@ -85,6 +86,25 @@ def _sweep_normal_form(w: BraidWord) -> NormalForm:
         factors.pop(0)
         total += 1
     return NormalForm(n, total, tuple(Permutation(tuple(v + 1 for v in f)) for f in factors))
+
+
+def _slide_left_weight_pair(x, y):
+    """Test-only oracle: left-weight the pair (x, y) of 0-based image tuples
+    one generator at a time, recomputing both generator sets after every
+    slide; None when the pair is already left-weighted."""
+    def starting(t):
+        return {i for i in range(len(t) - 1) if t[i] > t[i + 1]}
+
+    def finishing(t):
+        return starting([t.index(v) for v in range(len(t))])
+
+    moved = False
+    while movable := starting(y) - finishing(x):
+        i = min(movable)
+        x = tuple(i + 1 if v == i else i if v == i + 1 else v for v in x)
+        y = y[:i] + (y[i + 1], y[i]) + y[i + 2:]
+        moved = True
+    return (x, y) if moved else None
 
 
 def insert_relator(w: BraidWord, rng: random.Random) -> BraidWord:
@@ -265,6 +285,43 @@ def test_form_matches_sweep_oracle_on_seeded_corpus():
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_long_b6_words(seed):
     w = random_braid(6, 300, seed)
+    check_left_canonical(normal_form(w))
+    assert is_trivial(w * w.inverse())
+    assert is_trivial(w.inverse() * w)
+
+
+def test_pair_matches_slide_oracle_on_all_of_s4():
+    perms = list(itertools.permutations(range(4)))
+    for x in perms:
+        for y in perms:
+            assert _left_weight_pair(x, y) == _slide_left_weight_pair(x, y), (x, y)
+
+
+def test_pair_matches_slide_oracle_on_seeded_pairs():
+    rng = random.Random(9051)
+    for _ in range(2400):
+        n = rng.randint(5, 8)
+        x, y = list(range(n)), list(range(n))
+        rng.shuffle(x)
+        rng.shuffle(y)
+        x, y = tuple(x), tuple(y)
+        assert _left_weight_pair(x, y) == _slide_left_weight_pair(x, y), (x, y)
+
+
+def test_half_twist_moves_past_a_factor_in_one_step():
+    delta = (4, 3, 2, 1, 0)
+    for x in itertools.permutations(range(5)):
+        if x == delta:
+            continue
+        tau_x = tuple(4 - v for v in reversed(x))
+        assert _left_weight_pair(x, delta) == (delta, tau_x)
+        assert _slide_left_weight_pair(x, delta) == (delta, tau_x)
+    assert _left_weight_pair(delta, delta) is None
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_long_words(n):
+    w = random_braid(n, 800, seed=n)
     check_left_canonical(normal_form(w))
     assert is_trivial(w * w.inverse())
     assert is_trivial(w.inverse() * w)
