@@ -13,7 +13,6 @@ permutation; its cycles are the components of the trace closure.
 
 from __future__ import annotations
 
-import itertools
 import random
 import re
 from dataclasses import dataclass
@@ -23,6 +22,7 @@ from .errors import DomainError, LimitError, ParseError
 __all__ = [
     "BraidWord",
     "LETTER_LIMIT",
+    "STRAND_LIMIT",
     "Permutation",
     "parse_braid",
     "random_braid",
@@ -33,6 +33,10 @@ _TOKEN = re.compile(r"s(\d+)(?:\^(-?\d+))?")
 #: Most letters a parsed word may expand to; a power that would pass it
 #: raises LimitError before any letter is stored.
 LETTER_LIMIT = 1_000_000
+
+#: Most strands a parsed word may have, given or inferred from its
+#: largest generator; past it parsing raises LimitError.
+STRAND_LIMIT = 1_000
 
 
 @dataclass(frozen=True)
@@ -76,13 +80,6 @@ class Permutation:
         for i, t in enumerate(self.targets):
             inv[t - 1] = i + 1
         return Permutation(tuple(inv))
-
-    def inversions(self) -> int:
-        return sum(
-            1
-            for i, j in itertools.combinations(range(self.n), 2)
-            if self.targets[i] > self.targets[j]
-        )
 
     def cycles(self) -> list[tuple[int, ...]]:
         seen: set[int] = set()
@@ -160,10 +157,11 @@ class BraidWord:
         return sum(s for _, s in self.letters)
 
     def permutation(self) -> Permutation:
-        p = Permutation.identity(self.index)
+        # strand[k] is the strand at position k + 1 after the letters so far
+        strand = list(range(1, self.index + 1))
         for gen, _ in self.letters:
-            p = p.then(Permutation.transposition(self.index, gen))
-        return p
+            strand[gen - 1], strand[gen] = strand[gen], strand[gen - 1]
+        return Permutation(tuple(strand)).inverse()
 
     def conjugate_by(self, a: "BraidWord") -> "BraidWord":
         """Markov move of the first kind: a * self * a^-1."""
@@ -186,17 +184,33 @@ class BraidWord:
         return " ".join(parts)
 
 
-def parse_braid(text: str, index: int) -> BraidWord:
+def _bounded_int(digits: str, width: int) -> int | None:
+    """``int(digits)``, or None when it has more than ``width`` digits.
+
+    int() is never asked to read a longer number (it refuses past ~4,300
+    digits).
+    """
+    return int(digits) if len(digits.lstrip("-0")) <= width else None
+
+
+def parse_braid(text: str, index: int | None = None) -> BraidWord:
     """Parse generator tokens like ``s3^-1 s2 s1^3`` into a BraidWord.
 
     Tokens are separated by whitespace; powers expand into repeated letters.
-    Raises ParseError (with a position) on malformed text and on generator
-    indices outside 1..index-1, and LimitError when the word would pass
-    LETTER_LIMIT letters.
+    Without ``index`` the word lives in B_(k+1) for its largest generator
+    sk (B_1 when empty).  Raises ParseError (with a position) on malformed
+    text and on generator indices outside 1..index-1, and LimitError when
+    the word would pass LETTER_LIMIT letters or STRAND_LIMIT strands.
     """
-    if index < 1:
-        raise DomainError(f"braid index must be >= 1, got {index}")
+    if index is not None:
+        if index < 1:
+            raise DomainError(f"braid index must be >= 1, got {index}")
+        if index > STRAND_LIMIT:
+            raise LimitError(f"braid index {index} is past {STRAND_LIMIT} strands")
+    # a number with more digits than its limit is past it
+    gen_width, power_width = len(str(STRAND_LIMIT)), len(str(LETTER_LIMIT))
     letters: list[tuple[int, int]] = []
+    top = 0
     pos = 0
     n = len(text)
     while pos < n:
@@ -209,18 +223,21 @@ def parse_braid(text: str, index: int) -> BraidWord:
         end = m.end()
         if end < n and not text[end].isspace():
             raise ParseError(f"malformed token {text[pos:end + 1]!r}", pos)
-        gen = int(m.group(1))
-        if gen < 1:
+        gen = _bounded_int(m.group(1), gen_width)
+        if gen == 0:
             raise ParseError(f"generator index must be >= 1, got s{gen}", pos)
-        if gen >= index:
+        if index is None:
+            if gen is None or gen >= STRAND_LIMIT:
+                raise LimitError(
+                    f"the generator at position {pos} takes the word past "
+                    f"{STRAND_LIMIT} strands"
+                )
+        elif gen is None or gen >= index:
+            shown = gen if gen is not None else m.group(1)[:9] + "..."
             raise ParseError(
-                f"generator s{gen} out of range for braid index {index}", pos
+                f"generator s{shown} out of range for braid index {index}", pos
             )
-        digits = m.group(2) or "1"
-        # a power with more digits than LETTER_LIMIT is past it, and int()
-        # is never asked to read one (it refuses past ~4,300 digits)
-        short = len(digits.lstrip("-0")) <= len(str(LETTER_LIMIT))
-        power = int(digits) if short else None
+        power = _bounded_int(m.group(2) or "1", power_width)
         if power is None or len(letters) + abs(power) > LETTER_LIMIT:
             raise LimitError(
                 f"the power at position {pos} takes the word past "
@@ -230,8 +247,10 @@ def parse_braid(text: str, index: int) -> BraidWord:
             raise ParseError("zero power is not a letter", pos)
         sign = 1 if power > 0 else -1
         letters.extend([(gen, sign)] * abs(power))
+        if gen > top:
+            top = gen
         pos = end
-    return BraidWord(index, tuple(letters))
+    return BraidWord(top + 1 if index is None else index, tuple(letters))
 
 
 def random_braid(index: int, length: int, seed: int) -> BraidWord:

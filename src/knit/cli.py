@@ -36,8 +36,6 @@ from .laurent import evaluate_at_root
 
 __all__ = ["CommandResult", "run", "main", "CROSSING_LIMIT_ENV"]
 
-_GENERATOR_TOKEN = re.compile(r"s(\d+)")
-
 _INVARIANCE_FAMILIES = (
     "markov-conjugate",
     "markov-stabilize",
@@ -181,24 +179,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _strand_count(strands: int | None, *texts: str) -> int:
-    """``strands`` if given, else one more than the largest generator."""
-    if strands is not None:
-        return strands
-    found = [int(tok) for text in texts for tok in _GENERATOR_TOKEN.findall(text)]
-    return max(found, default=0) + 1
-
-
-def _parse_word(text: str, strands: int | None) -> BraidWord:
-    return parse_braid(text, _strand_count(strands, text))
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 
 def _cmd_parse(args) -> dict:
-    w = _parse_word(args.word, args.strands)
+    w = parse_braid(args.word, args.strands)
     perm = w.permutation()
     return {
         "word": str(w),
@@ -211,7 +197,7 @@ def _cmd_parse(args) -> dict:
 
 
 def _cmd_nf(args) -> dict:
-    w = _parse_word(args.word, args.strands)
+    w = parse_braid(args.word, args.strands)
     nf = normal_form(w)
     return {
         "strands": nf.index,
@@ -224,14 +210,16 @@ def _cmd_nf(args) -> dict:
 
 
 def _cmd_eq(args) -> dict:
-    strands = _strand_count(args.strands, args.left, args.right)
-    left = parse_braid(args.left, strands)
-    right = parse_braid(args.right, strands)
+    left = parse_braid(args.left, args.strands)
+    right = parse_braid(args.right, args.strands)
+    # without -n the narrower word is read in the wider word's group
+    n = max(left.index, right.index)
+    left, right = BraidWord(n, left.letters), BraidWord(n, right.letters)
     return {"equal": words_equal(left, right)}
 
 
 def _cmd_closure_info(args) -> dict:
-    w = _parse_word(args.word, args.strands)
+    w = parse_braid(args.word, args.strands)
     if args.closure_kind == "trace":
         d = closure_trace(w)
         return {
@@ -256,7 +244,7 @@ def _cmd_closure_info(args) -> dict:
 
 
 def _cmd_jones(args) -> dict:
-    w = _parse_word(args.word, args.strands)
+    w = parse_braid(args.word, args.strands)
     close = closure_trace if args.closure_kind == "trace" else closure_plat
     poly = jones_polynomial(close(w))
     payload = {
@@ -295,7 +283,7 @@ def _parse_colors(text: str) -> list[int]:
 def _cmd_colored(args) -> dict:
     from .su2q import colored_invariant, normalize_ambient
 
-    w = _parse_word(args.word, args.strands)
+    w = parse_braid(args.word, args.strands)
     colors = _parse_colors(args.colors)
     r = args.root
     value = colored_invariant(w, colors, r)
@@ -321,7 +309,7 @@ def _cmd_colored(args) -> dict:
 def _cmd_approx(args) -> tuple[dict, list[str]]:
     from .qsim import approx_jones
 
-    w = _parse_word(args.word, args.strands)
+    w = parse_braid(args.word, args.strands)
     estimate = approx_jones(w, args.root, args.delta, args.confidence, args.seed)
     notes = []
     if estimate.tractable_root:

@@ -3,9 +3,10 @@
 Route one is the Kauffman bracket as a brute-force state sum over all
 2^c smoothings of a diagram.  Route two represents the braid group
 inside the Temperley-Lieb diagram algebra and takes the Markov trace of
-the trace closure.  It has one engine: a lazily memoised cup-cap action
-``(n, i, matching) -> (matching times E_i, delta^loops)`` and one loop
-that propagates a combination of basis diagrams through a word over it.
+the trace closure.  It has one engine: a cup-cap action
+``(n, i, diagram) -> (diagram times E_i, delta^loops)``, a local rewrite
+of a diagram's partner tuple, and one loop that propagates a
+combination of basis diagrams through a word over it.
 Both routes end in the same bracket-to-Jones step.  The two must agree
 exactly, which is the backbone correctness check for the whole package.
 
@@ -45,6 +46,7 @@ CROSSING_LIMIT_ENV = "KNIT_CROSSING_LIMIT"
 
 # delta = -A^2 - A^-2 (exponent numerators are quarter-units)
 LOOP_VALUE = LaurentPoly.from_dict({8: -1, -8: -1})
+_ONE = LaurentPoly.one()
 
 
 def _crossing_limit(limit: int | None) -> int:
@@ -122,9 +124,21 @@ def jones_polynomial(d: LinkDiagram, limit: int | None = None) -> LaurentPoly:
     return _bracket_to_jones(kauffman_bracket(d, limit), d.writhe())
 
 
-def noncrossing_matchings(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """All non-crossing perfect matchings of 2n circle points, Catalan(n)."""
-    return _noncrossing(2 * n)
+def noncrossing_matchings(n: int) -> tuple[tuple[int, ...], ...]:
+    """All Catalan(n) TL basis diagrams on n strands, as partner tuples.
+
+    Top position p is boundary point p and bottom position p is point
+    n + p; entry k of a partner tuple is the point joined to k.
+    """
+    # circle point q < n is top position q; q >= n is bottom 2n-1-q
+    point = [*range(n), *range(2 * n - 1, n - 1, -1)]
+    out = []
+    for pairs in _noncrossing(2 * n):
+        m = [0] * (2 * n)
+        for a, b in pairs:
+            m[point[a]], m[point[b]] = point[b], point[a]
+        out.append(tuple(m))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -143,58 +157,26 @@ def _noncrossing(points: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(out)
 
 
-def _identity_matching(n: int) -> tuple[tuple[int, int], ...]:
-    # top position p is circle point p; bottom position p is 2n-1-p
-    return tuple(sorted((p, 2 * n - 1 - p) for p in range(n)))
+def _identity_matching(n: int) -> tuple[int, ...]:
+    return (*range(n, 2 * n), *range(n))
 
 
-def _cupcap_matching(n: int, i: int) -> tuple[tuple[int, int], ...]:
-    pairs = [(i - 1, i), (2 * n - 1 - (i - 1), 2 * n - 1 - i)]
-    for p in range(n):
-        if p not in (i - 1, i):
-            pairs.append((p, 2 * n - 1 - p))
-    return tuple(sorted(tuple(sorted(q)) for q in pairs))
+def _cupcap_action(
+    n: int, i: int, m: tuple[int, ...]
+) -> tuple[tuple[int, ...], LaurentPoly]:
+    """``m`` times E_i: the resulting basis diagram and delta^loops.
 
-
-def _compose(n: int, upper, lower) -> tuple[tuple[tuple[int, int], ...], int]:
-    """Stack ``lower`` below ``upper``; matching of the result plus the
-    number of closed loops swallowed at the interface."""
-    # nodes: 0..n-1 upper top, n..2n-1 interface, 2n..3n-1 lower bottom
-
-    def upper_node(idx):
-        return idx if idx < n else n + (2 * n - 1 - idx)
-
-    def lower_node(idx):
-        return n + idx if idx < n else 2 * n + (2 * n - 1 - idx)
-
-    edges = [(upper_node(a), upper_node(b)) for a, b in upper]
-    edges += [(lower_node(a), lower_node(b)) for a, b in lower]
-    root = component_labels(3 * n, edges)
-
-    external: dict[int, list[int]] = {}
-    for p in range(n):
-        external.setdefault(root[p], []).append(p)
-        external.setdefault(root[2 * n + p], []).append(2 * n - 1 - p)
-    pairs = [tuple(sorted(members)) for members in external.values()]
-    interface_roots = {root[n + p] for p in range(n)}
-    loops = len(interface_roots - set(external))
-    return tuple(sorted(pairs)), loops
-
-
-def _closure_loops(n: int, matching) -> int:
-    closing = [(p, 2 * n - 1 - p) for p in range(n)]
-    return len(set(component_labels(2 * n, list(matching) + closing)))
-
-
-@lru_cache(maxsize=None)
-def _cupcap_action(n: int, i: int, matching) -> tuple[tuple, LaurentPoly]:
-    """``matching`` times E_i: the composed basis element and delta^loops.
-
-    Filled lazily, one (n, i, matching) at a time, as words visit them;
-    it never holds more than Catalan(n) * (n - 1) entries per n.
+    E_i caps bottom points b and c of ``m`` and opens a fresh cup there.
+    If b and c were joined the cap closes a loop; otherwise it joins
+    their two partners to each other.
     """
-    composed, loops = _compose(n, matching, _cupcap_matching(n, i))
-    return composed, LOOP_VALUE**loops
+    b, c = n + i - 1, n + i
+    if m[b] == c:
+        return m, LOOP_VALUE
+    out = list(m)
+    out[m[b]], out[m[c]] = m[c], m[b]
+    out[b], out[c] = c, b
+    return tuple(out), _ONE
 
 
 def _propagate(n: int, letters, vector: dict) -> dict:
@@ -233,6 +215,8 @@ def markov_trace_jones(w: BraidWord) -> LaurentPoly:
     start = {_identity_matching(n): LaurentPoly.one()}
     bracket = LaurentPoly.zero()
     for m, coeff in _propagate(n, w.letters, start).items():
-        loops = _closure_loops(n, m)
+        # the trace closure joins top position p to bottom position p
+        joins = [*enumerate(m), *((p, n + p) for p in range(n))]
+        loops = len(set(component_labels(2 * n, joins)))
         bracket = bracket + coeff * LOOP_VALUE ** (loops - 1)
     return _bracket_to_jones(bracket, w.exponent_sum())

@@ -91,18 +91,6 @@ class LaurentPoly:
             k >>= 1
         return out
 
-    def scale(self, coeff: int) -> "LaurentPoly":
-        if coeff == 0:
-            return LaurentPoly.zero()
-        return LaurentPoly(tuple((n, c * coeff) for n, c in self.terms))
-
-    def shift(self, num: int, den: int = 1) -> "LaurentPoly":
-        """Multiply by t^(num/den)."""
-        step = num * (EXPONENT_DENOMINATOR // den)
-        if EXPONENT_DENOMINATOR % den != 0:
-            raise DomainError(f"exponent denominator must divide 4, got {den}")
-        return LaurentPoly(tuple((n + step, c) for n, c in self.terms))
-
     def substitute_power(self, k: Fraction) -> "LaurentPoly":
         """Replace t by t^k; every scaled exponent must stay on the lattice."""
         k = Fraction(k)

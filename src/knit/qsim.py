@@ -31,7 +31,14 @@ import numpy as np
 
 from .braid import BraidWord
 from .errors import DomainError, LimitError
-from .su2q import NORM_TOL, BraidingOperator, ColoredSpace, jones_plat_branch, plat_branch
+from .su2q import (
+    NORM_TOL,
+    UNITARITY_TOL,
+    BraidingOperator,
+    ColoredSpace,
+    jones_plat_branch,
+    plat_branch,
+)
 
 __all__ = [
     "GENERATOR_ID",
@@ -51,8 +58,6 @@ GENERATOR_ID = "numpy-PCG64"
 
 #: Largest per-quadrature sample budget an estimator will actually run.
 SAMPLE_LIMIT = 10_000_000
-
-UNITARY_TOL = 1e-10
 
 _PART_INDEX = {"real": 0, "imag": 1}
 
@@ -115,12 +120,12 @@ def bend_state(space: ColoredSpace) -> StateVector:
     return StateVector.basis(space.coupled_dimension, space.bend_index(), space)
 
 
-def _square_unitary(matrix, tol: float = UNITARY_TOL) -> np.ndarray:
+def _square_unitary(matrix) -> np.ndarray:
     mat = np.asarray(matrix, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DomainError(f"operator must be a square matrix, got shape {mat.shape}")
     defect = np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max()
-    if not defect <= tol:
+    if not defect <= UNITARITY_TOL:
         raise DomainError(f"operator is not unitary: defect {defect:.3e}")
     return mat
 

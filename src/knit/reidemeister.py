@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import Crossing, LinkDiagram
+from .diagram import Crossing, LinkDiagram, component_labels
 from .errors import DomainError
 
 __all__ = ["Site", "faces", "reidemeister_sites", "apply_reidemeister", "MOVES"]
@@ -179,11 +179,17 @@ def reidemeister_sites(d: LinkDiagram, move: str) -> tuple[Site, ...]:
     return tuple(sites)
 
 
-def _relabel_map(crossings, mapping):
-    return tuple(
-        Crossing(tuple(mapping.get(e, e) for e in c.edges), c.sign)
-        for c in crossings
-    )
+def _join_edges(d: LinkDiagram, rest, joins):
+    """``rest`` with the two edges of each join merged under one label.
+
+    Each merged class keeps its smallest label; also returns the map
+    from every label of ``d`` to its merged label.
+    """
+    labels = d.edges
+    index = {e: k for k, e in enumerate(labels)}
+    root = component_labels(len(labels), [(index[a], index[b]) for a, b in joins])
+    mapping = {e: labels[root[k]] for k, e in enumerate(labels)}
+    return tuple(c.relabel(mapping) for c in rest), mapping
 
 
 def _fresh_labels(d: LinkDiagram, count: int) -> list[int]:
@@ -227,10 +233,9 @@ def apply_reidemeister(d: LinkDiagram, move: str, site: Site) -> LinkDiagram:
         rest = tuple(x for k, x in enumerate(d.crossings) if k != ci)
         if p == q:
             return LinkDiagram(rest, d.unknot_count + 1)
-        keep, drop = min(p, q), max(p, q)
-        merged = _relabel_map(rest, {drop: keep})
+        merged, mapping = _join_edges(d, rest, [(p, q)])
         circles = d.unknot_count
-        if not any(keep in c2.edges for c2 in merged):
+        if not any(mapping[p] in c2.edges for c2 in merged):
             circles += 1
         return LinkDiagram(merged, circles)
 
@@ -269,19 +274,9 @@ def apply_reidemeister(d: LinkDiagram, move: str, site: Site) -> LinkDiagram:
         rest = tuple(
             x for k, x in enumerate(d.crossings) if k not in (c1, c2)
         )
-        mapping = {}
-        for u, v in ((a1, a2), (b1, b2)):
-            ru = mapping.get(u, u)
-            rv = mapping.get(v, v)
-            keep, drop = min(ru, rv), max(ru, rv)
-            for key, val in list(mapping.items()):
-                if val == drop:
-                    mapping[key] = keep
-            if drop != keep:
-                mapping[drop] = keep
-        merged = _relabel_map(rest, mapping)
+        merged, mapping = _join_edges(d, rest, [(a1, a2), (b1, b2)])
         remaining = {e for c in merged for e in c.edges}
-        vanished = {mapping.get(z, z) for z in (a1, a2, b1, b2)} - remaining
+        vanished = {mapping[z] for z in (a1, a2, b1, b2)} - remaining
         return LinkDiagram(merged, d.unknot_count + len(vanished))
 
     # RIII: flip the triangle by swapping each strand's crossing order

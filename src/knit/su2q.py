@@ -148,11 +148,11 @@ def as_color(value) -> ColorLabel:
     raise DomainError(f"cannot read {value!r} as a color")
 
 
-def _check_root(r: int, minimum: int = 3):
+def _check_root(r: int):
     if not isinstance(r, int) or isinstance(r, bool):
         raise DomainError(f"root parameter must be an integer, got {r!r}")
-    if r < minimum:
-        raise DomainError(f"root parameter too small: need r >= {minimum}, got {r}")
+    if r < 3:
+        raise DomainError(f"root parameter too small: need r >= 3, got {r}")
 
 
 def _check_admissible(color: ColorLabel, r: int):

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from knit import braid
-from knit.braid import LETTER_LIMIT, BraidWord, Permutation, parse_braid, random_braid
+from knit.braid import (
+    LETTER_LIMIT,
+    STRAND_LIMIT,
+    BraidWord,
+    Permutation,
+    parse_braid,
+    random_braid,
+)
 from knit.errors import DomainError, LimitError, ParseError
 
 
@@ -183,3 +190,44 @@ def test_letter_limit_counts_the_whole_word(monkeypatch):
     assert len(parse_braid("s1^4 s2^-3 s1 s2^2", 3)) == 10
     with pytest.raises(LimitError):
         parse_braid("s1^4 s2^-3 s1 s2^3", 3)
+
+
+def test_index_inferred_from_the_largest_generator():
+    assert parse_braid("s3^2 s1^-1") == parse_braid("s3^2 s1^-1", 4)
+    assert parse_braid("").index == 1
+    w = parse_braid(f"s{STRAND_LIMIT - 1}")
+    assert w.index == STRAND_LIMIT
+    assert w.permutation()(STRAND_LIMIT) == STRAND_LIMIT - 1
+
+
+@pytest.mark.parametrize("index", [None, 3])
+@pytest.mark.parametrize("gen", [str(STRAND_LIMIT), "9" * 5000])
+def test_generator_past_the_strand_limit_is_refused(gen, index):
+    # with an index the generator is out of its range; without one it
+    # would ask for more strands than the limit
+    error = ParseError if index else LimitError
+    with pytest.raises(error, match="out of range" if index else "strands"):
+        parse_braid(f"s1 s{gen}", index)
+
+
+def test_index_past_the_strand_limit_is_refused_before_any_work():
+    tracemalloc.start()
+    try:
+        with pytest.raises(LimitError, match="strands"):
+            parse_braid("s1", STRAND_LIMIT + 1)
+        with pytest.raises(LimitError):
+            parse_braid("s1", 10**9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_permutation_matches_the_product_of_transpositions():
+    # the word's letters composed one transposition at a time
+    for seed in range(200):
+        w = random_braid(2 + seed % 9, seed % 41, seed=seed)
+        p = Permutation.identity(w.index)
+        for gen, _ in w.letters:
+            p = p.then(Permutation.transposition(w.index, gen))
+        assert w.permutation() == p, w

@@ -1,11 +1,12 @@
 """Tests for the `knit` command-line front end."""
 
 import json
+import tracemalloc
 
 import pytest
 
 from knit import su2q
-from knit.braid import LETTER_LIMIT, parse_braid
+from knit.braid import LETTER_LIMIT, STRAND_LIMIT, parse_braid
 from knit.cli import CROSSING_LIMIT_ENV, CommandResult, main, run
 from knit.diagram import closure_plat, closure_trace
 from knit.jones import jones_polynomial
@@ -68,6 +69,52 @@ class TestLetterLimit:
         assert res.payload["kind"] == "limit"
         assert f"{LETTER_LIMIT} letters" in res.payload["error"]
         assert res.rendered == f"error: {res.payload['error']}"
+
+
+class TestStrandLimit:
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    @pytest.mark.parametrize("strands", [[], ["-n", "3"]])
+    @pytest.mark.parametrize(
+        "command", [["parse", "s1 s{g}"], ["nf", "s{g}^-1"], ["eq", "s1", "s{g}"]]
+    )
+    def test_huge_generator_is_a_typed_error(self, command, strands, mode):
+        argv = [arg.format(g="9" * 5000) for arg in command] + strands + mode
+        res = run(argv)
+        # past the range of -n it is a bad word; inferred it needs too many strands
+        kind, code = ("parse", 2) if strands else ("limit", 3)
+        assert (res.exit_code, res.payload["kind"]) == (code, kind)
+        assert res.rendered == f"error: {res.payload['error']}"
+        assert len(res.payload["error"]) < 200  # the digits are not echoed
+
+    @pytest.mark.parametrize(
+        "command", [["parse", "s1"], ["nf", "s1"], ["eq", "s1", "s1"]]
+    )
+    def test_strand_count_past_the_limit_is_refused_cheaply(self, command):
+        tracemalloc.start()
+        try:
+            res = run(command + ["-n", str(STRAND_LIMIT + 1)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (res.exit_code, res.payload["kind"]) == (3, "limit")
+        assert f"{STRAND_LIMIT} strands" in res.payload["error"]
+        assert peak < 1_000_000
+
+    def test_inferred_strand_count_at_the_limit(self):
+        res = run(["parse", f"s{STRAND_LIMIT - 1}", "--json"])
+        assert res.exit_code == 0
+        assert res.payload["strands"] == STRAND_LIMIT
+        assert res.payload["permutation"][-2:] == [STRAND_LIMIT, STRAND_LIMIT - 1]
+
+    def test_eq_lifts_the_narrower_word(self):
+        res = run(["eq", "s1 s2 s1", "s2 s1 s2"])
+        assert res.payload == {"equal": True}
+        res = run(["eq", "s1 s1^-1", "s3 s3^-1"])
+        assert res.payload == {"equal": True}
+        res = run(["eq", "s1", "s1 s3 s3^-1"])
+        assert res.payload == {"equal": True}
+        res = run(["eq", "s1", "s3"])
+        assert res.payload == {"equal": False}
 
 
 class TestParse:

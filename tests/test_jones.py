@@ -9,7 +9,6 @@ from knit.errors import DomainError, LimitError
 from knit.jones import (
     LOOP_VALUE,
     _cupcap_action,
-    _cupcap_matching,
     _identity_matching,
     _propagate,
     jones_polynomial,
@@ -144,12 +143,47 @@ def _scaled(n, letters, m):
 def test_tl_rep_small_shape():
     basis = noncrossing_matchings(2)
     assert len(basis) == 2
-    identity, cupcap = _identity_matching(2), _cupcap_matching(2, 1)
-    assert set(basis) == {identity, cupcap}
+    identity = _identity_matching(2)
+    assert identity in basis
+    (cupcap,) = set(basis) - {identity}
+    # E_1 on two strands: top points 0-1 joined, bottom points 2-3 joined
+    assert cupcap == (1, 0, 3, 2)
     assert _cupcap_action(2, 1, identity) == (cupcap, LaurentPoly.one())
     assert _cupcap_action(2, 1, cupcap) == (cupcap, LOOP_VALUE)
     with pytest.raises(DomainError):
         markov_trace_jones(BraidWord.identity(11))
+
+
+def _crosses(m, p, q):
+    # chords p-m[p] and q-m[q] on the boundary circle, read as top points
+    # left to right, then bottom points right to left
+    n = len(m) // 2
+
+    def around(k):
+        return k if k < n else 3 * n - 1 - k
+
+    a, b = sorted((around(p), around(m[p])))
+    return (a < around(q) < b) != (a < around(m[q]) < b)
+
+
+def test_tl_basis_is_noncrossing_and_closed_under_cupcap():
+    for n in range(1, 8):
+        basis = noncrossing_matchings(n)
+        assert len(set(basis)) == len(basis) == math.comb(2 * n, n) // (n + 1)
+        assert _identity_matching(n) in basis
+        members = set(basis)
+        for m in basis:
+            assert sorted(m) == list(range(2 * n))
+            assert all(m[k] != k and m[m[k]] == k for k in range(2 * n))
+            assert not any(
+                _crosses(m, p, q) for p in range(2 * n) for q in range(2 * n)
+            ), m
+            for i in range(1, n):
+                composed, factor = _cupcap_action(n, i, m)
+                assert composed in members
+                assert factor in (LaurentPoly.one(), LOOP_VALUE)
+                # a loop closes exactly when the capped points were joined
+                assert (factor == LOOP_VALUE) == (m[n + i - 1] == n + i)
 
 
 def test_tl_inverse_contract():
@@ -189,13 +223,16 @@ def test_markov_trace_identity_words():
 def test_markov_trace_matches_bracket_route():
     words = [random_braid(4, 9, seed=seed) for seed in range(40)]
     words += [random_braid(6, 12 + seed % 3, seed=600 + seed) for seed in range(4)]
+    # wider words stay inside the state sum's 20-crossing limit
+    words += [random_braid(8, 12 + seed % 3, seed=800 + seed) for seed in range(3)]
+    words += [random_braid(10, 12 + seed % 3, seed=1000 + seed) for seed in range(3)]
     for w in words:
         assert markov_trace_jones(w) == jones_polynomial(closure_trace(w))
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.integers(2, 6).flatmap(
+    st.integers(2, 8).flatmap(
         lambda n: st.builds(
             lambda letters: BraidWord(n, tuple(letters)),
             st.lists(
