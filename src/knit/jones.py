@@ -1,12 +1,15 @@
 """Exact Jones polynomial by two independent routes.
 
-Route one is the Kauffman bracket as a brute-force state sum over all
-2^c smoothings of a diagram.  Route two represents the braid group
-inside the Temperley-Lieb diagram algebra and takes the Markov trace of
-the trace closure.  It has one engine: a cup-cap action
-``(n, i, diagram) -> (diagram times E_i, delta^loops)``, a local rewrite
-of a diagram's partner tuple, and one loop that propagates a
-combination of basis diagrams through a word over it.
+Route one is the Kauffman bracket as a state sum over all 2^c
+smoothings of a diagram.  Each state splices its smoothing joins into
+a copy of the diagram's edge partner list, counting a loop whenever a
+join meets its own partner, and the states are tallied by (B count,
+loops) before one polynomial is built.  Route two represents the braid
+group inside the Temperley-Lieb diagram algebra and takes the Markov
+trace of the trace closure.  It has one engine: a cup-cap action
+``(n, i, diagram) -> (diagram times E_i, delta^loops)``, the same
+splice as a rewrite of a diagram's partner tuple, and one loop that
+propagates a combination of basis diagrams through a word over it.
 Both routes end in the same bracket-to-Jones step.  The two must agree
 exactly, which is the backbone correctness check for the whole package.
 
@@ -62,6 +65,8 @@ def _crossing_limit(limit: int | None) -> int:
             raise DomainError(
                 f"{source} must be an integer, got {raw!r}"
             ) from None
+    elif not isinstance(limit, int) or isinstance(limit, bool):
+        raise DomainError(f"{source} must be an integer, got {limit!r}")
     if limit < 0:
         raise DomainError(f"{source} must be nonnegative, got {limit}")
     return limit
@@ -73,6 +78,14 @@ def kauffman_bracket(d: LinkDiagram, limit: int | None = None) -> LaurentPoly:
     The A-smoothing joins slot 0 to slot 3 and slot 1 to slot 2; the
     B-smoothing joins 0-1 and 2-3.  Each state contributes
     A^(#A - #B) * delta^(loops - 1), counting free circles as loops.
+
+    Slot s of crossing k is point 4k + s, and each edge makes its two
+    slots partners.  A state copies that partner list and splices in
+    its smoothing joins one at a time by the rule of ``_cupcap_action``:
+    joining two partners closes a loop, and any other join makes their
+    partners partners.  States are tallied by (B count, loops) and the
+    polynomial is built once from the tally.
+
     Raises LimitError past the crossing limit (default 20, or the
     KNIT_CROSSING_LIMIT environment variable) and DomainError when that
     limit is negative or not an integer.
@@ -87,29 +100,42 @@ def kauffman_bracket(d: LinkDiagram, limit: int | None = None) -> LaurentPoly:
     if c == 0 and d.unknot_count == 0:
         raise DomainError("the empty diagram has no bracket")
 
-    # loops are counted on the 2c edge labels; a smoothing joins two
-    # pairs of the edges at its crossing
-    index = {e: i for i, e in enumerate(d.edges)}
-    smoothings = []
-    for cr in d.crossings:
-        e0, e1, e2, e3 = (index[e] for e in cr.edges)
-        smoothings.append((((e0, e3), (e1, e2)), ((e0, e1), (e2, e3))))
+    slots: dict[int, list[int]] = {}
+    for point, e in enumerate(e for cr in d.crossings for e in cr.edges):
+        slots.setdefault(e, []).append(point)
+    partner = [0] * (4 * c)
+    for p, q in slots.values():
+        partner[p], partner[q] = q, p
+    smoothings = [
+        (((p, p + 3), (p + 1, p + 2)), ((p, p + 1), (p + 2, p + 3)))
+        for p in range(0, 4 * c, 4)
+    ]
 
-    delta_powers = [LaurentPoly.one()]
-
-    total: dict[int, int] = {}
+    tally: dict[tuple[int, int], int] = {}
     for state in range(1 << c):
-        joins = []
-        for ci, pairs in enumerate(smoothings):
-            joins += pairs[(state >> ci) & 1]
-        b_count = state.bit_count()
-        loops = len(set(component_labels(2 * c, joins))) + d.unknot_count
+        m = partner.copy()
+        loops = d.unknot_count
+        for k, joins in enumerate(smoothings):
+            for a, b in joins[(state >> k) & 1]:
+                pa = m[a]
+                if pa == b:
+                    loops += 1
+                else:
+                    pb = m[b]
+                    m[pa] = pb
+                    m[pb] = pa
+        key = (state.bit_count(), loops)
+        tally[key] = tally.get(key, 0) + 1
+
+    delta_powers = [_ONE]
+    total: dict[int, int] = {}
+    for (b_count, loops), count in tally.items():
         while loops > len(delta_powers):
             delta_powers.append(delta_powers[-1] * LOOP_VALUE)
         weight = 4 * (c - 2 * b_count)  # A^(#A - #B) in quarter-units
         for num, coeff in delta_powers[loops - 1].terms:
             key = num + weight
-            total[key] = total.get(key, 0) + coeff
+            total[key] = total.get(key, 0) + count * coeff
     return LaurentPoly.from_dict(total)
 
 

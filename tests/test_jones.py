@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from knit.braid import BraidWord, parse_braid, random_braid
+from knit.cli import run
 from knit.diagram import LinkDiagram, closure_plat, closure_trace, parse_diagram
 from knit.errors import DomainError, LimitError
 from knit.jones import (
@@ -16,7 +17,9 @@ from knit.jones import (
     markov_trace_jones,
     noncrossing_matchings,
 )
-from knit.laurent import LaurentPoly
+from knit.laurent import LaurentPoly, evaluate_at_root
+from knit.reidemeister import apply_reidemeister, reidemeister_sites
+from knit.su2q import jones_value_from_plat
 
 
 def poly(d):
@@ -72,6 +75,17 @@ def test_bracket_negative_limit_is_domain_error(monkeypatch):
     with pytest.raises(DomainError):
         jones_polynomial(unknot, limit=-1)
     assert kauffman_bracket(unknot, limit=0) == LaurentPoly.one()
+
+
+@pytest.mark.parametrize("limit", [True, 2.5, "3"])
+def test_bracket_limit_must_be_an_int(limit):
+    # a one-crossing kink sits under every one of these caps, so none of
+    # them may pass as a number
+    kink = closure_trace(parse_braid("s1", 2))
+    with pytest.raises(DomainError):
+        kauffman_bracket(kink, limit)
+    with pytest.raises(DomainError):
+        jones_polynomial(kink, limit)
 
 
 def test_bracket_hopf():
@@ -226,22 +240,30 @@ def test_markov_trace_matches_bracket_route():
     # wider words stay inside the state sum's 20-crossing limit
     words += [random_braid(8, 12 + seed % 3, seed=800 + seed) for seed in range(3)]
     words += [random_braid(10, 12 + seed % 3, seed=1000 + seed) for seed in range(3)]
+    words += [
+        random_braid(n, length, seed=100 * n + length)
+        for n in range(2, 9)
+        for length in (0, 3, 7, 11, 14)
+    ]
     for w in words:
         assert markov_trace_jones(w) == jones_polynomial(closure_trace(w))
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(2, 8).flatmap(
+def _braid_words(indices):
+    # words of up to 14 letters, so closures stay under 15 crossings
+    return indices.flatmap(
         lambda n: st.builds(
             lambda letters: BraidWord(n, tuple(letters)),
             st.lists(
                 st.tuples(st.integers(1, n - 1), st.sampled_from((-1, 1))),
-                max_size=10,
+                max_size=14,
             ),
         )
     )
-)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_braid_words(st.integers(2, 8)))
 def test_bracket_route_matches_tl_route(w):
     assert jones_polynomial(closure_trace(w)) == markov_trace_jones(w)
 
@@ -288,3 +310,88 @@ def test_bracket_of_parsed_diagram_round_trip():
     d = closure_trace(parse_braid("s1 s2^-1 s1", 3))
     again = parse_diagram(d.to_text())
     assert kauffman_bracket(again) == kauffman_bracket(d)
+
+
+def test_bracket_of_free_circles_alone_is_a_power_of_delta():
+    for k in range(1, 6):
+        assert kauffman_bracket(LinkDiagram((), k)) == LOOP_VALUE ** (k - 1)
+
+
+def test_free_circles_beside_crossings_each_add_a_delta():
+    # s1 on four strands: the trace closure is a kink beside two free
+    # circles, which is three unlinked unknots up to a kink
+    d = closure_trace(parse_braid("s1", 4))
+    assert d.unknot_count == 2
+    assert kauffman_bracket(d) == poly({12: -1}) * LOOP_VALUE ** 2
+    unlinked = jones_polynomial(LinkDiagram((), 3))
+    assert jones_polynomial(d) == unlinked
+    res = run(["jones", "s1", "-n", "4", "--json"])
+    assert res.exit_code == 0
+    assert res.payload["polynomial"]["terms"] == unlinked.to_json_terms()
+    with_circle = LinkDiagram(d.crossings, d.unknot_count + 1)
+    assert kauffman_bracket(with_circle) == kauffman_bracket(d) * LOOP_VALUE
+
+
+def test_bracket_of_a_kink_whose_edges_meet_its_crossing_twice():
+    unknot = LinkDiagram((), 1)
+    for site in reidemeister_sites(unknot, "RI+"):
+        kink = apply_reidemeister(unknot, "RI+", site)
+        (crossing,) = kink.crossings
+        assert len(set(crossing.edges)) == 2
+        assert kauffman_bracket(kink) == poly({12 * crossing.sign: -1})
+    trefoil = closure_trace(parse_braid("s1^3", 2))
+    base = kauffman_bracket(trefoil)
+    sites = reidemeister_sites(trefoil, "RI+")
+    assert sites
+    for site in sites:
+        moved = apply_reidemeister(trefoil, "RI+", site)
+        sign = moved.writhe() - trefoil.writhe()
+        assert kauffman_bracket(moved) == base * poly({12 * sign: -1})
+
+
+def test_bracket_of_a_split_link_is_the_product_times_delta():
+    # a trefoil on strands 1-2 and a Hopf link on strands 3-4 never meet
+    split = closure_trace(parse_braid("s1^3 s3^2", 4))
+    trefoil = kauffman_bracket(closure_trace(parse_braid("s1^3", 2)))
+    hopf = kauffman_bracket(closure_trace(parse_braid("s1^2", 2)))
+    assert kauffman_bracket(split) == trefoil * hopf * LOOP_VALUE
+
+
+def test_bracket_ignores_gaps_in_edge_labels():
+    d = closure_trace(parse_braid("s1 s2^-1 s1 s2^-1", 3))
+    spread = LinkDiagram(
+        tuple(c.relabel({e: 10 * e + 7 for e in c.edges}) for c in d.crossings)
+    )
+    assert kauffman_bracket(spread) == kauffman_bracket(d)
+
+
+def test_bracket_is_unchanged_by_rii_and_riii_moves_that_leave_label_gaps():
+    # RII+ and RIII are regular isotopies, so the bracket itself holds
+    gaps = 0
+    for seed in range(8):
+        d = closure_trace(random_braid(3, 5, seed=seed))
+        base = kauffman_bracket(d)
+        for move in ("RII+", "RIII", "RII+", "RIII"):
+            sites = reidemeister_sites(d, move)
+            if not sites:
+                continue
+            d = apply_reidemeister(d, move, sites[seed % len(sites)])
+            assert kauffman_bracket(d) == base, (seed, move)
+            gaps += d.edges != tuple(range(1, len(d.edges) + 1))
+    assert gaps
+
+
+@pytest.mark.parametrize("r", [5, 7, 10])
+def test_plat_closures_match_the_colored_route_on_a_seeded_corpus(r):
+    for n in (2, 4, 6, 8):
+        for length in (0, 4, 9, 14):
+            w = random_braid(n, length, seed=10 * r + 100 * n + length)
+            exact = evaluate_at_root(jones_polynomial(closure_plat(w)), r)
+            assert abs(exact - jones_value_from_plat(w, r)) <= 1e-9, w
+
+
+@settings(max_examples=40, deadline=None)
+@given(_braid_words(st.sampled_from((2, 4, 6, 8))), st.sampled_from((5, 7, 10)))
+def test_plat_bracket_matches_the_colored_route(w, r):
+    exact = evaluate_at_root(jones_polynomial(closure_plat(w)), r)
+    assert abs(exact - jones_value_from_plat(w, r)) <= 1e-9
