@@ -15,6 +15,7 @@ q^(k/4) = exp(2*pi*i*k/(4*r)).
 from __future__ import annotations
 
 import cmath
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -106,7 +107,9 @@ class LaurentPoly:
         return LaurentPoly.from_dict(d)
 
     def evaluate(self, value: complex) -> complex:
-        """Evaluate at an arbitrary nonzero complex number, principal powers."""
+        """Evaluate at an arbitrary finite nonzero complex number, principal powers."""
+        if not cmath.isfinite(value):
+            raise DomainError(f"cannot evaluate a Laurent polynomial at {value!r}")
         if value == 0:
             raise DomainError("cannot evaluate a Laurent polynomial at 0")
         total = 0j
@@ -161,8 +164,8 @@ def evaluate_at_root(p: LaurentPoly, r: int) -> complex:
 
     Fractional powers use the principal branch q^(k/4) = exp(2*pi*i*k/(4*r)).
     """
-    if r < 1:
-        raise DomainError(f"root order must be >= 1, got {r}")
+    if not isinstance(r, numbers.Integral) or isinstance(r, bool) or r < 1:
+        raise DomainError(f"root order must be an integer >= 1, got {r!r}")
     total = 0j
     for n, c in p.terms:
         total += c * cmath.exp(2j * cmath.pi * n / (EXPONENT_DENOMINATOR * r))

@@ -137,7 +137,8 @@ def apply_unitary(psi: StateVector, U, targets=None) -> StateVector:
     space, or a plain unitary matrix.  A matrix may also act on a
     subset of two-level factors of a length-2^m state by listing the
     ``targets`` factor indices in order.  The norm is preserved and an
-    identity operator is a no-op.
+    identity operator is a no-op.  A braiding operator needs a state
+    whose space, if it has one, is the operator's domain.
     """
     if isinstance(U, BraidingOperator):
         if targets is not None:
@@ -146,7 +147,9 @@ def apply_unitary(psi: StateVector, U, targets=None) -> StateVector:
             raise DomainError(
                 f"operator acts on dimension {U.matrix.shape[1]}, state has {psi.dimension}"
             )
-        space = U.codomain if psi.space == U.domain else None
+        if psi.space is not None and psi.space != U.domain:
+            raise DomainError(f"operator acts on {U.domain}, state lives on {psi.space}")
+        space = None if psi.space is None else U.codomain
         return StateVector(U.matrix @ psi.amplitudes, space)
 
     mat = _square_unitary(U)

@@ -26,9 +26,10 @@ A twist changes only the fusion label between its two strands, so
 gather table: each output path reads at most ``2j + 1`` source paths,
 and a letter costs O(D b) on D paths instead of a dense D x D matrix.
 ``colored_invariant``, ``jones_value_from_plat`` and the sampled
-estimators of ``qsim`` all contract or sample those three pieces; the
-dense word matrices of ``braiding_operator_for_word`` serve as the
-independent check of the contraction.  With every color 1/2 this
+estimators of ``qsim`` all contract or sample those three pieces.  The
+dense operators of ``r_matrix`` and ``braiding_operator_for_word``
+braid an identity block through the same loop, ``_braid``, so they
+share every table with the contraction.  With every color 1/2 this
 reproduces the Jones values computed from the exact bracket route (see
 ``jones_value_from_plat``).
 """
@@ -409,8 +410,10 @@ class ColoredSpace:
         with equal colors, which is what the plat boundary requires.
         """
         doubled = self.doubled
-        if doubled[0::2] != doubled[1::2]:
-            raise DomainError("cap colors do not pair up; no contraction path exists")
+        for i in range(0, len(doubled), 2):
+            if doubled[i : i + 2] != (doubled[i],) * 2:
+                pair = ", ".join(str(c) for c in self.factors[i : i + 2])
+                raise DomainError(f"bend ({i + 1}, {i + 2}) of {self} cannot join colors {pair}")
         path = (0,) + tuple(t if k % 2 == 0 else 0 for k, t in enumerate(doubled))
         return self.paths().index(path)
 
@@ -455,9 +458,6 @@ class BraidingOperator:
         gram = self.matrix.conj().T @ self.matrix
         return float(np.abs(gram - np.eye(gram.shape[0])).max())
 
-    def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(amplitudes, dtype=complex)
-
     def then(self, later: "BraidingOperator") -> "BraidingOperator":
         """The composite that acts with ``self`` first."""
         if later.domain != self.codomain:
@@ -477,7 +477,8 @@ def _twist(colors: tuple[int, ...], position: int, sign: int, r: int):
     """Half-twist of strands ``position``, ``position + 1`` (1-based), in gather form.
 
     Returns the swapped coloring and read-only ``D_out x b`` tables
-    ``idx`` and ``wts``; the twisted state is ``(wts * state[idx]).sum(axis=1)``.
+    ``idx`` and ``wts``; ``_braid`` applies them to a state vector as
+    ``(wts * state[idx]).sum(axis=1)``, and to a block of states likewise.
     On each path the twist recouples the two strands into their mutual
     channel, applies the channel phase (or its reciprocal, per the letter
     sign), and recouples back.  Only the label between the strands
@@ -513,16 +514,17 @@ def _twist(colors: tuple[int, ...], position: int, sign: int, r: int):
     return swapped, idx, wts
 
 
-def _elementary_matrix(colors: tuple[int, ...], position: int, sign: int, r: int):
-    """``_twist`` as a dense matrix, for ``r_matrix`` and the dense word operators.
+def _braid(colors: tuple[int, ...], letters, r: int, state: np.ndarray):
+    """Apply one ``_twist`` per letter to ``state``; returns the final coloring and state.
 
-    Returns the swapped coloring and the ``D_out x D`` matrix on the
-    fusion-path bases; the plat engine applies the cached tables instead.
+    ``state`` is a vector on the paths of ``colors`` or a block whose
+    rows are those paths; the weights broadcast over its trailing axis.
     """
-    swapped, idx, wts = _twist(colors, position, sign, r)
-    mat = np.zeros((len(idx), len(_paths(colors, r))), dtype=complex)
-    np.add.at(mat, (np.arange(len(idx))[:, None], idx), wts)
-    return swapped, mat
+    for generator, sign in letters:
+        colors, idx, wts = _twist(colors, generator, sign, r)
+        weights = wts if state.ndim == 1 else wts[:, :, None]
+        state = (weights * state[idx]).sum(axis=1)
+    return colors, state
 
 
 def braiding_channel_phases(j1, j2, r: int) -> dict[ColorLabel, complex]:
@@ -554,21 +556,7 @@ def r_matrix(j1, j2, r: int) -> BraidingOperator:
         raise LimitError(
             f"dense limit exceeded: {c1.dimension * c2.dimension} > {DENSE_LIMIT}"
         )
-    _check_braidable(c1, r)
-    _check_braidable(c2, r)
-    domain = ColoredSpace((c1, c2), r)
-    swapped, mat = _elementary_matrix(domain.doubled, 1, 1, r)
-    return BraidingOperator(mat, domain, ColoredSpace((c2, c1), r))
-
-
-def _word_matrix(w: BraidWord, colors: tuple[int, ...], r: int):
-    """Ordered product of elementary twists; returns final colors and matrix."""
-    current = colors
-    total = np.eye(len(_paths(colors, r)), dtype=complex)
-    for generator, sign in w.letters:
-        current, step = _elementary_matrix(current, generator, sign, r)
-        total = step @ total
-    return current, total
+    return braiding_operator_for_word(BraidWord(2, ((1, 1),)), (c1, c2), r)
 
 
 def braiding_operator_for_word(w: BraidWord, colors, r: int) -> BraidingOperator:
@@ -589,37 +577,26 @@ def braiding_operator_for_word(w: BraidWord, colors, r: int) -> BraidingOperator
         raise LimitError(
             f"dense limit exceeded: {domain.coupled_dimension} > {DENSE_LIMIT}"
         )
-    final, mat = _word_matrix(w, domain.doubled, r)
-    return BraidingOperator(mat, domain, ColoredSpace(tuple(ColorLabel(t) for t in final), r))
+    identity = np.eye(domain.coupled_dimension, dtype=complex)
+    final, mat = _braid(domain.doubled, w.letters, r, identity)
+    return BraidingOperator(mat, domain, ColoredSpace(final, r))
 
 
 def braiding_operator_for_plat(w: BraidWord, colors, r: int) -> BraidingOperator:
     """Braiding operator of a plat presentation, boundary-checked.
 
     Requires an even strand count and cap-compatible colors: strands
-    (2i-1, 2i) must carry equal colors along the top, and the colors
-    arriving at the bottom (after the word's permutation) must pair up
-    the same way.
+    (2i-1, 2i) must carry equal colors along the top, and the braid's
+    final coloring must pair up the same way at the bottom.
     """
     require_plat_index(w)
     labels = tuple(as_color(c) for c in colors)
     if len(labels) != w.index:
         raise DomainError(f"need {w.index} strand colors, got {len(labels)}")
-    for i in range(0, w.index, 2):
-        if labels[i] != labels[i + 1]:
-            raise DomainError(
-                f"top cap ({i + 1}, {i + 2}) joins colors {labels[i]} and {labels[i + 1]}"
-            )
-    perm = w.permutation()
-    at_bottom: list[ColorLabel | None] = [None] * w.index
-    for k in range(1, w.index + 1):
-        at_bottom[perm(k) - 1] = labels[k - 1]
-    for i in range(0, w.index, 2):
-        if at_bottom[i] != at_bottom[i + 1]:
-            raise DomainError(
-                f"bottom cup ({i + 1}, {i + 2}) joins colors {at_bottom[i]} and {at_bottom[i + 1]}"
-            )
-    return braiding_operator_for_word(w, labels, r)
+    ColoredSpace(labels, r).bend_index()
+    op = braiding_operator_for_word(w, labels, r)
+    op.codomain.bend_index()
+    return op
 
 
 # ---------------------------------------------------------------------------
@@ -669,10 +646,7 @@ def _plat_branch(w: BraidWord, profile, colors, r: int):
         prefactor *= framing ** (-profile.self_writhe[comp])
         prefactor *= ((-1) ** t) ** (profile.cup_count[comp] - 1)
 
-    branch = _bend_vector(ColoredSpace(current, r))
-    for generator, sign in w.letters:
-        current, idx, wts = _twist(current, generator, sign, r)
-        branch = (wts * branch[idx]).sum(axis=1)
+    current, branch = _braid(current, w.letters, r, _bend_vector(ColoredSpace(current, r)))
     if not (cmath.isfinite(prefactor) and abs(np.linalg.norm(branch) - 1.0) <= NORM_TOL):
         raise LimitError(
             f"plat contraction broke down numerically at r = {r}: the prefactor is "

@@ -1,6 +1,7 @@
 import cmath
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -80,6 +81,28 @@ def test_evaluate_matches_generic():
     p = poly({-4: 2, 2: -3, 7: 1})
     q = cmath.exp(2j * cmath.pi / 7)
     assert abs(evaluate_at_root(p, 7) - p.evaluate(q)) < 1e-10
+
+
+@pytest.mark.parametrize("r", [0, -3, True, False, 2.0, float("nan"), float("inf"), "5", None])
+def test_evaluate_at_root_rejects_a_bad_root_order(r):
+    with pytest.raises(DomainError):
+        evaluate_at_root(poly({-4: 2, 2: -3}), r)
+
+
+def test_evaluate_at_root_takes_any_integral_order():
+    p = poly({-4: 2, 2: -3, 7: 1})
+    assert evaluate_at_root(p, np.int64(7)) == evaluate_at_root(p, 7)
+    # at r = 1 the variable is 1, so integer powers sum their coefficients
+    assert evaluate_at_root(poly({-4: 2, 8: -3}), 1) == pytest.approx(-1, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [float("nan"), float("inf"), -float("inf"), complex(1, float("nan")), complex(float("inf"), 0)],
+)
+def test_evaluate_rejects_a_non_finite_value(value):
+    with pytest.raises(DomainError):
+        poly({-4: 2, 2: -3}).evaluate(value)
 
 
 def test_json_round_trip():

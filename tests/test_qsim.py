@@ -133,6 +133,16 @@ class TestApplyUnitary:
         back = apply_unitary(apply_unitary(psi, R), R.inverse())
         assert np.abs(back.amplitudes - psi.amplitudes).max() < 1e-10
 
+    def test_braiding_operator_needs_the_state_space_as_domain(self):
+        R = r_matrix(HALF, Fraction(3, 2), 10)
+        other = ColoredSpace((Fraction(3, 2), HALF), 10)
+        assert other.coupled_dimension == R.matrix.shape[1]
+        with pytest.raises(DomainError):
+            apply_unitary(StateVector.basis(other.coupled_dimension, 0, other), R)
+        # a state with no space is still accepted and stays without one
+        out = apply_unitary(StateVector.basis(other.coupled_dimension, 0), R)
+        assert out.space is None
+
     def test_targeted_single_factor_matches_kronecker(self):
         psi = random_state(8, 5)
         U = random_unitary(2, 6)

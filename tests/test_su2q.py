@@ -378,6 +378,14 @@ class TestBraidingOperatorForPlat:
         with pytest.raises(DomainError):
             braiding_operator_for_plat(parse_braid("s2", 4), (1, 1, 2, 2), 7)
 
+    def test_bottom_mismatch_names_the_pair(self):
+        bottom = r"bend \(1, 2\) of \(1/2, 1, 1/2, 1\) at r=7 cannot join colors 1/2, 1"
+        with pytest.raises(DomainError, match=bottom):
+            braiding_operator_for_plat(parse_braid("s2", 4), (1, 1, 2, 2), 7)
+        top = r"bend \(1, 2\) of \(1/2, 1, 1, 1/2\) at r=7 cannot join colors 1/2, 1"
+        with pytest.raises(DomainError, match=top):
+            braiding_operator_for_plat(parse_braid("", 4), (1, 2, 2, 1), 7)
+
 
 class TestColoredInvariant:
     def test_unknot_is_quantum_dimension_at_five(self):
@@ -516,6 +524,7 @@ class TestTwist:
         ],
     )
     def test_gather_form_matches_the_dense_twist(self, colors, r):
+        # a vector and an identity block take the two branches of the braiding loop
         rng = np.random.default_rng(len(colors) * r + sum(colors))
         size = len(su2q._paths(colors, r))
         v = rng.normal(size=size) + 1j * rng.normal(size=size)
@@ -523,11 +532,45 @@ class TestTwist:
         for position in range(1, len(colors)):
             for sign in (1, -1):
                 swapped, idx, wts = su2q._twist(colors, position, sign, r)
-                dense_swapped, mat = su2q._elementary_matrix(colors, position, sign, r)
-                assert swapped == dense_swapped
+                letter = BraidWord(len(colors), ((position, sign),))
+                op = braiding_operator_for_word(letter, colors, r)
+                assert op.codomain.doubled == swapped
                 gathered = (wts * v[idx]).sum(axis=1)
-                assert np.abs(gathered - mat @ v).max() < 1e-12
+                assert np.abs(gathered - op.matrix @ v).max() < 1e-12
                 assert idx.shape[1] <= min(colors[position - 1], colors[position]) + 1
+
+    @pytest.mark.parametrize("twice_j", [1, 2, 3])
+    @pytest.mark.parametrize("r", [5, 7, 10])
+    def test_one_letter_spectrum_is_the_channel_phases(self, twice_j, r):
+        # equal colors: the letter is diagonal in the channel basis of its
+        # pair, so its eigenvalues are the channel phases, without any
+        # reference to the gather layout
+        phases = np.array(list(braiding_channel_phases(twice_j, twice_j, r).values()))
+        for n in range(2, 6):
+            for position in range(1, n):
+                for sign in (1, -1):
+                    w = BraidWord(n, ((position, sign),))
+                    op = braiding_operator_for_word(w, (twice_j,) * n, r)
+                    want = phases if sign == 1 else phases.conj()
+                    for value in np.linalg.eigvals(op.matrix):
+                        assert np.abs(want - value).min() < 1e-10
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_word_operator_composes_its_letters(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 6))
+        r = int(rng.choice((5, 7, 10)))
+        colors = tuple(int(c) for c in rng.integers(1, min(3, r - 2) + 1, size=n))
+        w = random_braid(n, int(rng.integers(1, 9)), seed=seed)
+        composite = None
+        current = colors
+        for letter in w.letters:
+            step = braiding_operator_for_word(BraidWord(n, (letter,)), current, r)
+            current = step.codomain.factors
+            composite = step if composite is None else composite.then(step)
+        op = braiding_operator_for_word(w, colors, r)
+        assert op.codomain == composite.codomain
+        assert np.abs(op.matrix - composite.matrix).max() < 1e-12
 
     def test_tables_are_read_only(self):
         _, idx, wts = su2q._twist((2, 2, 1, 1), 2, 1, 7)
