@@ -19,7 +19,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, LimitError, ParseError
 
 __all__ = ["LaurentPoly", "evaluate_at_root"]
 
@@ -107,14 +107,23 @@ class LaurentPoly:
         return LaurentPoly.from_dict(d)
 
     def evaluate(self, value: complex) -> complex:
-        """Evaluate at an arbitrary finite nonzero complex number, principal powers."""
-        if not cmath.isfinite(value):
-            raise DomainError(f"cannot evaluate a Laurent polynomial at {value!r}")
-        if value == 0:
-            raise DomainError("cannot evaluate a Laurent polynomial at 0")
-        total = 0j
-        for n, c in self.terms:
-            total += c * value ** (n / EXPONENT_DENOMINATOR)
+        """Evaluate at an arbitrary finite nonzero complex number, principal powers.
+
+        Raises DomainError at 0 and at a non-finite value, and LimitError
+        when the value or one of its powers leaves the float range.
+        """
+        try:
+            if not cmath.isfinite(value):
+                raise DomainError(f"cannot evaluate a Laurent polynomial at {value!r}")
+            if value == 0:
+                raise DomainError("cannot evaluate a Laurent polynomial at 0")
+            total = 0j
+            for n, c in self.terms:
+                total += c * value ** (n / EXPONENT_DENOMINATOR)
+        except (OverflowError, ZeroDivisionError):  # a power out of float range
+            total = complex("nan")
+        if not cmath.isfinite(total):
+            raise LimitError(f"powers of {value!r:.40} leave the float range")
         return total
 
     def to_json_terms(self) -> list[dict[str, object]]:
@@ -163,10 +172,17 @@ def evaluate_at_root(p: LaurentPoly, r: int) -> complex:
     """Evaluate p at the primitive root q = exp(2*pi*i/r).
 
     Fractional powers use the principal branch q^(k/4) = exp(2*pi*i*k/(4*r)).
+    Raises LimitError when a coefficient or the sum leaves the float range.
     """
     if not isinstance(r, numbers.Integral) or isinstance(r, bool) or r < 1:
         raise DomainError(f"root order must be an integer >= 1, got {r!r}")
     total = 0j
-    for n, c in p.terms:
-        total += c * cmath.exp(2j * cmath.pi * n / (EXPONENT_DENOMINATOR * r))
+    try:
+        for n, c in p.terms:
+            # exact int division first, so a huge r gives a small finite angle
+            total += c * cmath.exp(2j * cmath.pi * (n / (EXPONENT_DENOMINATOR * r)))
+    except OverflowError:  # a coefficient out of float range
+        total = complex("nan")
+    if not cmath.isfinite(total):
+        raise LimitError("the value at the root leaves the float range")
     return total

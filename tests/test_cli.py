@@ -150,6 +150,17 @@ class TestNormalForm:
         assert res.exit_code == 0
         assert res.payload["half_twist_power"] == -1
 
+    @pytest.mark.parametrize(
+        "command",
+        [["nf", "s1^1000000", "-n", "1000"], ["eq", "s1^2000", "s1", "-n", "1000"],
+         ["nf", "s1^5000 s3^5000", "-n", "4", "--json"]],
+    )
+    def test_cost_guard_exits_3_without_a_traceback(self, command, capsys):
+        code = main(command)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "cost estimate" in err and "Traceback" not in err
+
 
 class TestClosureInfo:
     def test_trace_closure_of_trefoil_word(self):
@@ -188,6 +199,16 @@ class TestJones:
         )
         assert at["re"] == pytest.approx(expected.real)
         assert at["im"] == pytest.approx(expected.imag)
+
+    def test_huge_root_order_gives_a_finite_value(self, capsys):
+        r = 10**399 + 7
+        code = main(["jones", "s1 s1 s1", "-n", "2", "--at-root", str(r), "--json"])
+        out, err = capsys.readouterr()
+        assert code == 0 and "Traceback" not in err
+        at = json.loads(out)["value_at_root"]
+        assert at["r"] == r
+        # q is 1 to double precision, and V(1) = 1 for a knot
+        assert (at["re"], at["im"]) == pytest.approx((1.0, 0.0), abs=1e-12)
 
     def test_bad_root_is_domain_error(self):
         res = run(["jones", "s1^3", "-n", "2", "--at-root", "0"])

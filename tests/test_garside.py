@@ -4,9 +4,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from knit import garside
 from knit.braid import BraidWord, Permutation, parse_braid, random_braid
-from knit.errors import DomainError
-from knit.garside import NormalForm, _left_weight_pair, is_trivial, normal_form, words_equal
+from knit.errors import DomainError, LimitError
+from knit.garside import (
+    NormalForm,
+    _left_weight_pair,
+    _positive_lift_word,
+    is_trivial,
+    normal_form,
+    words_equal,
+)
 
 
 def descents(targets):
@@ -306,6 +314,100 @@ def test_pair_matches_slide_oracle_on_seeded_pairs():
         rng.shuffle(y)
         x, y = tuple(x), tuple(y)
         assert _left_weight_pair(x, y) == _slide_left_weight_pair(x, y), (x, y)
+
+
+def test_pair_matches_slide_oracle_on_all_of_s5():
+    perms = list(itertools.permutations(range(5)))
+    for x in perms:
+        for y in perms:
+            assert _left_weight_pair(x, y) == _slide_left_weight_pair(x, y), (x, y)
+
+
+def test_pair_matches_slide_oracle_on_seeded_wide_pairs():
+    rng = random.Random(9052)
+    for n in range(10, 65):
+        delta = tuple(range(n - 1, -1, -1))
+        for _ in range(3):
+            x, y = list(range(n)), list(range(n))
+            rng.shuffle(x)
+            rng.shuffle(y)
+            x, y = tuple(x), tuple(y)
+            for pair in ((x, y), (x, delta), (delta, y), (delta, delta)):
+                assert _left_weight_pair(*pair) == _slide_left_weight_pair(*pair), pair
+
+
+def test_form_matches_sweep_oracle_on_seeded_b9_to_b12_words():
+    rng = random.Random(9053)
+    for _ in range(150):
+        w = random_braid(rng.randint(9, 12), rng.randint(0, 40), seed=rng.randrange(10**6))
+        assert normal_form(w) == _sweep_normal_form(w), str(w)
+
+
+@pytest.mark.parametrize(
+    "text, n, detour",
+    [("s1 s2^-1", 100, "s3 s60"), ("s1 s999 s500^-3", 1000, "s2 s998")],
+)
+def test_wide_words_are_left_canonical(text, n, detour):
+    w, x = parse_braid(text, n), parse_braid(detour, n)
+    nf = normal_form(w)
+    check_left_canonical(nf)
+    assert normal_form(w * x * x.inverse()) == nf
+
+
+def test_b2_forms_are_the_exponent_sum():
+    # B_2 is infinite cyclic, so even the longest word is cheap
+    assert normal_form(parse_braid("s1^-1000000", 2)) == NormalForm(2, -1000000, ())
+    assert normal_form(parse_braid("s1^3 s1^-1", 2)) == NormalForm(2, 2, ())
+
+
+def _stated_cost(w):
+    letters = len(w.letters)
+    inverse = sum(1 for _, sign in w.letters if sign < 0)
+    return letters * (letters * (w.index + 16) + 2 * inverse * w.index**2)
+
+
+def test_cost_guard_uses_the_stated_estimate(monkeypatch):
+    w = parse_braid("s1 s3^-1 s2 s3", 5)
+    cost = _stated_cost(w)
+    assert cost == 4 * (4 * 21 + 2 * 25)
+    monkeypatch.setattr(garside, "COST_LIMIT", cost)
+    assert normal_form(w) == _sweep_normal_form(w)
+    monkeypatch.setattr(garside, "COST_LIMIT", cost - 1)
+    with pytest.raises(LimitError, match=f"cost estimate {cost}"):
+        normal_form(w)
+
+
+@pytest.mark.parametrize(
+    "text, n",
+    [("s1^2000", 1000), ("s1^1000000", 1000), ("s1^5000 s3^5000", 4),
+     (" ".join(["s500 s500^-1"] * 16), 1000), ("s1^-60", 300)],
+)
+def test_cost_guard_refuses_expensive_words(text, n):
+    w = parse_braid(text, n)
+    assert _stated_cost(w) > garside.COST_LIMIT
+    with pytest.raises(LimitError):
+        normal_form(w)
+    with pytest.raises(LimitError):
+        words_equal(w, parse_braid("", n))
+
+
+def test_cost_guard_admits_the_test_and_bench_sizes():
+    # w w^-1 of test_long_words, the widest word above, a word longer than any bench word
+    w = random_braid(8, 800, 8)
+    for word in (w * w.inverse(), parse_braid("s1 s999 s500^-3", 1000), random_braid(8, 300, 1)):
+        assert _stated_cost(word) <= garside.COST_LIMIT
+
+
+def test_lift_word_strips_the_smallest_starting_generator_first():
+    for n in range(1, 7):
+        for targets in itertools.permutations(range(1, n + 1)):
+            t, expected = list(targets), []
+            while starting := descents(t):
+                i = min(starting)
+                t[i - 1], t[i] = t[i], t[i - 1]
+                expected.append(i)
+            assert _positive_lift_word(Permutation(targets)) == expected, targets
+    assert len(_positive_lift_word(Permutation(tuple(range(300, 0, -1))))) == 300 * 299 // 2
 
 
 def test_half_twist_moves_past_a_factor_in_one_step():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from knit.errors import DomainError, ParseError
+from knit.errors import DomainError, LimitError, ParseError
 from knit.laurent import LaurentPoly, evaluate_at_root
 
 
@@ -103,6 +103,29 @@ def test_evaluate_at_root_takes_any_integral_order():
 def test_evaluate_rejects_a_non_finite_value(value):
     with pytest.raises(DomainError):
         poly({-4: 2, 2: -3}).evaluate(value)
+
+
+@pytest.mark.parametrize("value", [1e-100, 1e-100 + 0j, 1e100j, 10**400])
+def test_evaluate_out_of_the_float_range_is_a_limit_error(value):
+    with pytest.raises(LimitError, match="float range"):
+        poly({-40: 1}).evaluate(value)
+
+
+@pytest.mark.parametrize("terms", [{0: 10**400}, {0: 10**308, 4: 10**308}])
+def test_coefficients_past_the_float_range_are_a_limit_error(terms):
+    with pytest.raises(LimitError, match="float range"):
+        evaluate_at_root(poly(terms), 1)
+    with pytest.raises(LimitError, match="float range"):
+        poly(terms).evaluate(1.0)
+
+
+def test_evaluate_at_root_of_a_huge_order_is_finite():
+    # q = exp(2 pi i / r) is 1 to double precision, so p(q) is the coefficient sum
+    p = poly({-4: 2, 3: 5, 8: -3})
+    for r in (10**400, 10**400 + 1, 10**5000):
+        value = evaluate_at_root(p, r)
+        assert cmath.isfinite(value)
+        assert value == pytest.approx(4, abs=1e-12)
 
 
 def test_json_round_trip():
