@@ -80,26 +80,7 @@ __all__ = [
     "markov_trace_jones",
     "LaurentPoly",
     "evaluate_at_root",
-    "StateVector",
-    "TraceEstimate",
-    "apply_unitary",
-    "approx_jones",
-    "bend_state",
-    "estimate_markov_trace",
-    "hadamard_test_sample",
-    "plan_samples",
-    "BraidingOperator",
-    "ColorLabel",
-    "ColoredSpace",
-    "DegenerateColorError",
-    "braiding_operator_for_plat",
-    "colored_invariant",
-    "fusion_range",
-    "jones_value_from_plat",
-    "normalize_ambient",
-    "q_clebsch_gordan",
-    "q_integer",
-    "r_matrix",
+    *_HOME,
     "__version__",
 ]
 

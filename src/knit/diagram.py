@@ -131,7 +131,10 @@ class LinkDiagram:
     def validate(self) -> list[str]:
         """Invariant violations as human-readable strings; empty means ok."""
         problems = []
-        if self.unknot_count < 0:
+        circles = self.unknot_count
+        if not isinstance(circles, int) or isinstance(circles, bool):
+            problems.append(f"free-circle count must be an int, got {circles!r}")
+        elif circles < 0:
             problems.append("free-circle count is negative")
         counts: dict[int, int] = {}
         for c in self.crossings:

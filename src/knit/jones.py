@@ -3,15 +3,17 @@
 Route one is the Kauffman bracket as a state sum over all 2^c
 smoothings of a diagram.  Each state splices its smoothing joins into
 a copy of the diagram's edge partner list, counting a loop whenever a
-join meets its own partner, and the states are tallied by (B count,
-loops) before one polynomial is built.  Route two represents the braid
-group inside the Temperley-Lieb diagram algebra and takes the Markov
-trace of the trace closure.  It has one engine: a cup-cap action
-``(n, i, diagram) -> (diagram times E_i, delta^loops)``, the same
+join meets its own partner.  Route two represents the braid group
+inside the Temperley-Lieb diagram algebra and takes the Markov trace
+of the trace closure.  It has one engine: a cup-cap action
+``(n, i, diagram) -> (diagram times E_i, loop closed?)``, the same
 splice as a rewrite of a diagram's partner tuple, and one loop that
-propagates a combination of basis diagrams through a word over it.
-Both routes end in the same bracket-to-Jones step.  The two must agree
-exactly, which is the backbone correctness check for the whole package.
+propagates int coefficients keyed by (basis diagram, A-exponent)
+through a word over it.  Both routes tally their terms by
+(A-exponent, loops) as plain ints and share only the close: one
+polynomial built from the tally, then the bracket-to-Jones step.  The
+two must agree exactly, which is the backbone correctness check for
+the whole package.
 
 Conventions pinned here once and used everywhere: the bracket variable
 is A with loop value delta = -A^2 - A^-2; a positive crossing smooths
@@ -49,7 +51,6 @@ CROSSING_LIMIT_ENV = "KNIT_CROSSING_LIMIT"
 
 # delta = -A^2 - A^-2 (exponent numerators are quarter-units)
 LOOP_VALUE = LaurentPoly.from_dict({8: -1, -8: -1})
-_ONE = LaurentPoly.one()
 
 
 def _crossing_limit(limit: int | None) -> int:
@@ -126,15 +127,20 @@ def kauffman_bracket(d: LinkDiagram, limit: int | None = None) -> LaurentPoly:
                     m[pb] = pa
         key = (state.bit_count(), loops)
         tally[key] = tally.get(key, 0) + 1
+    # A^(#A - #B) is A^(c - 2 #B)
+    return _tally_to_bracket({(c - 2 * b, k): n for (b, k), n in tally.items()})
 
-    delta_powers = [_ONE]
+
+def _tally_to_bracket(tally: dict[tuple[int, int], int]) -> LaurentPoly:
+    """Sum of count * A^exponent * delta^(loops - 1) over a tally that
+    maps (A-exponent, loops) to an int: the close of both exact routes."""
+    delta_powers = [LaurentPoly.one()]
     total: dict[int, int] = {}
-    for (b_count, loops), count in tally.items():
+    for (exponent, loops), count in tally.items():
         while loops > len(delta_powers):
             delta_powers.append(delta_powers[-1] * LOOP_VALUE)
-        weight = 4 * (c - 2 * b_count)  # A^(#A - #B) in quarter-units
         for num, coeff in delta_powers[loops - 1].terms:
-            key = num + weight
+            key = num + 4 * exponent  # quarter-units
             total[key] = total.get(key, 0) + count * coeff
     return LaurentPoly.from_dict(total)
 
@@ -189,40 +195,44 @@ def _identity_matching(n: int) -> tuple[int, ...]:
 
 def _cupcap_action(
     n: int, i: int, m: tuple[int, ...]
-) -> tuple[tuple[int, ...], LaurentPoly]:
-    """``m`` times E_i: the resulting basis diagram and delta^loops.
+) -> tuple[tuple[int, ...], bool]:
+    """``m`` times E_i: the resulting basis diagram and whether a loop closed.
 
     E_i caps bottom points b and c of ``m`` and opens a fresh cup there.
-    If b and c were joined the cap closes a loop; otherwise it joins
-    their two partners to each other.
+    If b and c were joined the cap closes a loop (a factor delta) and
+    leaves ``m`` as it was; otherwise it joins their partners.
     """
     b, c = n + i - 1, n + i
     if m[b] == c:
-        return m, LOOP_VALUE
+        return m, True
     out = list(m)
     out[m[b]], out[m[c]] = m[c], m[b]
     out[b], out[c] = c, b
-    return tuple(out), _ONE
+    return tuple(out), False
 
 
 def _propagate(n: int, letters, vector: dict) -> dict:
     """Multiply a combination of basis diagrams by each letter in turn.
 
-    A positive generator acts as A*Id + A^-1*E_i, its inverse as
-    A^-1*Id + A*E_i; zero coefficients are dropped after every letter.
+    ``vector`` maps (basis diagram, A-exponent) to an int.  A positive
+    generator acts as A*Id + A^-1*E_i, its inverse as A^-1*Id + A*E_i,
+    so each term shifts its exponent by +-1; a loop that E_i closes is
+    delta = -A^2 - A^-2, two shifted subtractions.  Zero coefficients
+    are dropped after every letter.
     """
-    a_plus = LaurentPoly.monomial(1, 1)  # A
-    a_minus = LaurentPoly.monomial(1, -1)
     for gen, sign in letters:
-        straight, bent = (a_plus, a_minus) if sign > 0 else (a_minus, a_plus)
-        nxt: dict[tuple, LaurentPoly] = {}
-        for m, coeff in vector.items():
-            prior = nxt.get(m, LaurentPoly.zero())
-            nxt[m] = prior + coeff * straight
-            composed, scale = _cupcap_action(n, gen, m)
-            prior = nxt.get(composed, LaurentPoly.zero())
-            nxt[composed] = prior + coeff * bent * scale
-        vector = {m: v for m, v in nxt.items() if not v.is_zero()}
+        nxt: dict[tuple, int] = {}
+        for (m, e), coeff in vector.items():
+            key = (m, e + sign)
+            nxt[key] = nxt.get(key, 0) + coeff
+            composed, closed = _cupcap_action(n, gen, m)
+            if closed:
+                for key in ((m, e - sign + 2), (m, e - sign - 2)):
+                    nxt[key] = nxt.get(key, 0) - coeff
+            else:
+                key = (composed, e - sign)
+                nxt[key] = nxt.get(key, 0) + coeff
+        vector = {key: v for key, v in nxt.items() if v}
     return vector
 
 
@@ -230,19 +240,20 @@ def markov_trace_jones(w: BraidWord) -> LaurentPoly:
     """Jones polynomial of the trace closure through the TL representation.
 
     Propagates the identity diagram through the word, closes every basis
-    diagram, weights by delta^(loops-1), applies the writhe correction
-    and lands in t.  Agrees exactly with the state-sum route.
+    diagram, tallies the closed diagrams by (A-exponent, loops), applies
+    the writhe correction and lands in t.  Agrees exactly with the
+    state-sum route.
     """
     n = w.index
     if n > DEFAULT_TL_STRANDS:
         raise DomainError(
             f"strand count {n} beyond the diagram-basis limit {DEFAULT_TL_STRANDS}"
         )
-    start = {_identity_matching(n): LaurentPoly.one()}
-    bracket = LaurentPoly.zero()
-    for m, coeff in _propagate(n, w.letters, start).items():
+    tally: dict[tuple[int, int], int] = {}
+    start = {(_identity_matching(n), 0): 1}
+    for (m, e), coeff in _propagate(n, w.letters, start).items():
         # the trace closure joins top position p to bottom position p
         joins = [*enumerate(m), *((p, n + p) for p in range(n))]
-        loops = len(set(component_labels(2 * n, joins)))
-        bracket = bracket + coeff * LOOP_VALUE ** (loops - 1)
-    return _bracket_to_jones(bracket, w.exponent_sum())
+        key = (e, len(set(component_labels(2 * n, joins))))
+        tally[key] = tally.get(key, 0) + coeff
+    return _bracket_to_jones(_tally_to_bracket(tally), w.exponent_sum())

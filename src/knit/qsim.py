@@ -224,9 +224,15 @@ def hadamard_test_sample(U, psi: StateVector, part: str, rng_seed) -> int:
     and the ancilla is measured once under the Born rule.  The reading
     averages to Re⟨psi|U|psi⟩ for ``part="real"`` and Im⟨psi|U|psi⟩
     for ``part="imag"``.  The same ``rng_seed`` (an integer or tuple
-    of integers) reproduces the reading bit for bit.
+    of integers) reproduces the reading bit for bit.  A braiding
+    operator must map its space to itself, or the overlap would compare
+    two different bases.
     """
     _check_entropy(rng_seed)
+    if isinstance(U, BraidingOperator) and U.codomain != U.domain:
+        raise DomainError(
+            f"a Hadamard test needs U on one space, got {U.domain} -> {U.codomain}"
+        )
     branched = apply_unitary(psi, U)
     p_plus = _reading_probability(psi.amplitudes, branched.amplitudes, part)
     return _reading(p_plus, rng_seed)

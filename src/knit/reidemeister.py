@@ -258,19 +258,11 @@ def apply_reidemeister(d: LinkDiagram, move: str, site: Site) -> LinkDiagram:
 
     if move == "RII-":
         (c1, s1), (c2, s2) = site.data
-        x = d.crossings[c1].edges[s1]
-        over_first = _is_over_slot(s1)
-        # outer continuations of the two strands through the bigon
-        def other_on_path(ci, over, exclude):
-            c = d.crossings[ci]
-            slots = (1, 3) if over else (0, 2)
-            found = [c.edges[s] for s in slots if s not in exclude]
-            return found[0]
-
-        a1 = other_on_path(c1, over_first, {s1})
-        a2 = other_on_path(c2, over_first, {(s2 + 1) % 4})
-        b1 = other_on_path(c1, not over_first, {(s1 + 1) % 4})
-        b2 = other_on_path(c2, not over_first, {s2})
+        # outer continuations of the two strands through the bigon: a
+        # strand's two ends at a crossing sit two slots apart
+        e1, e2 = d.crossings[c1].edges, d.crossings[c2].edges
+        a1, a2 = e1[(s1 + 2) % 4], e2[(s2 + 3) % 4]
+        b1, b2 = e1[(s1 + 3) % 4], e2[(s2 + 2) % 4]
         rest = tuple(
             x for k, x in enumerate(d.crossings) if k not in (c1, c2)
         )
@@ -281,35 +273,23 @@ def apply_reidemeister(d: LinkDiagram, move: str, site: Site) -> LinkDiagram:
 
     # RIII: flip the triangle by swapping each strand's crossing order
     orbit = site.data
-    sides = []
-    for k in range(3):
-        ci, si = orbit[k]
-        cj, sj = orbit[(k + 1) % 3]
-        e = d.crossings[ci].edges[si]
-        sides.append((e, (ci, si), (cj, (sj + 1) % 4)))
     fresh = _fresh_labels(d, 3)
     tri = {ci for ci, _ in orbit}
     new_ends: dict[tuple[int, bool], tuple[int, int]] = {}
-    for k, (e, end_a, end_b) in enumerate(sides):
-        # figure out which end is the strand's exit into the side
-        ins = []
-        outs = []
-        for ci, si in (end_a, end_b):
-            if si in _in_slots(d.crossings[ci]):
-                ins.append((ci, si))
-            else:
-                outs.append((ci, si))
-        (c_first, s_first), (c_second, s_second) = outs[0], ins[0]
+    for k in range(3):
+        # side k is one edge, from corner k to the next corner; order its
+        # two ends as the strand's exit into the side, then its entry
+        ci, si = orbit[k]
+        cj, sj = orbit[(k + 1) % 3]
+        ends = ((ci, si), (cj, (sj + 1) % 4))
+        if si in _in_slots(d.crossings[ci]):
+            ends = ends[::-1]
+        (c_first, s_first), (c_second, s_second) = ends
         over = _is_over_slot(s_first)
-        c = d.crossings[c_first]
-        entry = c.edges[
-            [s for s in ((1, 3) if over else (0, 2)) if s != s_first][0]
-        ]
-        c = d.crossings[c_second]
         over2 = _is_over_slot(s_second)
-        exit_edge = c.edges[
-            [s for s in ((1, 3) if over2 else (0, 2)) if s != s_second][0]
-        ]
+        # a strand's two ends at a crossing sit two slots apart
+        entry = d.crossings[c_first].edges[(s_first + 2) % 4]
+        exit_edge = d.crossings[c_second].edges[(s_second + 2) % 4]
         mid = fresh[k]
         # after the flip the strand meets its old second crossing first
         new_ends[(c_second, over2)] = (entry, mid)

@@ -182,6 +182,14 @@ def test_validate_reports_multiplicity():
     assert any("multiplicity" in p for p in problems)
 
 
+@pytest.mark.parametrize("circles", [1.5, "2", None, True, False])
+def test_validate_reports_a_free_circle_count_that_is_not_an_int(circles):
+    problems = LinkDiagram((), circles).validate()
+    assert any("free-circle count" in p for p in problems)
+    with pytest.raises(DomainError):
+        LinkDiagram((), circles).require_valid()
+
+
 def test_validate_reports_orientation():
     # both ends of edge 1 incoming at the two crossings
     c1 = Crossing((1, 2, 3, 4), 1)

@@ -88,6 +88,16 @@ def test_bracket_limit_must_be_an_int(limit):
         jones_polynomial(kink, limit)
 
 
+@pytest.mark.parametrize("circles", [1.5, "2", None, True])
+def test_bracket_rejects_a_free_circle_count_that_is_not_an_int(circles):
+    for crossings in ((), closure_trace(parse_braid("s1 s1", 2)).crossings):
+        d = LinkDiagram(crossings, circles)
+        with pytest.raises(DomainError):
+            kauffman_bracket(d)
+        with pytest.raises(DomainError):
+            jones_polynomial(d)
+
+
 def test_bracket_hopf():
     d = closure_trace(parse_braid("s1^2", 2))
     assert kauffman_bracket(d) == poly({-16: -1, 16: -1})
@@ -141,17 +151,17 @@ def test_catalan_counts():
 def _same_action(n, left, right):
     # both letter sequences, propagated from every basis diagram of B_n
     for m in noncrossing_matchings(n):
-        start = {m: LaurentPoly.one()}
+        start = {(m, 0): 1}
         assert _propagate(n, left, start) == _propagate(n, right, start), m
 
 
 def _scaled(n, letters, m):
-    # m times E_i for each i in ``letters``, read from the memoised action
-    scale = LaurentPoly.one()
+    # m times E_i for each i in ``letters``, and the loops closed on the way
+    loops = 0
     for i in letters:
-        m, factor = _cupcap_action(n, i, m)
-        scale = scale * factor
-    return m, scale
+        m, closed = _cupcap_action(n, i, m)
+        loops += closed
+    return m, loops
 
 
 def test_tl_rep_small_shape():
@@ -162,8 +172,21 @@ def test_tl_rep_small_shape():
     (cupcap,) = set(basis) - {identity}
     # E_1 on two strands: top points 0-1 joined, bottom points 2-3 joined
     assert cupcap == (1, 0, 3, 2)
-    assert _cupcap_action(2, 1, identity) == (cupcap, LaurentPoly.one())
-    assert _cupcap_action(2, 1, cupcap) == (cupcap, LOOP_VALUE)
+    assert _cupcap_action(2, 1, identity) == (cupcap, False)
+    assert _cupcap_action(2, 1, cupcap) == (cupcap, True)
+    # s1 = A*Id + A^-1*E_1 and s1^-1 = A^-1*Id + A*E_1, keyed by A-exponent
+    assert _propagate(2, ((1, 1),), {(identity, 0): 1}) == {
+        (identity, 1): 1,
+        (cupcap, -1): 1,
+    }
+    assert _propagate(2, ((1, -1),), {(identity, 0): 1}) == {
+        (identity, -1): 1,
+        (cupcap, 1): 1,
+    }
+    # on E_1 the loop is delta: A + A^-1 * (-A^2 - A^-2) = -A^-3, the
+    # cancelled A^1 term dropped
+    assert _propagate(2, ((1, 1),), {(cupcap, 0): 1}) == {(cupcap, -3): -1}
+    assert _propagate(2, ((1, -1),), {(cupcap, 0): 2}) == {(cupcap, 3): -2}
     with pytest.raises(DomainError):
         markov_trace_jones(BraidWord.identity(11))
 
@@ -193,11 +216,13 @@ def test_tl_basis_is_noncrossing_and_closed_under_cupcap():
                 _crosses(m, p, q) for p in range(2 * n) for q in range(2 * n)
             ), m
             for i in range(1, n):
-                composed, factor = _cupcap_action(n, i, m)
+                composed, closed = _cupcap_action(n, i, m)
                 assert composed in members
-                assert factor in (LaurentPoly.one(), LOOP_VALUE)
-                # a loop closes exactly when the capped points were joined
-                assert (factor == LOOP_VALUE) == (m[n + i - 1] == n + i)
+                assert isinstance(closed, bool)
+                # a loop closes exactly when the capped points were
+                # joined, and then the diagram is left as it was
+                assert closed == (m[n + i - 1] == n + i)
+                assert not closed or composed == m
 
 
 def test_tl_inverse_contract():
@@ -222,11 +247,11 @@ def test_tl_cupcap_relations():
     for n in (3, 4):
         for m in noncrossing_matchings(n):
             for i in range(1, n):
-                once, scale = _scaled(n, (i,), m)
-                assert _scaled(n, (i, i), m) == (once, scale * LOOP_VALUE)
+                once, loops = _scaled(n, (i,), m)
+                assert _scaled(n, (i, i), m) == (once, loops + 1)
                 for j in (i - 1, i + 1):
                     if 1 <= j < n:
-                        assert _scaled(n, (i, j, i), m) == (once, scale)
+                        assert _scaled(n, (i, j, i), m) == (once, loops)
 
 
 def test_markov_trace_identity_words():

@@ -264,6 +264,30 @@ class TestHadamardTestSample:
         psi = bend_state(R.domain)
         assert hadamard_test_sample(R, psi, "real", 30) in (-1, 1)
 
+    def test_rejects_an_operator_between_two_spaces(self):
+        # s1 on colours (1/2, 1) lands on (1, 1/2): the matrix is square,
+        # but its overlap would pair two different bases
+        U = braiding_operator_for_word(parse_braid("s1", 2), (1, 2), 7)
+        assert U.codomain != U.domain
+        psi = StateVector(random_state(U.matrix.shape[1], 32).amplitudes, U.domain)
+        for part in ("real", "imag"):
+            with pytest.raises(DomainError):
+                hadamard_test_sample(U, psi, part, 32)
+
+    @pytest.mark.parametrize(
+        "word, colors", [("s1 s1", (1, 2)), ("s1", (1, 1)), ("s1 s2^-1", (2, 2, 2))]
+    )
+    def test_operator_on_one_space_samples_as_its_matrix(self, word, colors):
+        U = braiding_operator_for_word(parse_braid(word), colors, 7)
+        assert U.codomain == U.domain
+        bare = random_state(U.matrix.shape[1], 33)
+        psi = StateVector(bare.amplitudes, U.domain)
+        for part in ("real", "imag"):
+            readings = [hadamard_test_sample(U, psi, part, (33, k)) for k in range(40)]
+            assert readings == [
+                hadamard_test_sample(U.matrix, bare, part, (33, k)) for k in range(40)
+            ]
+
     def test_rejects_bad_part_and_seed(self):
         psi = random_state(2, 31)
         with pytest.raises(DomainError):
