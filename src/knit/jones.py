@@ -1,14 +1,15 @@
 """Exact Jones polynomial by two independent routes.
 
 Route one is the Kauffman bracket as a state sum over all 2^c
-smoothings of a diagram.  Each state splices its smoothing joins into
-a copy of the diagram's edge partner list, counting a loop whenever a
-join meets its own partner.  Route two represents the braid group
-inside the Temperley-Lieb diagram algebra and takes the Markov trace
-of the trace closure.  It has one engine: a cup-cap action
-``(n, i, diagram) -> (diagram times E_i, loop closed?)``, the same
-splice as a rewrite of a diagram's partner tuple, and one loop that
-propagates int coefficients keyed by (basis diagram, A-exponent)
+smoothings of a diagram.  It splices smoothing joins into copies of
+the diagram's edge partner list, counting a loop whenever a join meets
+its own partner; each state of the upper half of the crossings is
+spliced once and shared by every state of the lower half.  Route two
+represents the braid group inside the Temperley-Lieb diagram algebra
+and takes the Markov trace of the trace closure.  It has one engine: a
+cup-cap action ``(n, i, diagram) -> (diagram times E_i, loop closed?)``,
+the same splice as a rewrite of a diagram's partner tuple, and one loop
+that propagates int coefficients keyed by (basis diagram, A-exponent)
 through a word over it.  Both routes tally their terms by
 (A-exponent, loops) as plain ints and share only the close: one
 polynomial built from the tally, then the bracket-to-Jones step.  The
@@ -63,9 +64,10 @@ def _crossing_limit(limit: int | None) -> int:
         try:
             limit = int(raw)
         except ValueError:
-            raise DomainError(
-                f"{source} must be an integer, got {raw!r}"
-            ) from None
+            shown = repr(raw)
+            if len(raw) > 20:
+                shown = f"{raw[:9]!r}... ({len(raw)} characters)"
+            raise DomainError(f"{source} must be an integer, got {shown}") from None
     elif not isinstance(limit, int) or isinstance(limit, bool):
         raise DomainError(f"{source} must be an integer, got {limit!r}")
     if limit < 0:
@@ -81,11 +83,14 @@ def kauffman_bracket(d: LinkDiagram, limit: int | None = None) -> LaurentPoly:
     A^(#A - #B) * delta^(loops - 1), counting free circles as loops.
 
     Slot s of crossing k is point 4k + s, and each edge makes its two
-    slots partners.  A state copies that partner list and splices in
-    its smoothing joins one at a time by the rule of ``_cupcap_action``:
-    joining two partners closes a loop, and any other join makes their
-    partners partners.  States are tallied by (B count, loops) and the
-    polynomial is built once from the tally.
+    slots partners.  Smoothing joins are spliced into a copy of that
+    list one at a time by the rule of ``_cupcap_action``: joining two
+    partners closes a loop, and any other join makes their partners
+    partners.  With low = c // 2, an outer loop splices each of the
+    2^(c - low) states of crossings low..c-1 once, noting its B count and
+    loops, and an inner loop copies that list for each of the 2^low
+    states of crossings 0..low-1 and splices only their joins.  States
+    are tallied by (B count, loops) and the polynomial is built once.
 
     Raises LimitError past the crossing limit (default 20, or the
     KNIT_CROSSING_LIMIT environment variable) and DomainError when that
@@ -112,21 +117,35 @@ def kauffman_bracket(d: LinkDiagram, limit: int | None = None) -> LaurentPoly:
         for p in range(0, 4 * c, 4)
     ]
 
+    low = c // 2
     tally: dict[tuple[int, int], int] = {}
-    for state in range(1 << c):
-        m = partner.copy()
-        loops = d.unknot_count
-        for k, joins in enumerate(smoothings):
-            for a, b in joins[(state >> k) & 1]:
-                pa = m[a]
+    for upper in range(1 << (c - low)):
+        half = partner.copy()
+        upper_loops = d.unknot_count
+        for k in range(low, c):
+            for a, b in smoothings[k][(upper >> (k - low)) & 1]:
+                pa = half[a]
                 if pa == b:
-                    loops += 1
+                    upper_loops += 1
                 else:
-                    pb = m[b]
-                    m[pa] = pb
-                    m[pb] = pa
-        key = (state.bit_count(), loops)
-        tally[key] = tally.get(key, 0) + 1
+                    pb = half[b]
+                    half[pa] = pb
+                    half[pb] = pa
+        upper_b = upper.bit_count()
+        for lower in range(1 << low):
+            m = half.copy()
+            loops = upper_loops
+            for k in range(low):
+                for a, b in smoothings[k][(lower >> k) & 1]:
+                    pa = m[a]
+                    if pa == b:
+                        loops += 1
+                    else:
+                        pb = m[b]
+                        m[pa] = pb
+                        m[pb] = pa
+            key = (upper_b + lower.bit_count(), loops)
+            tally[key] = tally.get(key, 0) + 1
     # A^(#A - #B) is A^(c - 2 #B)
     return _tally_to_bracket({(c - 2 * b, k): n for (b, k), n in tally.items()})
 

@@ -210,6 +210,15 @@ class TestJones:
         # q is 1 to double precision, and V(1) = 1 for a knot
         assert (at["re"], at["im"]) == pytest.approx((1.0, 0.0), abs=1e-12)
 
+    def test_long_crossing_limit_is_quoted_in_short(self, monkeypatch, capsys):
+        # int() refuses this value on every Python, unlike a long run of digits
+        monkeypatch.setenv(CROSSING_LIMIT_ENV, "x" * 5000)
+        code = main(["jones", "s1^3"])
+        err = capsys.readouterr().err
+        assert code == 1 and "Traceback" not in err
+        assert CROSSING_LIMIT_ENV in err and "5000" in err
+        assert all(len(line) < 200 for line in err.splitlines())
+
     def test_bad_root_is_domain_error(self):
         res = run(["jones", "s1^3", "-n", "2", "--at-root", "0"])
         assert res.exit_code == 1

@@ -293,6 +293,16 @@ def test_bracket_route_matches_tl_route(w):
     assert jones_polynomial(closure_trace(w)) == markov_trace_jones(w)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_bracket_matches_tl_route_at_every_split(n):
+    # c crossings split into c // 2 lower and c - c // 2 upper ones, so
+    # c = 0..16 puts the boundary at every position with both parities
+    for c in range(17):
+        for seed in range(3):
+            w = random_braid(n, c, seed=1000 * n + 10 * c + seed)
+            assert jones_polynomial(closure_trace(w)) == markov_trace_jones(w), w
+
+
 def test_markov_trace_conjugation_invariance():
     w = parse_braid("s1^3", 2)
     base = markov_trace_jones(w)
@@ -420,3 +430,12 @@ def test_plat_closures_match_the_colored_route_on_a_seeded_corpus(r):
 def test_plat_bracket_matches_the_colored_route(w, r):
     exact = evaluate_at_root(jones_polynomial(closure_plat(w)), r)
     assert abs(exact - jones_value_from_plat(w, r)) <= 1e-9
+
+
+@pytest.mark.parametrize("r", [5, 7])
+def test_plat_bracket_matches_the_colored_route_at_every_split(r):
+    for c in range(15):
+        for seed in range(2):
+            w = random_braid(4, c, seed=100 * r + 10 * c + seed)
+            exact = evaluate_at_root(jones_polynomial(closure_plat(w)), r)
+            assert abs(exact - jones_value_from_plat(w, r)) <= 1e-9, w
