@@ -9,7 +9,7 @@ The package is organized bottom-up:
 - reidemeister: local moves on diagrams
 - jones: Kauffman bracket and the Jones polynomial (two exact routes)
 - su2q: quantum SU(2) representation theory and colored invariants
-- qsim: state-vector simulation and sampled trace estimation
+- qsim: Hadamard-test sampling of plat invariants with an error contract
 - cli: the `knit` command
 
 The exact layers need only the standard library.  ``su2q`` and ``qsim``
@@ -30,13 +30,9 @@ from .laurent import LaurentPoly, evaluate_at_root
 #: Public names of the numpy-backed modules, by home module.
 _NUMERIC = {
     "qsim": (
-        "StateVector",
         "TraceEstimate",
-        "apply_unitary",
         "approx_jones",
-        "bend_state",
         "estimate_markov_trace",
-        "hadamard_test_sample",
         "plan_samples",
     ),
     "su2q": (
@@ -44,12 +40,9 @@ _NUMERIC = {
         "ColorLabel",
         "ColoredSpace",
         "DegenerateColorError",
-        "braiding_operator_for_plat",
         "colored_invariant",
-        "fusion_range",
         "jones_value_from_plat",
         "normalize_ambient",
-        "q_clebsch_gordan",
         "q_integer",
         "r_matrix",
     ),

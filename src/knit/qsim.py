@@ -1,4 +1,4 @@
-"""Monte-Carlo estimation of plat invariants on a simulated quantum register.
+"""Monte-Carlo estimation of plat invariants by a simulated Hadamard test.
 
 The exact plat contraction behind ``colored_invariant`` is a single
 matrix element of a unitary between two bend states.  This module
@@ -12,12 +12,12 @@ or reproduce it.
 
 The circuit itself is run by ``su2q.plat_branch`` (``jones_plat_branch``
 on the Jones scale), the same engine behind the exact invariants: it
-returns the prefactor, the bottom bend state and the braided branch,
-and the estimators sample that branch and contract it once more for the
-exact companion value.  Each crossing is the cached block-sparse half
-twist of ``su2q._twist``, gathered over the full fusion-path state
-vector, not a gate-level compilation: at desk scale only the induced
-statistics matter, and those are exact here.
+returns the prefactor, the bottom bend state and the braided branch as
+fusion-path vectors.  ``_sampled_overlap`` draws the ancilla readings
+from those two vectors, and the estimators contract them once more for
+the exact companion value.  Each crossing is the cached block-sparse
+half twist of ``su2q._twist``, not a gate-level compilation: at desk
+scale only the induced statistics matter, and those are exact here.
 """
 
 from __future__ import annotations
@@ -31,25 +31,14 @@ import numpy as np
 
 from .braid import BraidWord
 from .errors import DomainError, LimitError
-from .su2q import (
-    NORM_TOL,
-    UNITARITY_TOL,
-    BraidingOperator,
-    ColoredSpace,
-    jones_plat_branch,
-    plat_branch,
-)
+from .su2q import jones_plat_branch, plat_branch
 
 __all__ = [
     "GENERATOR_ID",
     "SAMPLE_LIMIT",
-    "StateVector",
     "TraceEstimate",
-    "apply_unitary",
     "approx_jones",
-    "bend_state",
     "estimate_markov_trace",
-    "hadamard_test_sample",
     "plan_samples",
 ]
 
@@ -59,143 +48,19 @@ GENERATOR_ID = "numpy-PCG64"
 #: Largest per-quadrature sample budget an estimator will actually run.
 SAMPLE_LIMIT = 10_000_000
 
-_PART_INDEX = {"real": 0, "imag": 1}
-
 #: Roots of unity where the evaluated invariant is classically tractable.
 TRACTABLE_ROOTS = frozenset({2, 3, 4, 6})
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """A normalized dense state of the simulated register.
-
-    ``amplitudes`` is a complex vector of length 2^m for a register of
-    m two-level factors, or of the coupled dimension of a
-    ``ColoredSpace`` when ``space`` is given.  The norm must be 1
-    within 1e-10.
-    """
-
-    amplitudes: np.ndarray
-    space: ColoredSpace | None = None
-
-    def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex)
-        if amps.ndim != 1 or amps.size == 0:
-            raise DomainError("state amplitudes must form a nonempty vector")
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-        if self.space is not None and amps.size != self.space.coupled_dimension:
-            raise DomainError(
-                f"state length {amps.size} does not match the space dimension "
-                f"{self.space.coupled_dimension}"
-            )
-        deviation = abs(np.linalg.norm(amps) - 1.0)
-        if not deviation <= NORM_TOL:
-            raise DomainError(f"state is not normalized: |norm - 1| = {deviation:.3e}")
-
-    @property
-    def dimension(self) -> int:
-        return self.amplitudes.size
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    @classmethod
-    def basis(cls, dimension: int, index: int, space: ColoredSpace | None = None):
-        """The computational basis state at ``index``."""
-        if not 0 <= index < dimension:
-            raise DomainError(f"basis index {index} outside dimension {dimension}")
-        amps = np.zeros(dimension, dtype=complex)
-        amps[index] = 1.0
-        return cls(amps, space)
-
-
-def bend_state(space: ColoredSpace) -> StateVector:
-    """The basis state contracting consecutive strand pairs with bends.
-
-    Defined when the space's colors pair up (positions 1-2, 3-4, ...
-    carry equal colors); this is the state a row of caps or cups
-    prepares, and the one the plat estimators interfere against.
-    """
-    return StateVector.basis(space.coupled_dimension, space.bend_index(), space)
-
-
-def _square_unitary(matrix) -> np.ndarray:
-    mat = np.asarray(matrix, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DomainError(f"operator must be a square matrix, got shape {mat.shape}")
-    defect = np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max()
-    if not defect <= UNITARITY_TOL:
-        raise DomainError(f"operator is not unitary: defect {defect:.3e}")
-    return mat
-
-
-def apply_unitary(psi: StateVector, U, targets=None) -> StateVector:
-    """Apply a unitary to the register, returning the new state.
-
-    ``U`` may be a ``BraidingOperator`` acting on the whole coupled
-    space, or a plain unitary matrix.  A matrix may also act on a
-    subset of two-level factors of a length-2^m state by listing the
-    ``targets`` factor indices in order.  The norm is preserved and an
-    identity operator is a no-op.  A braiding operator needs a state
-    whose space, if it has one, is the operator's domain.
-    """
-    if isinstance(U, BraidingOperator):
-        if targets is not None:
-            raise DomainError("a whole-space braiding operator takes no target factors")
-        if U.matrix.shape[1] != psi.dimension:
-            raise DomainError(
-                f"operator acts on dimension {U.matrix.shape[1]}, state has {psi.dimension}"
-            )
-        if psi.space is not None and psi.space != U.domain:
-            raise DomainError(f"operator acts on {U.domain}, state lives on {psi.space}")
-        space = None if psi.space is None else U.codomain
-        return StateVector(U.matrix @ psi.amplitudes, space)
-
-    mat = _square_unitary(U)
-    if targets is None:
-        if mat.shape[1] != psi.dimension:
-            raise DomainError(
-                f"operator acts on dimension {mat.shape[1]}, state has {psi.dimension}"
-            )
-        return StateVector(mat @ psi.amplitudes, psi.space)
-
-    factors = psi.dimension.bit_length() - 1
-    if 2**factors != psi.dimension:
-        raise DomainError(
-            f"targeted application needs a register of two-level factors, "
-            f"got state length {psi.dimension}"
-        )
-    targets = tuple(targets)
-    if len(set(targets)) != len(targets):
-        raise DomainError(f"target factors must be distinct, got {targets}")
-    for t in targets:
-        if not isinstance(t, int) or isinstance(t, bool) or not 0 <= t < factors:
-            raise DomainError(f"target factor {t!r} outside register of {factors}")
-    if mat.shape[0] != 2 ** len(targets):
-        raise DomainError(
-            f"operator on {len(targets)} factors must have dimension "
-            f"{2 ** len(targets)}, got {mat.shape[0]}"
-        )
-    tensor = psi.amplitudes.reshape((2,) * factors)
-    moved = np.moveaxis(tensor, targets, range(len(targets)))
-    mixed = (mat @ moved.reshape(2 ** len(targets), -1)).reshape(moved.shape)
-    result = np.moveaxis(mixed, range(len(targets)), targets).reshape(-1)
-    return StateVector(result)
-
-
-def _reading_probability(reference: np.ndarray, branch: np.ndarray, part: str) -> float:
+def _reading_probability(reference: np.ndarray, branch: np.ndarray, phase: complex) -> float:
     """Chance the interferometer ancilla lands on +1 for one quadrature.
 
     The ancilla splits the register between the untouched ``reference``
-    branch and the operated ``branch``; remixing (after a quarter turn
-    on the ancilla for the imaginary part) puts the +1 outcome at
-    amplitude (reference + phase * branch) / 2, so the reading averages
-    to Re or Im of the branch overlap.
+    branch and the operated ``branch``; remixing puts the +1 outcome at
+    amplitude (reference + phase * branch) / 2.  With ``phase`` 1 the
+    reading averages to the real part of the branch overlap, and with
+    ``phase`` -i (a quarter turn on the ancilla) to its imaginary part.
     """
-    if part not in _PART_INDEX:
-        raise DomainError(f"part must be 'real' or 'imag', got {part!r}")
-    phase = 1.0 if part == "real" else -1.0j
     upper = 0.5 * (reference + phase * branch)
     return min(1.0, float(np.vdot(upper, upper).real))
 
@@ -203,39 +68,6 @@ def _reading_probability(reference: np.ndarray, branch: np.ndarray, part: str) -
 def _reading(p_plus: float, entropy) -> int:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
     return 1 if rng.random() < p_plus else -1
-
-
-def _check_entropy(rng_seed):
-    flat = rng_seed if isinstance(rng_seed, (tuple, list)) else (rng_seed,)
-    for part in flat:
-        if not isinstance(part, int) or isinstance(part, bool) or part < 0:
-            raise DomainError(
-                f"seed must be a nonnegative integer or a tuple of them, got {rng_seed!r}"
-            )
-    return rng_seed
-
-
-def hadamard_test_sample(U, psi: StateVector, part: str, rng_seed) -> int:
-    """One ±1 ancilla reading whose mean is a quadrature of ⟨psi|U|psi⟩.
-
-    Simulates the controlled-``U`` interferometer: the ancilla is
-    split, ``U`` acts on the excited branch, the branches are remixed
-    (with a quarter turn on the ancilla when ``part`` is ``"imag"``),
-    and the ancilla is measured once under the Born rule.  The reading
-    averages to Re⟨psi|U|psi⟩ for ``part="real"`` and Im⟨psi|U|psi⟩
-    for ``part="imag"``.  The same ``rng_seed`` (an integer or tuple
-    of integers) reproduces the reading bit for bit.  A braiding
-    operator must map its space to itself, or the overlap would compare
-    two different bases.
-    """
-    _check_entropy(rng_seed)
-    if isinstance(U, BraidingOperator) and U.codomain != U.domain:
-        raise DomainError(
-            f"a Hadamard test needs U on one space, got {U.domain} -> {U.codomain}"
-        )
-    branched = apply_unitary(psi, U)
-    p_plus = _reading_probability(psi.amplitudes, branched.amplitudes, part)
-    return _reading(p_plus, rng_seed)
 
 
 def _is_real(x) -> bool:
@@ -359,9 +191,9 @@ def _sampled_overlap(reference, branch, planned: int, seed: int) -> complex:
             f"{SAMPLE_LIMIT}; loosen delta or confidence"
         )
     means = []
-    for part in ("real", "imag"):
-        p_plus = _reading_probability(reference, branch, part)
-        index = _PART_INDEX[part]
+    # quadrature 0 is the real part, 1 the imaginary part
+    for index, phase in enumerate((1.0, -1.0j)):
+        p_plus = _reading_probability(reference, branch, phase)
         total = sum(_reading(p_plus, (seed, index, k)) for k in range(planned))
         means.append(total / planned)
     return complex(means[0], means[1])

@@ -45,7 +45,7 @@ from functools import lru_cache
 import numpy as np
 
 from .braid import BraidWord
-from .diagram import plat_profile, require_plat_index
+from .diagram import plat_profile
 from .errors import DomainError, LimitError
 
 __all__ = [
@@ -58,15 +58,12 @@ __all__ = [
     "DegenerateColorError",
     "as_color",
     "braiding_channel_phases",
-    "braiding_operator_for_plat",
     "braiding_operator_for_word",
     "colored_invariant",
-    "fusion_range",
     "jones_plat_branch",
     "jones_value_from_plat",
     "normalize_ambient",
     "plat_branch",
-    "q_clebsch_gordan",
     "q_integer",
     "r_matrix",
 ]
@@ -141,6 +138,8 @@ def as_color(value) -> ColorLabel:
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return ColorLabel(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise DomainError(f"spin must be a finite half-integer, got {value}")
     if isinstance(value, (Fraction, float)):
         doubled = Fraction(value) * 2
         if doubled.denominator != 1:
@@ -217,26 +216,12 @@ def _qdim(twice_j: int, r: int) -> float:
 # fusion
 
 
-def fusion_range(j1, j2, r: int) -> list[ColorLabel]:
-    """Colors ``j`` with ``|j1 - j2| <= j <= min(j1 + j2, r - j1 - j2)``.
-
-    The upper truncation is what distinguishes the root-of-unity theory
-    from classical angular momentum coupling; the list may be empty.
-    """
-    c1, c2 = as_color(j1), as_color(j2)
-    _check_root(r)
-    _check_admissible(c1, r)
-    _check_admissible(c2, r)
-    t1, t2 = c1.twice_j, c2.twice_j
-    hi = min(t1 + t2, 2 * r - t1 - t2)
-    return [ColorLabel(t) for t in range(abs(t1 - t2), hi + 1, 2)]
-
-
 def _channels(t1: int, t2: int, r: int) -> range:
     """Doubled labels of the nondegenerate coupling channels at root r.
 
-    Tighter than ``fusion_range``: the top is cut at the root's level so
-    every listed channel has braiding headroom (see DegenerateColorError).
+    The classical range ``|j1 - j2| <= j <= j1 + j2`` is cut at the root's
+    level so every listed channel has braiding headroom (see
+    DegenerateColorError).
     """
     hi = min(t1 + t2, 2 * (r - 2) - t1 - t2)
     return range(abs(t1 - t2), hi + 1, 2)
@@ -417,16 +402,6 @@ class ColoredSpace:
         path = (0,) + tuple(t if k % 2 == 0 else 0 for k, t in enumerate(doubled))
         return self.paths().index(path)
 
-    def swapped(self, position: int) -> "ColoredSpace":
-        """The space with factors ``position`` and ``position + 1`` exchanged."""
-        if not 1 <= position <= len(self.factors) - 1:
-            raise DomainError(
-                f"swap position must lie in 1..{len(self.factors) - 1}, got {position}"
-            )
-        factors = list(self.factors)
-        factors[position - 1], factors[position] = factors[position], factors[position - 1]
-        return ColoredSpace(tuple(factors), self.r)
-
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.factors) + f") at r={self.r}"
 
@@ -457,15 +432,6 @@ class BraidingOperator:
     def unitarity_defect(self) -> float:
         gram = self.matrix.conj().T @ self.matrix
         return float(np.abs(gram - np.eye(gram.shape[0])).max())
-
-    def then(self, later: "BraidingOperator") -> "BraidingOperator":
-        """The composite that acts with ``self`` first."""
-        if later.domain != self.codomain:
-            raise DomainError("composition mismatch: codomain and domain colors differ")
-        return BraidingOperator(later.matrix @ self.matrix, self.domain, later.codomain)
-
-    def inverse(self) -> "BraidingOperator":
-        return BraidingOperator(self.matrix.conj().T, self.codomain, self.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -580,23 +546,6 @@ def braiding_operator_for_word(w: BraidWord, colors, r: int) -> BraidingOperator
     identity = np.eye(domain.coupled_dimension, dtype=complex)
     final, mat = _braid(domain.doubled, w.letters, r, identity)
     return BraidingOperator(mat, domain, ColoredSpace(final, r))
-
-
-def braiding_operator_for_plat(w: BraidWord, colors, r: int) -> BraidingOperator:
-    """Braiding operator of a plat presentation, boundary-checked.
-
-    Requires an even strand count and cap-compatible colors: strands
-    (2i-1, 2i) must carry equal colors along the top, and the braid's
-    final coloring must pair up the same way at the bottom.
-    """
-    require_plat_index(w)
-    labels = tuple(as_color(c) for c in colors)
-    if len(labels) != w.index:
-        raise DomainError(f"need {w.index} strand colors, got {len(labels)}")
-    ColoredSpace(labels, r).bend_index()
-    op = braiding_operator_for_word(w, labels, r)
-    op.codomain.bend_index()
-    return op
 
 
 # ---------------------------------------------------------------------------
@@ -715,84 +664,3 @@ def normalize_ambient(value: complex, w_writhe: int, r: int) -> complex:
     half = cmath.exp(1j * math.pi / r)  # q^{1/2}
     phase = cmath.exp(-3j * math.pi * w_writhe / (2 * r))  # q^{-3w/4}
     return value * phase / (half - 1 / half)
-
-
-# ---------------------------------------------------------------------------
-# coupling coefficients
-
-
-def q_clebsch_gordan(j1, j2, j, r: int) -> dict[tuple[Fraction, Fraction, Fraction], complex]:
-    """Coupling coefficients of channel ``j`` inside ``j1 (x) j2`` at the root.
-
-    Returns ``{(m1, m2, m): coefficient}`` over the tensor basis, built
-    by solving the balanced-coproduct highest-weight condition and
-    walking down with the balanced lowering operator.  Columns are
-    orthonormal in the bilinear (conjugation-free) pairing, which is the
-    pairing the singlet caps of the plat contraction use; in the
-    classical limit ``r -> infinity`` it collapses to the ordinary inner
-    product and the table to the undeformed coefficients.  The highest
-    weight coefficient at ``m1 = j1`` has positive real part.
-    """
-    c1, c2, cj = as_color(j1), as_color(j2), as_color(j)
-    _check_root(r)
-    if cj not in fusion_range(c1, c2, r):
-        raise DomainError(
-            f"channel j = {cj} is not in the fusion range of {c1} and {c2} at r = {r}"
-        )
-    t1, t2, tj = c1.twice_j, c2.twice_j, cj.twice_j
-    for t in (t1, t2):
-        if t > r - 2:
-            raise DegenerateColorError(
-                f"color j = {t}/2 is degenerate at r = {r}: coupling needs 2j <= r - 2"
-            )
-
-    def half_power(tm: int) -> complex:
-        # q^{m/2} on a weight vector with doubled weight tm
-        return cmath.exp(1j * math.pi * tm / (2 * r))
-
-    def raise_coef(t: int, tm: int) -> float:
-        return math.sqrt(
-            _qnum_positive((t - tm) // 2, r) * _qnum_positive((t + tm) // 2 + 1, r)
-        )
-
-    def lower_coef(t: int, tm: int) -> float:
-        return math.sqrt(
-            _qnum_positive((t + tm) // 2, r) * _qnum_positive((t - tm) // 2 + 1, r)
-        )
-
-    # highest weight vector of the channel, seeded at the top m1
-    head: dict[int, complex] = {t1: 1.0 + 0.0j}
-    low = max(-t1, tj - t2)
-    for tm1 in range(t1 - 2, low - 2, -2):
-        above = head[tm1 + 2]
-        lifted = raise_coef(t1, tm1) * half_power(tj - tm1)
-        partner = half_power(-(tm1 + 2)) * raise_coef(t2, tj - tm1 - 2)
-        head[tm1] = -above * partner / lifted
-    column = {(tm1, tj - tm1): c for tm1, c in head.items()}
-    norm = cmath.sqrt(sum(c * c for c in column.values()))
-    column = {k: c / norm for k, c in column.items()}
-
-    table: dict[tuple[Fraction, Fraction, Fraction], complex] = {}
-
-    def record(tm: int, col: dict[tuple[int, int], complex]):
-        for (tm1, tm2), coef in col.items():
-            table[(Fraction(tm1, 2), Fraction(tm2, 2), Fraction(tm, 2))] = coef
-
-    record(tj, column)
-    tm = tj
-    while tm - 2 >= -tj:
-        lowered: dict[tuple[int, int], complex] = {}
-        for (tm1, tm2), coef in column.items():
-            if tm1 - 2 >= -t1:
-                key = (tm1 - 2, tm2)
-                lowered[key] = lowered.get(key, 0.0j) + coef * lower_coef(t1, tm1) * half_power(tm2)
-            if tm2 - 2 >= -t2:
-                key = (tm1, tm2 - 2)
-                lowered[key] = lowered.get(key, 0.0j) + coef * half_power(-tm1) * lower_coef(t2, tm2)
-        scale = math.sqrt(
-            _qnum_positive((tj + tm) // 2, r) * _qnum_positive((tj - tm) // 2 + 1, r)
-        )
-        column = {k: c / scale for k, c in lowered.items()}
-        tm -= 2
-        record(tm, column)
-    return table

@@ -1,9 +1,11 @@
 """Tests for the package surface: lazy numeric exports, start-up without
 numpy, and the ``python -m knit`` entry points."""
 
+import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +17,7 @@ from knit import su2q
 from knit.cli import run
 
 SRC = Path(knit.__file__).resolve().parents[1]
+README = SRC.parent / "README.md"
 
 HOME_MODULES = [
     importlib.import_module(f"knit.{name}")
@@ -74,6 +77,31 @@ class TestLazyExports:
             "assert knit.qsim.approx_jones is knit.approx_jones\n",
         )
         assert done.returncode == 0, done.stderr
+
+
+class TestSurfaceGuards:
+    def test_qsim_imports_no_private_su2q_name(self):
+        tree = ast.parse((SRC / "knit" / "qsim.py").read_text(encoding="utf-8"))
+        imported = [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level, node.module) in {(1, "su2q"), (0, "knit.su2q")}
+            for alias in node.names
+        ]
+        assert imported
+        assert not [name for name in imported if name.startswith("_")]
+
+    @pytest.mark.parametrize("module", ["su2q", "qsim"])
+    def test_readme_modules_table_names_only_public_names(self, module):
+        row = re.search(
+            rf"^\| `knit\.{module}` \|(.*)\|$", README.read_text(encoding="utf-8"), re.MULTILINE
+        )
+        assert row is not None
+        names = re.findall(r"`(\w+)`", row.group(1))
+        assert names
+        public = importlib.import_module(f"knit.{module}").__all__
+        assert [name for name in names if name not in public] == []
 
 
 class TestStartWithoutNumpy:

@@ -13,23 +13,17 @@ from knit.jones import jones_polynomial
 from knit.laurent import evaluate_at_root
 from knit.qsim import (
     GENERATOR_ID,
-    StateVector,
     TraceEstimate,
-    apply_unitary,
+    _sampled_overlap,
     approx_jones,
-    bend_state,
     estimate_markov_trace,
-    hadamard_test_sample,
     plan_samples,
 )
 from knit.su2q import (
-    ColoredSpace,
-    braiding_operator_for_plat,
     braiding_operator_for_word,
     colored_invariant,
     jones_value_from_plat,
     q_integer,
-    r_matrix,
 )
 
 HALF = Fraction(1, 2)
@@ -51,251 +45,54 @@ def random_unitary(dim, seed):
 def random_state(dim, seed):
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return StateVector(raw / np.linalg.norm(raw))
-
-
-class TestStateVector:
-    def test_accepts_normalized_vector(self):
-        psi = StateVector(np.array([0.6, 0.8j]))
-        assert psi.dimension == 2
-        assert psi.norm() == pytest.approx(1.0)
-
-    def test_rejects_unnormalized_vector(self):
-        with pytest.raises(DomainError):
-            StateVector(np.array([1.0, 1.0]))
-
-    def test_rejects_empty_and_non_vector(self):
-        with pytest.raises(DomainError):
-            StateVector(np.array([], dtype=complex))
-        with pytest.raises(DomainError):
-            StateVector(np.eye(2))
-
-    def test_norm_tolerance_is_tight(self):
-        StateVector(np.array([1.0 + 0.5e-10, 0.0]))
-        with pytest.raises(DomainError):
-            StateVector(np.array([1.0 + 1.0e-9, 0.0]))
-
-    def test_basis_state(self):
-        psi = StateVector.basis(4, 2)
-        assert psi.amplitudes[2] == 1.0
-        assert np.count_nonzero(psi.amplitudes) == 1
-        with pytest.raises(DomainError):
-            StateVector.basis(4, 4)
-
-    def test_space_dimension_must_match(self):
-        space = ColoredSpace((HALF, HALF), 5)
-        StateVector(np.array([1.0, 0.0]), space)
-        with pytest.raises(DomainError):
-            StateVector(np.array([1.0, 0.0, 0.0]), space)
-
-    def test_amplitudes_are_frozen(self):
-        psi = StateVector.basis(3, 0)
-        with pytest.raises(ValueError):
-            psi.amplitudes[0] = 0.0
-
-    def test_bend_state_is_the_pairing_basis_state(self):
-        space = ColoredSpace((HALF, HALF), 5)
-        psi = bend_state(space)
-        assert psi.space == space
-        assert psi.amplitudes[space.paths().index((0, 1, 0))] == 1.0
-
-    def test_bend_state_needs_paired_colors(self):
-        with pytest.raises(DomainError):
-            bend_state(ColoredSpace((HALF, Fraction(3, 2)), 7))
-
-    def test_rejects_nan_amplitudes(self):
-        with pytest.raises(DomainError):
-            StateVector(np.full(2, np.nan))
-
-
-class TestApplyUnitary:
-    def test_identity_is_noop(self):
-        psi = random_state(8, 1)
-        out = apply_unitary(psi, np.eye(8))
-        assert np.array_equal(out.amplitudes, psi.amplitudes)
-
-    def test_inverse_restores_state(self):
-        psi = random_state(6, 2)
-        U = random_unitary(6, 3)
-        back = apply_unitary(apply_unitary(psi, U), U.conj().T)
-        assert np.abs(back.amplitudes - psi.amplitudes).max() < 1e-10
-
-    def test_r_matrix_preserves_norm(self):
-        R = r_matrix(HALF, HALF, 5)
-        psi = bend_state(R.domain)
-        out = apply_unitary(psi, R)
-        assert abs(out.norm() - 1.0) < 1e-10
-        assert out.space == R.codomain
-
-    def test_braiding_operator_inverse_roundtrip(self):
-        R = r_matrix(HALF, 1, 7)
-        psi = random_state(R.matrix.shape[1], 4)
-        back = apply_unitary(apply_unitary(psi, R), R.inverse())
-        assert np.abs(back.amplitudes - psi.amplitudes).max() < 1e-10
-
-    def test_braiding_operator_needs_the_state_space_as_domain(self):
-        R = r_matrix(HALF, Fraction(3, 2), 10)
-        other = ColoredSpace((Fraction(3, 2), HALF), 10)
-        assert other.coupled_dimension == R.matrix.shape[1]
-        with pytest.raises(DomainError):
-            apply_unitary(StateVector.basis(other.coupled_dimension, 0, other), R)
-        # a state with no space is still accepted and stays without one
-        out = apply_unitary(StateVector.basis(other.coupled_dimension, 0), R)
-        assert out.space is None
-
-    def test_targeted_single_factor_matches_kronecker(self):
-        psi = random_state(8, 5)
-        U = random_unitary(2, 6)
-        out = apply_unitary(psi, U, targets=(1,))
-        full = np.kron(np.kron(np.eye(2), U), np.eye(2))
-        assert np.abs(out.amplitudes - full @ psi.amplitudes).max() < 1e-12
-
-    def test_targeted_pair_respects_order(self):
-        psi = random_state(8, 7)
-        U = random_unitary(4, 8)
-        out = apply_unitary(psi, U, targets=(2, 0))
-        full = np.zeros((8, 8), dtype=complex)
-        for a in range(2):
-            for b in range(2):
-                for c in range(2):
-                    for ap in range(2):
-                        for cp in range(2):
-                            # targets (2, 0): factor 2 is the high bit of U's index
-                            full[4 * ap + 2 * b + cp, 4 * a + 2 * b + c] += U[
-                                2 * cp + ap, 2 * c + a
-                            ]
-        assert np.abs(out.amplitudes - full @ psi.amplitudes).max() < 1e-12
-
-    def test_rejects_non_unitary(self):
-        psi = random_state(4, 9)
-        with pytest.raises(DomainError):
-            apply_unitary(psi, np.diag([1.0, 1.0, 1.0, 0.5]))
-
-    def test_rejects_nan_operator(self):
-        with pytest.raises(DomainError):
-            apply_unitary(StateVector.basis(2, 0), np.full((2, 2), np.nan))
-
-    def test_rejects_dimension_mismatch(self):
-        with pytest.raises(DomainError):
-            apply_unitary(random_state(4, 10), np.eye(8))
-        with pytest.raises(DomainError):
-            apply_unitary(random_state(6, 11), np.eye(2), targets=(0,))
-
-    def test_rejects_bad_targets(self):
-        psi = random_state(8, 12)
-        with pytest.raises(DomainError):
-            apply_unitary(psi, np.eye(2), targets=(3,))
-        with pytest.raises(DomainError):
-            apply_unitary(psi, np.eye(4), targets=(1, 1))
-        with pytest.raises(DomainError):
-            apply_unitary(psi, np.eye(4), targets=(0,))
-
-    def test_braiding_operator_takes_no_targets(self):
-        R = r_matrix(HALF, HALF, 5)
-        with pytest.raises(DomainError):
-            apply_unitary(bend_state(R.domain), R, targets=(0,))
-
-    def test_norm_preserved_through_thirty_crossing_circuit(self):
-        rng = np.random.default_rng(13)
-        n, r = 4, 7
-        psi = bend_state(ColoredSpace((HALF,) * n, r))
-        colors = (HALF,) * n
-        for _ in range(30):
-            gen = int(rng.integers(1, n))
-            sign = int(rng.choice((-1, 1)))
-            step = BraidWord(n, ((gen, sign),))
-            op = braiding_operator_for_word(step, colors, r)
-            psi = apply_unitary(psi, op)
-            colors = tuple(op.codomain.factors[i].j for i in range(n))
-        assert abs(psi.norm() - 1.0) < 1e-8
+    return raw / np.linalg.norm(raw)
 
 
 class TestHadamardTestSample:
+    """The readings of ``_sampled_overlap`` for a state and its image under U.
+
+    Reading k of quadrature p is seeded with (seed, p, k), so a budget of
+    n readings per quadrature gives the mean of n independent ±1 readings
+    in each of the real and imaginary parts.
+    """
+
     def test_identity_always_plus_one(self):
         psi = random_state(4, 20)
-        assert all(
-            hadamard_test_sample(np.eye(4), psi, "real", (20, k)) == 1
-            for k in range(50)
-        )
+        overlap = _sampled_overlap(psi, np.eye(4) @ psi, 10_000, 20)
+        assert overlap.real == 1.0
+        # the imaginary part of a real overlap is a fair coin
+        assert abs(overlap.imag) < 0.05
 
     def test_minus_identity_always_minus_one(self):
         psi = random_state(4, 21)
-        assert all(
-            hadamard_test_sample(-np.eye(4), psi, "real", (21, k)) == -1
-            for k in range(50)
-        )
+        assert _sampled_overlap(psi, -np.eye(4) @ psi, 50, 21).real == -1.0
 
     def test_i_identity_real_part_is_a_fair_coin(self):
         psi = random_state(3, 22)
-        samples = [
-            hadamard_test_sample(1j * np.eye(3), psi, "real", (22, k))
-            for k in range(10_000)
-        ]
-        assert abs(sum(samples) / len(samples)) < 0.05
+        assert abs(_sampled_overlap(psi, 1j * psi, 10_000, 22).real) < 0.05
 
     def test_i_identity_imag_part_always_plus_one(self):
         psi = random_state(3, 23)
-        assert all(
-            hadamard_test_sample(1j * np.eye(3), psi, "imag", (23, k)) == 1
-            for k in range(50)
-        )
+        assert _sampled_overlap(psi, 1j * psi, 50, 23).imag == 1.0
 
     @pytest.mark.parametrize("part", ["real", "imag"])
     def test_unbiased_against_direct_matrix_element(self, part):
         dim, count = 5, 10_000
         U = random_unitary(dim, 24)
         psi = random_state(dim, 25)
-        overlap = complex(np.vdot(psi.amplitudes, U @ psi.amplitudes))
-        expected = overlap.real if part == "real" else overlap.imag
-        samples = [
-            hadamard_test_sample(U, psi, part, (26, k)) for k in range(count)
-        ]
-        assert abs(sum(samples) / count - expected) < 5 / math.sqrt(count)
+        overlap = complex(np.vdot(psi, U @ psi))
+        sampled = _sampled_overlap(psi, U @ psi, count, 26)
+        got, expected = (
+            (sampled.real, overlap.real) if part == "real" else (sampled.imag, overlap.imag)
+        )
+        assert abs(got - expected) < 5 / math.sqrt(count)
 
     def test_deterministic_per_seed(self):
         U = random_unitary(4, 27)
         psi = random_state(4, 28)
-        a = [hadamard_test_sample(U, psi, "real", (29, k)) for k in range(100)]
-        b = [hadamard_test_sample(U, psi, "real", (29, k)) for k in range(100)]
-        assert a == b
-
-    def test_accepts_braiding_operator(self):
-        R = r_matrix(HALF, HALF, 5)
-        psi = bend_state(R.domain)
-        assert hadamard_test_sample(R, psi, "real", 30) in (-1, 1)
-
-    def test_rejects_an_operator_between_two_spaces(self):
-        # s1 on colours (1/2, 1) lands on (1, 1/2): the matrix is square,
-        # but its overlap would pair two different bases
-        U = braiding_operator_for_word(parse_braid("s1", 2), (1, 2), 7)
-        assert U.codomain != U.domain
-        psi = StateVector(random_state(U.matrix.shape[1], 32).amplitudes, U.domain)
-        for part in ("real", "imag"):
-            with pytest.raises(DomainError):
-                hadamard_test_sample(U, psi, part, 32)
-
-    @pytest.mark.parametrize(
-        "word, colors", [("s1 s1", (1, 2)), ("s1", (1, 1)), ("s1 s2^-1", (2, 2, 2))]
-    )
-    def test_operator_on_one_space_samples_as_its_matrix(self, word, colors):
-        U = braiding_operator_for_word(parse_braid(word), colors, 7)
-        assert U.codomain == U.domain
-        bare = random_state(U.matrix.shape[1], 33)
-        psi = StateVector(bare.amplitudes, U.domain)
-        for part in ("real", "imag"):
-            readings = [hadamard_test_sample(U, psi, part, (33, k)) for k in range(40)]
-            assert readings == [
-                hadamard_test_sample(U.matrix, bare, part, (33, k)) for k in range(40)
-            ]
-
-    def test_rejects_bad_part_and_seed(self):
-        psi = random_state(2, 31)
-        with pytest.raises(DomainError):
-            hadamard_test_sample(np.eye(2), psi, "abs", 0)
-        with pytest.raises(DomainError):
-            hadamard_test_sample(np.eye(2), psi, "real", -1)
-        with pytest.raises(DomainError):
-            hadamard_test_sample(np.eye(2), psi, "real", (0, 2.5))
+        a = _sampled_overlap(psi, U @ psi, 100, 29)
+        assert a == _sampled_overlap(psi, U @ psi, 100, 29)
+        assert a != _sampled_overlap(psi, U @ psi, 100, 30)
 
 
 class TestPlanSamples:
@@ -443,18 +240,22 @@ class TestEstimateMarkovTrace:
         assert a.value != b.value
 
     def test_matches_public_sampling_primitive(self):
+        # rebuild the estimate from the dense operator between the bend
+        # rows, reading by reading on the (seed, quadrature, k) seeds
         seed, delta = 9, 0.3
         est = estimate_markov_trace(TREFOIL_PLAT, [HALF], 5, delta, seed=seed)
-        op = braiding_operator_for_plat(TREFOIL_PLAT, [HALF] * 4, 5)
-        psi = bend_state(op.domain)
-        branch = apply_unitary(psi, op)
-        overlap = complex(np.vdot(psi.amplitudes, branch.amplitudes))
+        op = braiding_operator_for_word(TREFOIL_PLAT, [HALF] * 4, 5)
+        reference = np.eye(op.matrix.shape[0])[op.codomain.bend_index()]
+        branch = op.matrix[:, op.domain.bend_index()]
+        overlap = complex(np.vdot(reference, branch))
         prefactor = est.exact / overlap
         planned = est.samples_used // 2
         means = []
-        for index, part in enumerate(("real", "imag")):
+        for index, phase in enumerate((1.0, -1.0j)):
+            upper = 0.5 * (reference + phase * branch)
+            p_plus = min(1.0, float(np.vdot(upper, upper).real))
             readings = [
-                hadamard_test_sample(op, psi, part, (seed, index, k))
+                1 if np.random.default_rng((seed, index, k)).random() < p_plus else -1
                 for k in range(planned)
             ]
             means.append(sum(readings) / planned)

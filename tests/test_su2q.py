@@ -24,14 +24,11 @@ from knit.su2q import (
     DegenerateColorError,
     as_color,
     braiding_channel_phases,
-    braiding_operator_for_plat,
     braiding_operator_for_word,
     colored_invariant,
-    fusion_range,
     jones_value_from_plat,
     normalize_ambient,
     plat_branch,
-    q_clebsch_gordan,
     q_integer,
     r_matrix,
 )
@@ -70,6 +67,15 @@ class TestColorLabel:
             as_color(0.3)
         with pytest.raises(DomainError):
             as_color("1/2")
+
+    @pytest.mark.parametrize("spin", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+    def test_rejects_non_finite_spins(self, spin):
+        with pytest.raises(DomainError, match="finite"):
+            colored_invariant(parse_braid("s2^3", 4), [spin], 5)
+        with pytest.raises(DomainError, match="finite"):
+            r_matrix(spin, 1, 5)
+        with pytest.raises(DomainError, match="finite"):
+            r_matrix(Fraction(1, 2), spin, 5)
 
     def test_properties(self):
         c = ColorLabel(3)
@@ -111,130 +117,6 @@ class TestQInteger:
             q_integer(-2, 5)
 
 
-class TestFusionRange:
-    def test_two_halves(self):
-        got = fusion_range(Fraction(1, 2), Fraction(1, 2), 10)
-        assert got == [ColorLabel(0), ColorLabel(2)]
-
-    def test_identity_color(self):
-        for tj in (0, 1, 2, 5):
-            assert fusion_range(ColorLabel(tj), 0, 7) == [ColorLabel(tj)]
-
-    def test_truncation(self):
-        got = fusion_range(Fraction(1), Fraction(1), 3)
-        assert got == [ColorLabel(0), ColorLabel(2)]
-
-    def test_classical_top_when_room(self):
-        got = fusion_range(Fraction(1), Fraction(1), 10)
-        assert got == [ColorLabel(0), ColorLabel(2), ColorLabel(4)]
-
-    def test_empty_when_bound_violated(self):
-        r = 5
-        assert fusion_range(ColorLabel(2 * r), ColorLabel(2 * r), r) == []
-
-    def test_rejects_inadmissible(self):
-        with pytest.raises(DomainError):
-            fusion_range(ColorLabel(2 * 5 + 1), 0, 5)
-
-
-class TestQClebschGordan:
-    def test_highest_weight_single_entry(self):
-        table = q_clebsch_gordan(1, 1, 2, 10)
-        top = table[(Fraction(1, 2), Fraction(1, 2), Fraction(1))]
-        assert top == pytest.approx(1)
-
-    def test_singlet_entries(self):
-        r = 7
-        table = q_clebsch_gordan(1, 1, 0, r)
-        quarter = cmath.exp(1j * math.pi / (2 * r))
-        scale = math.sqrt(q_integer(2, r).real)
-        assert table[(Fraction(1, 2), Fraction(-1, 2), Fraction(0))] == pytest.approx(
-            quarter / scale
-        )
-        assert table[(Fraction(-1, 2), Fraction(1, 2), Fraction(0))] == pytest.approx(
-            -1 / (quarter * scale)
-        )
-        norm2 = sum(c * c for c in table.values())
-        assert norm2 == pytest.approx(1, abs=1e-12)
-
-    def test_highest_weight_has_positive_real_part(self):
-        for (t1, t2, r) in [(1, 2, 7), (2, 2, 7), (3, 3, 10)]:
-            for channel in fusion_range(ColorLabel(t1), ColorLabel(t2), r):
-                table = q_clebsch_gordan(ColorLabel(t1), ColorLabel(t2), channel, r)
-                top = table[
-                    (Fraction(t1, 2), Fraction(channel.twice_j - t1, 2), channel.j)
-                ]
-                assert top.real > 0
-
-    @pytest.mark.parametrize("t1,t2,r", [(1, 1, 5), (1, 2, 7), (2, 3, 10), (3, 3, 10)])
-    def test_columns_orthonormal(self, t1, t2, r):
-        # orthonormality in the conjugation-free pairing the caps use
-        columns = {}
-        for channel in fusion_range(ColorLabel(t1), ColorLabel(t2), r):
-            table = q_clebsch_gordan(ColorLabel(t1), ColorLabel(t2), channel, r)
-            for (m1, m2, m), coef in table.items():
-                columns.setdefault((channel.twice_j, m), {})[(m1, m2)] = coef
-        for (key1, col1), (key2, col2) in itertools.combinations_with_replacement(
-            sorted(columns.items()), 2
-        ):
-            want = 1.0 if key1 == key2 else 0.0
-            keys = set(col1) | set(col2)
-            got = sum(col1.get(k, 0) * col2.get(k, 0) for k in keys)
-            assert abs(got - want) < 1e-10
-
-    def test_classical_limit(self):
-        r = 10**4
-
-        def classical(j1, j2, j, m1, m2):
-            from math import factorial, sqrt
-
-            m = m1 + m2
-            if abs(m) > j:
-                return 0.0
-
-            def f(x):
-                return factorial(int(round(x)))
-
-            pref = sqrt(
-                (2 * j + 1)
-                * f(j1 + j2 - j)
-                * f(j1 - j2 + j)
-                * f(-j1 + j2 + j)
-                / f(j1 + j2 + j + 1)
-            )
-            pref *= sqrt(
-                f(j + m) * f(j - m) * f(j1 - m1) * f(j1 + m1) * f(j2 - m2) * f(j2 + m2)
-            )
-            total, k = 0.0, 0
-            while k <= 2 * (j1 + j2 + j) + 2:
-                args = [j1 + j2 - j - k, j1 - m1 - k, j2 + m2 - k, j - j2 + m1 + k, j - j1 - m2 + k]
-                if all(a >= -1e-9 for a in args):
-                    total += (-1) ** k / (
-                        f(k) * f(args[0]) * f(args[1]) * f(args[2]) * f(args[3]) * f(args[4])
-                    )
-                k += 1
-            return pref * total
-
-        for t1, t2 in [(1, 1), (1, 2), (2, 2)]:
-            for tj in range(abs(t1 - t2), t1 + t2 + 1, 2):
-                table = q_clebsch_gordan(ColorLabel(t1), ColorLabel(t2), ColorLabel(tj), r)
-                for (m1, m2, _m), coef in table.items():
-                    want = classical(t1 / 2, t2 / 2, tj / 2, float(m1), float(m2))
-                    assert abs(coef - want) < 1e-3
-
-    def test_rejects_channel_outside_fusion_range(self):
-        with pytest.raises(DomainError):
-            q_clebsch_gordan(1, 1, 1, 10)  # wrong parity
-        with pytest.raises(DomainError):
-            q_clebsch_gordan(1, 1, 4, 10)  # beyond j1 + j2
-
-    def test_rejects_degenerate_colors(self):
-        # channel 0 is in the fusion range of (3, 3) at r = 6, but the
-        # colors themselves have no braiding headroom there
-        with pytest.raises(DegenerateColorError):
-            q_clebsch_gordan(ColorLabel(6), ColorLabel(6), ColorLabel(0), 6)
-
-
 class TestRMatrix:
     def test_two_trivial_colors(self):
         op = r_matrix(0, 0, 5)
@@ -261,8 +143,9 @@ class TestRMatrix:
 
     def test_inverse_cancels(self):
         op = r_matrix(1, 2, 7)
-        back = op.then(op.inverse())
+        back = braiding_operator_for_word(parse_braid("s1 s1^-1", 2), (1, 2), 7)
         eye = np.eye(back.matrix.shape[0])
+        assert np.abs(op.matrix.conj().T @ op.matrix - eye).max() < 1e-10
         assert np.abs(back.matrix - eye).max() < 1e-10
         assert back.domain == back.codomain == op.domain
 
@@ -295,12 +178,6 @@ class TestColoredSpace:
         # spin-1/2 strands: walks on the truncated ladder returning anywhere
         assert space.coupled_dimension == len(space.paths())
         assert space.paths()[0] == (0, 1, 0, 1, 0)
-
-    def test_swapped(self):
-        space = ColoredSpace((ColorLabel(1), ColorLabel(2)), 10)
-        assert space.swapped(1).doubled == (2, 1)
-        with pytest.raises(DomainError):
-            space.swapped(2)
 
     def test_rejects_inadmissible_factor(self):
         with pytest.raises(DomainError):
@@ -352,39 +229,44 @@ class TestBraidingOperatorForWord:
 
 
 class TestBraidingOperatorForPlat:
+    """The dense operator of a plat word and the bend rows it is read between."""
+
     def test_identity_word_gives_identity(self):
-        op = braiding_operator_for_plat(parse_braid("", 4), (1, 1, 2, 2), 7)
+        op = braiding_operator_for_word(parse_braid("", 4), (1, 1, 2, 2), 7)
         assert np.abs(op.matrix - np.eye(op.matrix.shape[0])).max() == 0
 
     def test_inverse_pair_gives_identity(self):
-        op = braiding_operator_for_plat(parse_braid("s1 s1^-1", 2), (1, 1), 5)
+        op = braiding_operator_for_word(parse_braid("s1 s1^-1", 2), (1, 1), 5)
         assert np.abs(op.matrix - np.eye(op.matrix.shape[0])).max() < 1e-10
 
     def test_codomain_follows_the_permutation(self):
         w = parse_braid(BORROMEAN_PLAT, 6)
-        op = braiding_operator_for_plat(w, (2, 2, 1, 1, 3, 3), 10)
+        op = braiding_operator_for_word(w, (2, 2, 1, 1, 3, 3), 10)
         # the word swaps the first two cap pairs and fixes the third
         assert op.codomain.doubled == (1, 1, 2, 2, 3, 3)
+        assert op.codomain.paths()[op.codomain.bend_index()] == (0, 1, 0, 2, 0, 3, 0)
 
     def test_rejects_odd_index(self):
         with pytest.raises(DomainError):
-            braiding_operator_for_plat(parse_braid("s1", 3), (1, 1, 1), 5)
+            plat_branch(parse_braid("s1", 3), (1, 1), 5)
 
     def test_rejects_top_color_mismatch(self):
         with pytest.raises(DomainError):
-            braiding_operator_for_plat(parse_braid("", 4), (1, 2, 2, 1), 7)
+            ColoredSpace((1, 2, 2, 1), 7).bend_index()
 
     def test_rejects_bottom_color_mismatch(self):
+        op = braiding_operator_for_word(parse_braid("s2", 4), (1, 1, 2, 2), 7)
+        op.domain.bend_index()
         with pytest.raises(DomainError):
-            braiding_operator_for_plat(parse_braid("s2", 4), (1, 1, 2, 2), 7)
+            op.codomain.bend_index()
 
     def test_bottom_mismatch_names_the_pair(self):
         bottom = r"bend \(1, 2\) of \(1/2, 1, 1/2, 1\) at r=7 cannot join colors 1/2, 1"
         with pytest.raises(DomainError, match=bottom):
-            braiding_operator_for_plat(parse_braid("s2", 4), (1, 1, 2, 2), 7)
+            ColoredSpace((1, 2, 1, 2), 7).bend_index()
         top = r"bend \(1, 2\) of \(1/2, 1, 1, 1/2\) at r=7 cannot join colors 1/2, 1"
         with pytest.raises(DomainError, match=top):
-            braiding_operator_for_plat(parse_braid("", 4), (1, 2, 2, 1), 7)
+            ColoredSpace((1, 2, 2, 1), 7).bend_index()
 
 
 class TestColoredInvariant:
@@ -483,7 +365,7 @@ class TestColoredInvariant:
         for seed in range(3):
             w = random_braid(n, 4 + 3 * seed, seed=100 * n + 10 * twice_j + r + seed)
             colors = [twice_j] * plat_profile(w).component_count
-            op = braiding_operator_for_plat(w, [twice_j] * n, r)
+            op = braiding_operator_for_word(w, [twice_j] * n, r)
             element = op.matrix[op.codomain.bend_index(), op.domain.bend_index()]
             prefactor = plat_branch(w, colors, r)[0]
             want = prefactor * element
@@ -562,15 +444,16 @@ class TestTwist:
         r = int(rng.choice((5, 7, 10)))
         colors = tuple(int(c) for c in rng.integers(1, min(3, r - 2) + 1, size=n))
         w = random_braid(n, int(rng.integers(1, 9)), seed=seed)
-        composite = None
-        current = colors
-        for letter in w.letters:
-            step = braiding_operator_for_word(BraidWord(n, (letter,)), current, r)
-            current = step.codomain.factors
-            composite = step if composite is None else composite.then(step)
         op = braiding_operator_for_word(w, colors, r)
-        assert op.codomain == composite.codomain
-        assert np.abs(op.matrix - composite.matrix).max() < 1e-12
+        composite = np.eye(op.matrix.shape[1])
+        space = op.domain
+        for letter in w.letters:
+            step = braiding_operator_for_word(BraidWord(n, (letter,)), space.factors, r)
+            assert step.domain == space
+            composite = step.matrix @ composite
+            space = step.codomain
+        assert op.codomain == space
+        assert np.abs(op.matrix - composite).max() < 1e-12
 
     def test_tables_are_read_only(self):
         _, idx, wts = su2q._twist((2, 2, 1, 1), 2, 1, 7)
