@@ -11,6 +11,9 @@ result that is not finite, which would not be valid JSON.
 ``run(argv)`` is the library entry point and returns a
 ``CommandResult`` instead of printing; ``main()`` is the console
 script, also run by ``python -m knit`` and ``python -m knit.cli``.
+The argument parser is built on the first ``run`` and reused by every
+later one: ``parse_args`` only reads it, filling a fresh namespace per
+call.
 
 Only ``colored`` and ``approx`` need numpy; their handlers import
 ``su2q`` and ``qsim`` when called, so the exact commands start without it.
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import random
@@ -73,6 +77,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message, self.format_usage())
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(

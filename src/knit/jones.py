@@ -172,7 +172,9 @@ def _bracket_to_jones(bracket: LaurentPoly, writhe: int) -> LaurentPoly:
 
 def jones_polynomial(d: LinkDiagram, limit: int | None = None) -> LaurentPoly:
     """Jones polynomial in t: writhe-corrected bracket with t = A^-4."""
-    return _bracket_to_jones(kauffman_bracket(d, limit), d.writhe())
+    bracket = kauffman_bracket(d, limit)
+    # the bracket has validated d, so the writhe needs no second check
+    return _bracket_to_jones(bracket, sum(c.sign for c in d.crossings))
 
 
 def noncrossing_matchings(n: int) -> tuple[tuple[int, ...], ...]:

@@ -102,11 +102,18 @@ def plan_samples(delta: float, confidence: float = 0.75) -> int:
     across the real and imaginary estimators:
     N = ceil(2 ln(4 / (1 - confidence)) / delta^2), and at least 1.
     Monotone non-increasing in ``delta``; both parameter boundaries and a
-    non-finite ``delta`` are errors.
+    non-finite ``delta`` are errors, and a ``delta`` so small that the
+    bound is past float range raises LimitError.
     """
-    # as floats: an int's exact square could overflow the division
+    # as floats, dividing twice: an int's exact square could overflow the
+    # division, and a tiny float's square underflows to zero
     delta, confidence = _check_error_budget(delta, confidence)
-    bound = 2.0 * math.log(4.0 / (1.0 - confidence)) / (delta * delta)
+    bound = 2.0 * math.log(4.0 / (1.0 - confidence)) / delta / delta
+    if not math.isfinite(bound):
+        raise LimitError(
+            f"sample budget for error target {delta} is past float range; "
+            f"loosen delta"
+        )
     return max(1, math.ceil(bound))
 
 

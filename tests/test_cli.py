@@ -1,12 +1,15 @@
 """Tests for the `knit` command-line front end."""
 
 import json
+import random
+import sys
+import threading
 import tracemalloc
 
 import pytest
 
-from knit import su2q
-from knit.braid import LETTER_LIMIT, STRAND_LIMIT, parse_braid
+from knit import cli, su2q
+from knit.braid import LETTER_LIMIT, STRAND_LIMIT, parse_braid, random_braid
 from knit.cli import CROSSING_LIMIT_ENV, CommandResult, main, run
 from knit.diagram import closure_plat, closure_trace
 from knit.jones import jones_polynomial
@@ -428,3 +431,144 @@ class TestCommandResult:
         res = CommandResult(0, {"k": 1})
         assert res.diagnostics == []
         assert res.rendered == ""
+
+
+# One request per command and per kind of error: usage, parse, domain, limit.
+CORPUS = (
+    ["parse", "s1 s2^-1", "-n", "3"],
+    ["parse", "s3^2", "--json"],
+    ["parse", "", "-n", "2"],
+    ["nf", "s1 s2 s1 s2^-1 s1^-1 s2^-1", "-n", "3"],
+    ["nf", "s1^-1 s2 s3^2", "--json"],
+    ["eq", "s1 s2 s1", "s2 s1 s2", "-n", "3"],
+    ["eq", "s1", "s3", "--json"],
+    ["closure-info", "s1^3", "-n", "2"],
+    ["closure-info", "s2^2", "-n", "4", "--closure", "plat", "--json"],
+    ["jones", "s1^3"],
+    ["jones", "s2^3", "-n", "4", "--closure", "plat", "--at-root", "5", "--json"],
+    ["jones", "s1 s2^-1 s1 s2^-1", "-n", "3", "--at-root", "7"],
+    ["colored", "s2^3", "-n", "4", "--colors", "1", "--root", "7"],
+    ["colored", "s2^3 s1", "-n", "4", "--colors", "1", "--root", "5",
+     "--normalize", "ambient", "--json"],
+    ["approx", "s2^3", "-n", "4", "--root", "5", "--delta", "0.3", "--seed", "7"],
+    ["approx", "s2^3", "-n", "4", "--root", "6", "--delta", "0.4", "--json"],
+    ["invariance-test", "--trials", "1", "--seed", "3"],
+    [],
+    ["frobnicate"],
+    ["jones", "s1", "-n", "2", "--frobnicate"],
+    ["jones", "s1", "--closure", "knot"],
+    ["jones", "s1", "--at-root", "five", "--json"],
+    ["colored", "s2^3", "-n", "4", "--root", "7"],
+    ["eq", "s1"],
+    ["jones", "s2", "-n", "2"],
+    ["parse", "s1 x", "--json"],
+    ["colored", "s2^3", "-n", "4", "--colors", "1,x", "--root", "7"],
+    ["closure-info", "s1", "-n", "3", "--closure", "plat"],
+    ["jones", "s1^3", "-n", "2", "--at-root", "0", "--json"],
+    ["invariance-test", "--trials", "0"],
+    ["approx", "s2^3", "-n", "4", "--root", "2", "--delta", "0.1"],
+    ["parse", f"s1^{LETTER_LIMIT + 1}", "-n", "2"],
+    ["nf", "s1^1000000", "-n", "1000", "--json"],
+    ["parse", "s1", "-n", str(STRAND_LIMIT + 1)],
+    ["colored", "s1", "-n", "2", "--colors", "300", "--root", "400", "--json"],
+)
+
+
+def _seeded_requests(count: int, seed: int) -> list[list[str]]:
+    """Small parse, nf, eq, closure-info and jones requests, reproducible."""
+    rng = random.Random(seed)
+    requests = []
+    for _ in range(count):
+        n = rng.choice((2, 4, 6)) if rng.random() < 0.3 else rng.randint(2, 5)
+        word = str(random_braid(n, rng.randint(0, 8), rng.randrange(2**32)))
+        strands = ["-n", str(n)] if rng.random() < 0.8 else []
+        mode = ["--json"] if rng.random() < 0.5 else []
+        command = rng.choice(("parse", "nf", "eq", "closure-info", "jones"))
+        if command == "eq":
+            other = str(random_braid(n, rng.randint(0, 6), rng.randrange(2**32)))
+            args = [word, other]
+        elif command in ("closure-info", "jones"):
+            closure = rng.choice(("trace", "plat")) if n % 2 == 0 else "trace"
+            args = [word, "--closure", closure]
+            if command == "jones" and rng.random() < 0.4:
+                args += ["--at-root", str(rng.choice((3, 5, 7, 10)))]
+        else:
+            args = [word]
+        requests.append([command, *args, *strands, *mode])
+    return requests
+
+
+def _record(res: CommandResult) -> tuple:
+    return (res.exit_code, res.payload, res.diagnostics, res.command, res.rendered)
+
+
+class TestParserReuse:
+    """``run`` builds its parser once per process; no call may see another's."""
+
+    def test_the_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_options_return_to_their_defaults(self):
+        res = run(["jones", "s2^3", "-n", "4", "--closure", "plat", "--at-root", "5"])
+        assert res.payload["closure"] == "plat" and "value_at_root" in res.payload
+        res = run(["jones", "s1^3", "--json"])
+        assert res.payload["closure"] == "trace" and "value_at_root" not in res.payload
+        run(["closure-info", "s2^2", "-n", "4", "--closure", "plat"])
+        assert run(["closure-info", "s1^3"]).payload["closure"] == "trace"
+        args = cli._build_parser().parse_args(["jones", "s1"])
+        assert (args.closure_kind, args.at_root, args.strands, args.json) == (
+            "trace", None, None, False)
+
+    def test_usage_text_is_the_same_on_every_call(self):
+        cli._build_parser.cache_clear()
+        argvs = (["jones", "s1", "--frobnicate"], ["colored", "s1"], ["frobnicate"], [])
+        first = [run(argv) for argv in argvs]
+        for argv in CORPUS[:6]:
+            run(argv)
+        later = [run(argv) for argv in argvs]
+        assert [r.rendered for r in later] == [r.rendered for r in first]
+        assert [r.payload for r in later] == [r.payload for r in first]
+        assert all(r.exit_code == 2 and "usage: knit" in r.rendered for r in first)
+
+    def test_help_exits_and_later_requests_still_work(self, capsys):
+        before = run(["jones", "s1^3", "--json"])
+        assert main(["--help"]) == 0
+        assert main(["jones", "--help"]) == 0
+        assert "usage: knit jones" in capsys.readouterr().out
+        after = run(["jones", "s1^3", "--json"])
+        assert _record(after) == _record(before)
+        assert run(["eq", "s1"]).exit_code == 2
+
+    def test_concurrent_requests_match_sequential_ones(self):
+        requests = list(CORPUS[:12]) + _seeded_requests(60, 7)
+        expected = [run(argv).rendered for argv in requests]
+        workers = 4  # more threads than the cores a CI runner has
+        got = [None] * len(requests)
+        start = threading.Barrier(workers)
+
+        def serve(offset):
+            start.wait()
+            for k in range(offset, len(requests), workers):
+                got[k] = run(requests[k]).rendered
+
+        threads = [threading.Thread(target=serve, args=(k,)) for k in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside parse_args
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == expected
+
+    def test_reused_parser_answers_as_a_fresh_one(self, monkeypatch):
+        requests = list(CORPUS) + _seeded_requests(300, 2024)
+        reused = [_record(run(argv)) for argv in requests]
+        # the undecorated builder makes a new parser for every request
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = [_record(run(argv)) for argv in requests]
+        assert reused == fresh
+        assert {r[0] for r in reused} == {0, 1, 2, 3}

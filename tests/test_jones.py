@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from knit.braid import BraidWord, parse_braid, random_braid
 from knit.cli import run
-from knit.diagram import LinkDiagram, closure_plat, closure_trace, parse_diagram
+from knit.diagram import Crossing, LinkDiagram, closure_plat, closure_trace, parse_diagram
 from knit.errors import DomainError, LimitError
 from knit.jones import (
     LOOP_VALUE,
@@ -86,6 +86,26 @@ def test_bracket_limit_must_be_an_int(limit):
         kauffman_bracket(kink, limit)
     with pytest.raises(DomainError):
         jones_polynomial(kink, limit)
+
+
+def test_jones_validates_its_diagram_once(monkeypatch):
+    calls = []
+    validate = LinkDiagram.validate
+    monkeypatch.setattr(LinkDiagram, "validate", lambda d: calls.append(d) or validate(d))
+    d = closure_trace(parse_braid("s1^3", 2))
+    assert jones_polynomial(d) == poly({4: 1, 12: 1, 16: -1})
+    assert calls == [d]
+
+
+def test_jones_of_an_invalid_diagram_names_every_problem():
+    # edges 1 and 3 appear once each, and the free-circle count is negative
+    d = LinkDiagram((Crossing((1, 2, 3, 2), 1),), -1)
+    message = "; ".join(d.validate())
+    assert "edge multiplicity" in message and "negative" in message
+    for route in (kauffman_bracket, jones_polynomial):
+        with pytest.raises(DomainError) as error:
+            route(d)
+        assert str(error.value) == "invalid diagram: " + message
 
 
 @pytest.mark.parametrize("circles", [1.5, "2", None, True])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from knit.braid import BraidWord, parse_braid
+from knit.cli import main, run
 from knit.diagram import closure_plat
 from knit.errors import DomainError, LimitError
 from knit.jones import jones_polynomial
@@ -137,6 +138,36 @@ class TestPlanSamples:
     @pytest.mark.parametrize("delta", [10.0, 1e150, 1e300, 1.7e308, 10**200, 2**1023])
     def test_plans_at_least_one_reading(self, delta):
         assert plan_samples(delta, 0.75) == 1
+
+    # the square of the first two underflows to 0; near 1e-160 the bound is inf
+    TINY_DELTAS = [1e-300, 1e-200, 1e-160]
+
+    @pytest.mark.parametrize("delta", TINY_DELTAS + [5e-324])
+    def test_tiny_delta_is_a_limit_error(self, delta):
+        with pytest.raises(LimitError, match="past float range"):
+            plan_samples(delta, 0.75)
+
+    @pytest.mark.parametrize("estimate", [
+        lambda delta: approx_jones(TREFOIL_PLAT, 5, delta),
+        lambda delta: estimate_markov_trace(TREFOIL_PLAT, [HALF], 5, delta),
+        lambda delta: TraceEstimate(
+            value=0j, delta=delta, confidence=0.75, samples_used=2, seed=0,
+            r=5, scale=1.0, crossing_steps=0,
+        ),
+    ], ids=["approx_jones", "estimate_markov_trace", "TraceEstimate"])
+    @pytest.mark.parametrize("delta", TINY_DELTAS)
+    def test_entry_points_refuse_a_tiny_delta_with_a_limit_error(self, estimate, delta):
+        with pytest.raises(LimitError, match="past float range"):
+            estimate(delta)
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    def test_cli_refuses_a_tiny_delta_with_exit_3(self, mode, capsys):
+        argv = ["approx", "s1^3", "-n", "2", "--root", "5", "--delta", "1e-300", *mode]
+        res = run(argv)
+        assert (res.exit_code, res.payload["kind"]) == (3, "limit")
+        assert res.rendered == f"error: {res.payload['error']}"
+        assert main(argv) == 3
+        assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("estimate", [
         lambda delta: approx_jones(TREFOIL_PLAT, 5, delta),
