@@ -41,10 +41,7 @@ STRAND_LIMIT = 1_000
 
 @dataclass(frozen=True)
 class Permutation:
-    """A permutation of {1..n}, stored as the tuple of images (1-based).
-
-    Composition follows word order: ``a.then(b)`` applies a first, then b.
-    """
+    """A permutation of {1..n}, stored as the tuple of images (1-based)."""
 
     targets: tuple[int, ...]
 
@@ -53,52 +50,11 @@ class Permutation:
         if sorted(self.targets) != list(range(1, n + 1)):
             raise DomainError(f"not a permutation of 1..{n}: {self.targets}")
 
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(1, n + 1)))
-
-    @staticmethod
-    def transposition(n: int, i: int) -> "Permutation":
-        """The adjacent transposition (i, i+1) in S_n."""
-        t = list(range(1, n + 1))
-        t[i - 1], t[i] = t[i], t[i - 1]
-        return Permutation(tuple(t))
-
-    @property
-    def n(self) -> int:
-        return len(self.targets)
-
-    def __call__(self, i: int) -> int:
-        return self.targets[i - 1]
-
-    def then(self, other: "Permutation") -> "Permutation":
-        """Composite acting as self first, then other."""
-        return Permutation(tuple(other.targets[t - 1] for t in self.targets))
-
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.targets)
         for i, t in enumerate(self.targets):
             inv[t - 1] = i + 1
         return Permutation(tuple(inv))
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        seen: set[int] = set()
-        out = []
-        for start in range(1, self.n + 1):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            nxt = self(start)
-            while nxt != start:
-                cyc.append(nxt)
-                seen.add(nxt)
-                nxt = self(nxt)
-            out.append(tuple(cyc))
-        return out
-
-    def is_identity(self) -> bool:
-        return all(t == i + 1 for i, t in enumerate(self.targets))
 
 
 @dataclass(frozen=True)
@@ -123,10 +79,6 @@ class BraidWord:
             if sign not in (1, -1):
                 raise DomainError(f"letter sign must be +-1, got {sign}")
 
-    @staticmethod
-    def identity(n: int) -> "BraidWord":
-        return BraidWord(n, ())
-
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -141,16 +93,6 @@ class BraidWord:
         return BraidWord(
             self.index, tuple((g, -s) for g, s in reversed(self.letters))
         )
-
-    def free_reduce(self) -> "BraidWord":
-        """Cancel adjacent si si^-1 pairs until none remain."""
-        stack: list[tuple[int, int]] = []
-        for letter in self.letters:
-            if stack and stack[-1][0] == letter[0] and stack[-1][1] == -letter[1]:
-                stack.pop()
-            else:
-                stack.append(letter)
-        return BraidWord(self.index, tuple(stack))
 
     def exponent_sum(self) -> int:
         """Sum of letter signs; the writhe of the trace closure."""

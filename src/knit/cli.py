@@ -190,14 +190,13 @@ def _build_parser() -> _Parser:
 
 def _cmd_parse(args) -> dict:
     w = parse_braid(args.word, args.strands)
-    perm = w.permutation()
     return {
         "word": str(w),
         "strands": w.index,
         "length": len(w.letters),
         "exponent_sum": w.exponent_sum(),
         "letters": [[g, s] for g, s in w.letters],
-        "permutation": [perm(k) for k in range(1, w.index + 1)],
+        "permutation": list(w.permutation().targets),
     }
 
 
@@ -208,7 +207,7 @@ def _cmd_nf(args) -> dict:
         "strands": nf.index,
         "half_twist_power": nf.infimum,
         "canonical_length": nf.canonical_length(),
-        "factors": [[f(k) for k in range(1, nf.index + 1)] for f in nf.factors],
+        "factors": [list(f.targets) for f in nf.factors],
         "normal_form": str(nf),
         "trivial": nf.infimum == 0 and nf.canonical_length() == 0,
     }

@@ -193,16 +193,6 @@ class LinkDiagram:
     def component_count(self) -> int:
         return len(self.component_edge_sets()) + self.unknot_count
 
-    def mirror(self) -> "LinkDiagram":
-        """Flip every crossing (swap over and under), keeping orientations."""
-        flipped = tuple(
-            Crossing.from_strands(
-                c.over_in, c.over_out, c.under_in, c.under_out, -c.sign
-            )
-            for c in self.crossings
-        )
-        return LinkDiagram(flipped, self.unknot_count)
-
     def relabeled(self) -> "LinkDiagram":
         """Rename edges 1..E in first-appearance order; canonical form."""
         mapping: dict[int, int] = {}
@@ -226,13 +216,16 @@ class LinkDiagram:
 
 _ITEM = re.compile(r"X\[(\d+),(\d+),(\d+),(\d+);([+-])\]|O\[(\d+)\]")
 
+#: Most digits a label or a free-circle count may have in the text form.
+DIGIT_LIMIT = 18
+
 
 def parse_diagram(text: str) -> LinkDiagram:
     """Parse the ``X[a,b,c,d;+], O[k]`` text form of a diagram.
 
-    Raises ParseError on unrecognized text or on a diagram that breaks
-    the PD invariants.  Positions refer to the input with whitespace
-    removed.
+    Raises ParseError on unrecognized text, on a number longer than
+    DIGIT_LIMIT digits, or on a diagram that breaks the PD invariants.
+    Positions refer to the input with whitespace removed.
     """
     crossings: list[Crossing] = []
     circles = 0
@@ -245,6 +238,11 @@ def parse_diagram(text: str) -> LinkDiagram:
         m = _ITEM.match(body, pos)
         if not m:
             raise ParseError(f"unrecognized diagram text at position {pos}", pos)
+        for k in (1, 2, 3, 4, 6):
+            # int() is never asked to read a longer number (it refuses
+            # past ~4,300 digits), and the digits are not echoed
+            if len((m.group(k) or "").lstrip("0")) > DIGIT_LIMIT:
+                raise ParseError(f"number longer than {DIGIT_LIMIT} digits", m.start(k))
         if m.group(6) is not None:
             circles += int(m.group(6))
         else:

@@ -8,6 +8,8 @@ maps them to exit codes 2, 1 and 3 respectively.
 
 from __future__ import annotations
 
+__all__ = ["KnitError", "ParseError", "DomainError", "LimitError"]
+
 
 class KnitError(Exception):
     """Base class for all library errors."""

@@ -42,11 +42,6 @@ __all__ = ["COST_LIMIT", "NormalForm", "normal_form", "words_equal", "is_trivial
 COST_LIMIT = 300_000_000
 
 
-def _half_twist(n: int) -> Permutation:
-    """The permutation of Delta_n: i -> n + 1 - i."""
-    return Permutation(tuple(range(n, 0, -1)))
-
-
 def _append_gen(t: tuple[int, ...], i: int) -> tuple[int, ...]:
     """The simple element t followed by s(i+1): swap the values i, i+1."""
     return tuple(i + 1 if v == i else i if v == i + 1 else v for v in t)
@@ -103,20 +98,6 @@ class NormalForm:
 
     def canonical_length(self) -> int:
         return len(self.factors)
-
-    def to_word(self) -> BraidWord:
-        """Some braid word representing this element (used for round trips)."""
-        n = self.index
-        letters: list[tuple[int, int]] = []
-        delta_word = _positive_lift_word(_half_twist(n))
-        if self.infimum >= 0:
-            letters.extend([(g, 1) for g in delta_word] * self.infimum)
-        else:
-            inv = [(g, -1) for g in reversed(delta_word)]
-            letters.extend(inv * (-self.infimum))
-        for f in self.factors:
-            letters.extend((g, 1) for g in _positive_lift_word(f))
-        return BraidWord(n, tuple(letters))
 
     def __str__(self) -> str:
         names = [f"s{g}" for g in range(self.index)]

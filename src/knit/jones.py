@@ -30,7 +30,7 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 
-from .braid import BraidWord
+from .braid import STRAND_LIMIT, BraidWord
 from .diagram import LinkDiagram, component_labels
 from .errors import DomainError, LimitError
 from .laurent import LaurentPoly
@@ -46,6 +46,11 @@ __all__ = [
 
 DEFAULT_CROSSING_LIMIT = 20
 DEFAULT_TL_STRANDS = 10
+
+#: Most free circles the bracket admits: every closure of a braid on at
+#: most STRAND_LIMIT strands.  Each circle is a factor delta, and delta^k
+#: costs O(k^2) to build.
+FREE_CIRCLE_LIMIT = STRAND_LIMIT
 
 #: Environment variable overriding the state-sum crossing limit.
 CROSSING_LIMIT_ENV = "KNIT_CROSSING_LIMIT"
@@ -93,8 +98,9 @@ def kauffman_bracket(d: LinkDiagram, limit: int | None = None) -> LaurentPoly:
     are tallied by (B count, loops) and the polynomial is built once.
 
     Raises LimitError past the crossing limit (default 20, or the
-    KNIT_CROSSING_LIMIT environment variable) and DomainError when that
-    limit is negative or not an integer.
+    KNIT_CROSSING_LIMIT environment variable) or past FREE_CIRCLE_LIMIT
+    free circles, and DomainError when the crossing limit is negative or
+    not an integer.
     """
     d.require_valid()
     c = d.crossing_count()
@@ -102,6 +108,10 @@ def kauffman_bracket(d: LinkDiagram, limit: int | None = None) -> LaurentPoly:
     if c > cap:
         raise LimitError(
             f"state sum over {c} crossings exceeds the limit {cap}"
+        )
+    if d.unknot_count > FREE_CIRCLE_LIMIT:
+        raise LimitError(
+            f"{d.unknot_count} free circles exceed the limit {FREE_CIRCLE_LIMIT}"
         )
     if c == 0 and d.unknot_count == 0:
         raise DomainError("the empty diagram has no bracket")

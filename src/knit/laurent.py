@@ -57,20 +57,11 @@ class LaurentPoly:
             return LaurentPoly.zero()
         return LaurentPoly(((num * (EXPONENT_DENOMINATOR // den), coeff),))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         d = dict(self.terms)
         for n, c in other.terms:
             d[n] = d.get(n, 0) + c
         return LaurentPoly.from_dict(d)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(tuple((n, -c) for n, c in self.terms))
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         d: dict[int, int] = {}
@@ -79,18 +70,6 @@ class LaurentPoly:
                 n = n1 + n2
                 d[n] = d.get(n, 0) + c1 * c2
         return LaurentPoly.from_dict(d)
-
-    def __pow__(self, k: int) -> "LaurentPoly":
-        if k < 0:
-            raise DomainError("negative powers of a polynomial are not defined")
-        out = LaurentPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def substitute_power(self, k: Fraction) -> "LaurentPoly":
         """Replace t by t^k; every scaled exponent must stay on the lattice."""

@@ -149,10 +149,6 @@ class TraceEstimate:
         if self.samples_used < plan_samples(self.delta * self.scale, self.confidence):
             raise DomainError("samples_used fell below the planned bound")
 
-    @property
-    def exact_available(self) -> bool:
-        return self.exact is not None
-
     def error_bound_held(self) -> bool | None:
         """Whether |value - exact| ≤ delta, or None without an exact value."""
         if self.exact is None:
@@ -255,6 +251,11 @@ def _estimate(pieces, w: BraidWord, r: int, delta, confidence, seed) -> TraceEst
     """Sample the engine's branch; its exact contraction rides along."""
     prefactor, reference, branch = pieces
     scale = 1.0 / (abs(prefactor) * math.sqrt(2.0))
+    if not delta * scale > 0:
+        raise LimitError(
+            f"error target {delta} underflows to 0 on the sampling scale "
+            f"{scale:.6g}; loosen delta"
+        )
     planned = plan_samples(delta * scale, confidence)
     overlap = _sampled_overlap(reference, branch, planned, seed)
     return TraceEstimate(

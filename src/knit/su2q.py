@@ -57,7 +57,6 @@ __all__ = [
     "ColoredSpace",
     "DegenerateColorError",
     "as_color",
-    "braiding_channel_phases",
     "braiding_operator_for_word",
     "colored_invariant",
     "jones_plat_branch",
@@ -491,19 +490,6 @@ def _braid(colors: tuple[int, ...], letters, r: int, state: np.ndarray):
         weights = wts if state.ndim == 1 else wts[:, :, None]
         state = (weights * state[idx]).sum(axis=1)
     return colors, state
-
-
-def braiding_channel_phases(j1, j2, r: int) -> dict[ColorLabel, complex]:
-    """Eigenphase a positive letter applies on each coupling channel."""
-    c1, c2 = as_color(j1), as_color(j2)
-    _check_root(r)
-    _check_braidable(c1, r)
-    _check_braidable(c2, r)
-    return {
-        ColorLabel(t): _braid_phase(c1.twice_j, c2.twice_j, t, r)
-        ** _POSITIVE_CROSSING_EXPONENT
-        for t in _channels(c1.twice_j, c2.twice_j, r)
-    }
 
 
 def r_matrix(j1, j2, r: int) -> BraidingOperator:

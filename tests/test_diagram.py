@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from knit.braid import BraidWord, parse_braid, random_braid
 from knit.diagram import (
+    DIGIT_LIMIT,
     Crossing,
     LinkDiagram,
     PlatProfile,
@@ -30,7 +31,7 @@ def test_trace_trefoil_pd_regression():
 
 
 def test_trace_identity_gives_circles():
-    d = closure_trace(BraidWord.identity(3))
+    d = closure_trace(BraidWord(3, ()))
     assert d.crossing_count() == 0
     assert d.unknot_count == 3
     assert d.component_count() == 3
@@ -52,9 +53,15 @@ def test_trace_cancelling_pair():
 def test_trace_component_count_is_cycle_count():
     for seed in range(20):
         w = random_braid(4, 8, seed=seed)
-        assert closure_trace(w).component_count() == len(
-            w.permutation().cycles()
-        )
+        targets = w.permutation().targets
+        # each cycle of the permutation has exactly one smallest point
+        cycles = 0
+        for start in range(1, w.index + 1):
+            point = targets[start - 1]
+            while point > start:
+                point = targets[point - 1]
+            cycles += point == start
+        assert closure_trace(w).component_count() == cycles
 
 
 def test_trace_partial_identity_strand():
@@ -65,10 +72,10 @@ def test_trace_partial_identity_strand():
 
 
 def test_plat_identity_unknots():
-    d = closure_plat(BraidWord.identity(2))
+    d = closure_plat(BraidWord(2, ()))
     assert d.crossing_count() == 0
     assert d.component_count() == 1
-    d = closure_plat(BraidWord.identity(4))
+    d = closure_plat(BraidWord(4, ()))
     assert d.component_count() == 2
 
 
@@ -101,7 +108,7 @@ def test_plat_hopf():
 
 
 def test_plat_pair_component_indices():
-    assert plat_profile(BraidWord.identity(4)).pair_component == (0, 1)
+    assert plat_profile(BraidWord(4, ())).pair_component == (0, 1)
     assert plat_profile(parse_braid("s2^3", 4)).pair_component == (0, 0)
     assert plat_profile(parse_braid("s2^2", 4)).pair_component == (0, 1)
 
@@ -169,8 +176,8 @@ def test_borromean_trace_components():
 
 
 def test_mirror_negates_writhe():
-    d = closure_trace(parse_braid("s1^3", 2))
-    m = d.mirror()
+    # the closure of the sign-flipped word is the mirror image
+    m = closure_trace(parse_braid("s1^-3", 2))
     assert m.writhe() == -3
     assert m.component_count() == 1
     assert not m.validate()
@@ -232,7 +239,7 @@ def test_text_round_trip():
     for seed in range(8):
         d = closure_trace(random_braid(4, 9, seed=seed))
         assert parse_diagram(d.to_text()) == d
-    d = closure_trace(BraidWord.identity(2))
+    d = closure_trace(BraidWord(2, ()))
     assert parse_diagram(d.to_text()) == d
 
 
@@ -249,6 +256,22 @@ def test_parse_diagram_rejects_garbage():
         parse_diagram("Y[1,2,3,4;+]")
     with pytest.raises(ParseError):
         parse_diagram("X[1,2,3,4;+] X[1,2,3,4;+] extra")
+
+
+@pytest.mark.parametrize("text", [
+    "O[" + "9" * 5000 + "]",
+    "X[" + "9" * 5000 + ",1,2,3;+]",
+    "X[1,2,3," + "1" * 19 + ";-], O[1]",
+])
+def test_parse_diagram_refuses_a_long_number_without_echoing_it(text):
+    with pytest.raises(ParseError, match="longer than") as err:
+        parse_diagram(text)
+    assert len(str(err.value)) < 100
+
+
+def test_parse_diagram_reads_long_numbers_up_to_the_digit_limit():
+    assert parse_diagram("O[" + "0" * 50 + "1]").unknot_count == 1
+    assert parse_diagram("O[" + "9" * DIGIT_LIMIT + "]").unknot_count == 10**DIGIT_LIMIT - 1
 
 
 def test_parse_diagram_rejects_invalid_pd():

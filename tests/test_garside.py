@@ -33,7 +33,7 @@ def check_left_canonical(nf: NormalForm):
     n = nf.index
     half_twist = tuple(range(n, 0, -1))
     for f in nf.factors:
-        assert not f.is_identity(), "factors must be nontrivial"
+        assert f.targets != tuple(range(1, n + 1)), "factors must be nontrivial"
         assert f.targets != half_twist, "factors must be proper simples"
     for a, b in zip(nf.factors, nf.factors[1:]):
         starting = descents(b.targets)
@@ -208,18 +208,6 @@ def test_output_is_left_canonical():
         n = rng.randint(2, 6)
         w = random_braid(n, rng.randint(0, 25), seed=rng.randrange(10**6))
         check_left_canonical(normal_form(w))
-
-
-def test_to_word_round_trip():
-    rng = random.Random(77)
-    for _ in range(40):
-        n = rng.randint(2, 5)
-        w = random_braid(n, rng.randint(0, 18), seed=rng.randrange(10**6))
-        nf = normal_form(w)
-        back = nf.to_word()
-        assert back.index == n
-        assert normal_form(back) == nf
-        assert back.exponent_sum() == w.exponent_sum()
 
 
 words3 = st.builds(

@@ -1,13 +1,15 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knit.braid import BraidWord, parse_braid, random_braid
+from knit.braid import STRAND_LIMIT, BraidWord, parse_braid, random_braid
 from knit.cli import run
 from knit.diagram import Crossing, LinkDiagram, closure_plat, closure_trace, parse_diagram
 from knit.errors import DomainError, LimitError
 from knit.jones import (
+    FREE_CIRCLE_LIMIT,
     LOOP_VALUE,
     _cupcap_action,
     _identity_matching,
@@ -152,7 +154,8 @@ def test_jones_borromean():
 def test_jones_mirror_inverts_t():
     w = random_braid(3, 7, seed=3)
     v = jones_polynomial(closure_trace(w))
-    m = jones_polynomial(closure_trace(w).mirror())
+    # the closure of the sign-flipped word is the mirror image
+    m = jones_polynomial(closure_trace(BraidWord(3, tuple((g, -e) for g, e in w.letters))))
     assert m.terms == tuple(sorted((-n, c) for n, c in v.terms))
 
 
@@ -208,7 +211,7 @@ def test_tl_rep_small_shape():
     assert _propagate(2, ((1, 1),), {(cupcap, 0): 1}) == {(cupcap, -3): -1}
     assert _propagate(2, ((1, -1),), {(cupcap, 0): 2}) == {(cupcap, 3): -2}
     with pytest.raises(DomainError):
-        markov_trace_jones(BraidWord.identity(11))
+        markov_trace_jones(BraidWord(11, ()))
 
 
 def _crosses(m, p, q):
@@ -275,8 +278,8 @@ def test_tl_cupcap_relations():
 
 
 def test_markov_trace_identity_words():
-    assert markov_trace_jones(BraidWord.identity(1)) == LaurentPoly.one()
-    assert markov_trace_jones(BraidWord.identity(2)) == poly({-2: -1, 2: -1})
+    assert markov_trace_jones(BraidWord(1, ())) == LaurentPoly.one()
+    assert markov_trace_jones(BraidWord(2, ())) == poly({-2: -1, 2: -1})
 
 
 def test_markov_trace_matches_bracket_route():
@@ -340,7 +343,7 @@ def test_markov_trace_stabilization_invariance():
 
 def test_markov_trace_strand_limit():
     with pytest.raises(DomainError):
-        markov_trace_jones(BraidWord.identity(11))
+        markov_trace_jones(BraidWord(11, ()))
 
 
 def test_trace_property_cyclic():
@@ -369,7 +372,33 @@ def test_bracket_of_parsed_diagram_round_trip():
 
 def test_bracket_of_free_circles_alone_is_a_power_of_delta():
     for k in range(1, 6):
-        assert kauffman_bracket(LinkDiagram((), k)) == LOOP_VALUE ** (k - 1)
+        assert kauffman_bracket(LinkDiagram((), k)) == math.prod([LOOP_VALUE] * (k - 1), start=LaurentPoly.one())
+
+
+def test_free_circles_past_the_limit_are_refused_before_any_delta_power():
+    # the cap admits every closure of a braid the parser accepts
+    assert FREE_CIRCLE_LIMIT >= STRAND_LIMIT
+    for d in (LinkDiagram((), FREE_CIRCLE_LIMIT + 1), parse_diagram("O[1000000000]")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(LimitError, match="free circles"):
+                kauffman_bracket(d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+
+def test_the_widest_trace_closure_passes_the_free_circle_limit():
+    # a kink, -A^3, beside n - 2 free circles, delta^(n - 2)
+    n = STRAND_LIMIT
+    d = closure_trace(parse_braid("s1", n))
+    assert d.unknot_count == n - 2
+    bracket = kauffman_bracket(d)
+    assert bracket.terms[0] == (12 - 8 * (n - 2), -((-1) ** n))
+    assert bracket.terms[-1] == (12 + 8 * (n - 2), -((-1) ** n))
+    # at A = 1 the loop value is -2
+    assert sum(c for _, c in bracket.terms) == -((-2) ** (n - 2))
 
 
 def test_free_circles_beside_crossings_each_add_a_delta():
@@ -377,7 +406,7 @@ def test_free_circles_beside_crossings_each_add_a_delta():
     # circles, which is three unlinked unknots up to a kink
     d = closure_trace(parse_braid("s1", 4))
     assert d.unknot_count == 2
-    assert kauffman_bracket(d) == poly({12: -1}) * LOOP_VALUE ** 2
+    assert kauffman_bracket(d) == poly({12: -1}) * LOOP_VALUE * LOOP_VALUE
     unlinked = jones_polynomial(LinkDiagram((), 3))
     assert jones_polynomial(d) == unlinked
     res = run(["jones", "s1", "-n", "4", "--json"])

@@ -5,6 +5,7 @@ import ast
 import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -23,6 +24,11 @@ HOME_MODULES = [
     importlib.import_module(f"knit.{name}")
     for name in ("braid", "diagram", "errors", "garside", "jones", "laurent", "qsim", "su2q")
 ]
+
+#: Every module of the package but ``__main__``.
+PACKAGE_MODULES = sorted(
+    m.name for m in pkgutil.iter_modules(knit.__path__) if m.name != "__main__"
+)
 
 EXACT_COMMANDS = [
     ["parse", "s1 s2^-1 s1"],
@@ -92,12 +98,12 @@ class TestSurfaceGuards:
         assert imported
         assert not [name for name in imported if name.startswith("_")]
 
-    @pytest.mark.parametrize("module", ["su2q", "qsim"])
+    @pytest.mark.parametrize("module", PACKAGE_MODULES)
     def test_readme_modules_table_names_only_public_names(self, module):
         row = re.search(
             rf"^\| `knit\.{module}` \|(.*)\|$", README.read_text(encoding="utf-8"), re.MULTILINE
         )
-        assert row is not None
+        assert row is not None, f"README's Modules table has no knit.{module} row"
         names = re.findall(r"`(\w+)`", row.group(1))
         assert names
         public = importlib.import_module(f"knit.{module}").__all__

@@ -173,6 +173,24 @@ class TestPlanSamples:
         lambda delta: approx_jones(TREFOIL_PLAT, 5, delta),
         lambda delta: estimate_markov_trace(TREFOIL_PLAT, [HALF], 5, delta),
     ], ids=["approx_jones", "estimate_markov_trace"])
+    def test_a_delta_that_underflows_on_the_sampling_scale_is_a_limit_error(self, estimate):
+        # 5e-324 is positive, but times the scale (< 1) it rounds to 0
+        with pytest.raises(LimitError, match="error target 5e-324 underflows"):
+            estimate(5e-324)
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    def test_cli_names_the_delta_that_underflows(self, mode, capsys):
+        argv = ["approx", "s2^3", "-n", "4", "--root", "5", "--delta", "5e-324", *mode]
+        res = run(argv)
+        assert (res.exit_code, res.payload["kind"]) == (3, "limit")
+        assert "error target 5e-324 underflows" in res.rendered
+        assert main(argv) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("estimate", [
+        lambda delta: approx_jones(TREFOIL_PLAT, 5, delta),
+        lambda delta: estimate_markov_trace(TREFOIL_PLAT, [HALF], 5, delta),
+    ], ids=["approx_jones", "estimate_markov_trace"])
     def test_estimators_reject_infinite_delta_and_sample_a_huge_one(self, estimate):
         with pytest.raises(DomainError, match="finite"):
             estimate(math.inf)

@@ -23,7 +23,6 @@ from knit.su2q import (
     ColoredSpace,
     DegenerateColorError,
     as_color,
-    braiding_channel_phases,
     braiding_operator_for_word,
     colored_invariant,
     jones_value_from_plat,
@@ -46,6 +45,13 @@ ENGINE_SPACES = [
 
 def unit_root(r):
     return cmath.exp(2j * math.pi / r)
+
+
+def channel_phases(twice_j, r):
+    """The phase a positive letter applies on each coupling channel of two
+    equal colors, keyed by the channel: the diagonal of ``r_matrix``."""
+    op = r_matrix(twice_j, twice_j, r)
+    return {path[-1]: phase for path, phase in zip(op.domain.paths(), np.diag(op.matrix))}
 
 
 def oracle_value(word, n, r):
@@ -125,8 +131,8 @@ class TestRMatrix:
 
     def test_eigenphase_ratio(self):
         r = 7
-        phases = braiding_channel_phases(1, 1, r)
-        ratio = phases[ColorLabel(0)] / phases[ColorLabel(2)]
+        phases = channel_phases(1, r)
+        ratio = phases[0] / phases[2]
         assert ratio == pytest.approx(-unit_root(r), abs=1e-12)
 
     def test_diagonal_on_coupled_basis(self):
@@ -427,7 +433,7 @@ class TestTwist:
         # equal colors: the letter is diagonal in the channel basis of its
         # pair, so its eigenvalues are the channel phases, without any
         # reference to the gather layout
-        phases = np.array(list(braiding_channel_phases(twice_j, twice_j, r).values()))
+        phases = np.array(list(channel_phases(twice_j, r).values()))
         for n in range(2, 6):
             for position in range(1, n):
                 for sign in (1, -1):
