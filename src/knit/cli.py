@@ -35,10 +35,10 @@ from .braid import BraidWord, parse_braid, random_braid
 from .diagram import closure_plat, closure_trace, plat_profile
 from .errors import DomainError, KnitError, LimitError, ParseError
 from .garside import normal_form, words_equal
-from .jones import CROSSING_LIMIT_ENV, jones_polynomial
+from .jones import jones_polynomial
 from .laurent import evaluate_at_root
 
-__all__ = ["CommandResult", "run", "main", "CROSSING_LIMIT_ENV"]
+__all__ = ["CommandResult", "run", "main"]
 
 _INVARIANCE_FAMILIES = (
     "markov-conjugate",

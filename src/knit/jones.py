@@ -11,10 +11,10 @@ cup-cap action ``(n, i, diagram) -> (diagram times E_i, loop closed?)``,
 the same splice as a rewrite of a diagram's partner tuple, and one loop
 that propagates int coefficients keyed by (basis diagram, A-exponent)
 through a word over it.  Both routes tally their terms by
-(A-exponent, loops) as plain ints and share only the close: one
-polynomial built from the tally, then the bracket-to-Jones step.  The
-two must agree exactly, which is the backbone correctness check for
-the whole package.
+(A-exponent, loops) as plain ints and share only the close, in int
+arithmetic: binomial rows of delta^(loops - 1) summed into the bracket,
+then one exponent map A^a -> (-1)^w t^((3w - a)/4).  The two must agree
+exactly, which is the backbone correctness check for the whole package.
 
 Conventions pinned here once and used everywhere: the bracket variable
 is A with loop value delta = -A^2 - A^-2; a positive crossing smooths
@@ -27,8 +27,8 @@ comes out in negative powers of t.
 from __future__ import annotations
 
 import os
-from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from .braid import STRAND_LIMIT, BraidWord
 from .diagram import LinkDiagram, component_labels
@@ -49,7 +49,7 @@ DEFAULT_TL_STRANDS = 10
 
 #: Most free circles the bracket admits: every closure of a braid on at
 #: most STRAND_LIMIT strands.  Each circle is a factor delta, and delta^k
-#: costs O(k^2) to build.
+#: is a row of k + 1 big ints, so O[1000000000] is refused at once.
 FREE_CIRCLE_LIMIT = STRAND_LIMIT
 
 #: Environment variable overriding the state-sum crossing limit.
@@ -162,22 +162,23 @@ def kauffman_bracket(d: LinkDiagram, limit: int | None = None) -> LaurentPoly:
 
 def _tally_to_bracket(tally: dict[tuple[int, int], int]) -> LaurentPoly:
     """Sum of count * A^exponent * delta^(loops - 1) over a tally that
-    maps (A-exponent, loops) to an int: the close of both exact routes."""
-    delta_powers = [LaurentPoly.one()]
+    maps (A-exponent, loops) to an int: the close of both exact routes.
+    Each entry adds the row delta^k = (-1)^k sum_i C(k, i) A^(2k - 4i)."""
     total: dict[int, int] = {}
     for (exponent, loops), count in tally.items():
-        while loops > len(delta_powers):
-            delta_powers.append(delta_powers[-1] * LOOP_VALUE)
-        for num, coeff in delta_powers[loops - 1].terms:
-            key = num + 4 * exponent  # quarter-units
-            total[key] = total.get(key, 0) + count * coeff
+        k = loops - 1
+        signed = -count if k % 2 else count
+        for i in range(k + 1):
+            key = 4 * (exponent + 2 * k - 4 * i)  # quarter-units
+            total[key] = total.get(key, 0) + signed * comb(k, i)
     return LaurentPoly.from_dict(total)
 
 
 def _bracket_to_jones(bracket: LaurentPoly, writhe: int) -> LaurentPoly:
-    """Times the writhe factor (-A^3)^(-writhe), then t = A^-4."""
-    correction = LaurentPoly.monomial(-1 if writhe % 2 else 1, -12 * writhe, 4)
-    return (correction * bracket).substitute_power(Fraction(-1, 4))
+    """Times the writhe factor (-A^3)^(-writhe), then t = A^-4, so that
+    c A^a becomes (-1)^writhe c t^((3 writhe - a)/4)."""
+    sign = -1 if writhe % 2 else 1
+    return LaurentPoly.from_dict({3 * writhe - n // 4: sign * c for n, c in bracket.terms})
 
 
 def jones_polynomial(d: LinkDiagram, limit: int | None = None) -> LaurentPoly:

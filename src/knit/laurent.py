@@ -71,20 +71,6 @@ class LaurentPoly:
                 d[n] = d.get(n, 0) + c1 * c2
         return LaurentPoly.from_dict(d)
 
-    def substitute_power(self, k: Fraction) -> "LaurentPoly":
-        """Replace t by t^k; every scaled exponent must stay on the lattice."""
-        k = Fraction(k)
-        d: dict[int, int] = {}
-        for n, c in self.terms:
-            scaled = Fraction(n, EXPONENT_DENOMINATOR) * k * EXPONENT_DENOMINATOR
-            if scaled.denominator != 1:
-                raise DomainError(
-                    f"exponent {n}/4 * {k} leaves the quarter-integer lattice"
-                )
-            m = int(scaled)
-            d[m] = d.get(m, 0) + c
-        return LaurentPoly.from_dict(d)
-
     def evaluate(self, value: complex) -> complex:
         """Evaluate at an arbitrary finite nonzero complex number, principal powers.
 

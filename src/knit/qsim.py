@@ -256,7 +256,13 @@ def _estimate(pieces, w: BraidWord, r: int, delta, confidence, seed) -> TraceEst
             f"error target {delta} underflows to 0 on the sampling scale "
             f"{scale:.6g}; loosen delta"
         )
-    planned = plan_samples(delta * scale, confidence)
+    try:
+        planned = plan_samples(delta * scale, confidence)
+    except LimitError:
+        raise LimitError(
+            f"sample budget for error target {delta} on the sampling scale "
+            f"{scale:.6g} is past float range; loosen delta"
+        ) from None
     overlap = _sampled_overlap(reference, branch, planned, seed)
     return TraceEstimate(
         value=prefactor * overlap,

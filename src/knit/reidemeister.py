@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from .diagram import Crossing, LinkDiagram, component_labels
 from .errors import DomainError
 
-__all__ = ["Site", "faces", "reidemeister_sites", "apply_reidemeister", "MOVES"]
+__all__ = ["Site", "reidemeister_sites", "apply_reidemeister"]
 
-MOVES = ("RI+", "RI-", "RII+", "RII-", "RIII")
+_MOVES = ("RI+", "RI-", "RII+", "RII-", "RIII")
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ def _occurrences(d: LinkDiagram) -> dict[int, list[tuple[int, int]]]:
     return occ
 
 
-def faces(d: LinkDiagram) -> list[tuple[tuple[int, int], ...]]:
+def _faces(d: LinkDiagram) -> list[tuple[tuple[int, int], ...]]:
     """All faces as corner tuples (crossing, slot), canonically rotated."""
     d.require_valid()
     occ = _occurrences(d)
@@ -97,7 +97,7 @@ def _head_occurrence(d: LinkDiagram, e: int) -> tuple[int, int]:
 
 def reidemeister_sites(d: LinkDiagram, move: str) -> tuple[Site, ...]:
     """All admissible sites for the move on this diagram, sorted."""
-    if move not in MOVES:
+    if move not in _MOVES:
         raise DomainError(f"unknown move {move!r}")
     d.require_valid()
 
@@ -121,7 +121,7 @@ def reidemeister_sites(d: LinkDiagram, move: str) -> tuple[Site, ...]:
 
     if move == "RII+":
         pairs = set()
-        for orbit in faces(d):
+        for orbit in _faces(d):
             along = []
             for ci, si in orbit:
                 e = d.crossings[ci].edges[si]
@@ -137,7 +137,7 @@ def reidemeister_sites(d: LinkDiagram, move: str) -> tuple[Site, ...]:
 
     if move == "RII-":
         sites = []
-        for orbit in faces(d):
+        for orbit in _faces(d):
             if len(orbit) != 2:
                 continue
             (c1, s1), (c2, s2) = orbit
@@ -158,7 +158,7 @@ def reidemeister_sites(d: LinkDiagram, move: str) -> tuple[Site, ...]:
         return tuple(sites)
 
     sites = []
-    for orbit in faces(d):
+    for orbit in _faces(d):
         if len(orbit) != 3:
             continue
         cs = [ci for ci, _ in orbit]

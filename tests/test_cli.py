@@ -10,9 +10,9 @@ import pytest
 
 from knit import cli, su2q
 from knit.braid import LETTER_LIMIT, STRAND_LIMIT, parse_braid, random_braid
-from knit.cli import CROSSING_LIMIT_ENV, CommandResult, main, run
+from knit.cli import CommandResult, main, run
 from knit.diagram import closure_plat, closure_trace
-from knit.jones import jones_polynomial
+from knit.jones import CROSSING_LIMIT_ENV, jones_polynomial
 from knit.laurent import LaurentPoly
 from knit.qsim import approx_jones
 from knit.su2q import colored_invariant

@@ -371,8 +371,31 @@ def test_bracket_of_parsed_diagram_round_trip():
 
 
 def test_bracket_of_free_circles_alone_is_a_power_of_delta():
-    for k in range(1, 6):
+    for k in range(1, 61):
         assert kauffman_bracket(LinkDiagram((), k)) == math.prod([LOOP_VALUE] * (k - 1), start=LaurentPoly.one())
+
+
+def test_free_circles_beside_a_kink_are_a_power_of_delta():
+    for word, kink in (("s1", poly({12: -1})), ("s1^-1", poly({-12: -1}))):
+        (crossing,) = closure_trace(parse_braid(word, 2)).crossings
+        for k in range(1, 61):
+            d = LinkDiagram((crossing,), k)
+            assert kauffman_bracket(d) == math.prod([LOOP_VALUE] * k, start=kink)
+
+
+def test_a_thousand_free_circles_close_in_little_memory():
+    # delta^999 is one binomial row of 1,000 terms; no lower power is kept
+    d = LinkDiagram((), 1000)
+    tracemalloc.start()
+    try:
+        bracket = kauffman_bracket(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert len(bracket.terms) == 1000
+    assert bracket.terms[0] == (-8 * 999, -1)
+    assert sum(c for _, c in bracket.terms) == (-2) ** 999
 
 
 def test_free_circles_past_the_limit_are_refused_before_any_delta_power():

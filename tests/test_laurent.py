@@ -1,5 +1,4 @@
 import cmath
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,20 +38,6 @@ def test_multiplication():
     p = poly({4: 1, 0: -1})
     q = poly({4: 1, 0: 1})
     assert (p * q).terms == ((0, -1), (8, 1))
-
-
-def test_substitute_power_quarter():
-    # setting the variable to t^(-1/4) sends exponent -4 to +1
-    bracket = poly({-16: -1, 8: 1})
-    jones = bracket.substitute_power(Fraction(-1, 4))
-    assert jones.terms == ((-2, 1), (4, -1))
-    assert poly({4: 1}).substitute_power(Fraction(-1, 4)).terms == ((-1, 1),)
-
-
-def test_substitute_power_rejects_off_lattice():
-    p = poly({1: 1})
-    with pytest.raises(DomainError):
-        p.substitute_power(Fraction(1, 2))
 
 
 def test_evaluate_at_root_integer_powers():

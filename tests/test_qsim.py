@@ -191,6 +191,33 @@ class TestPlanSamples:
         lambda delta: approx_jones(TREFOIL_PLAT, 5, delta),
         lambda delta: estimate_markov_trace(TREFOIL_PLAT, [HALF], 5, delta),
     ], ids=["approx_jones", "estimate_markov_trace"])
+    @pytest.mark.parametrize("delta", [1e-310, 1e-300])
+    def test_a_budget_past_float_range_names_the_callers_delta(self, estimate, delta):
+        # delta * scale is positive but so small that the bound is inf;
+        # the message names the delta passed in, not the scaled target
+        with pytest.raises(LimitError, match="past float range") as info:
+            estimate(delta)
+        message = str(info.value)
+        assert f"error target {delta} on the sampling scale" in message
+        scale = float(message.split("sampling scale ")[1].split(" ")[0])
+        assert 0 < scale < 1
+        assert repr(delta * scale) not in message
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    def test_cli_names_the_delta_whose_budget_is_past_float_range(self, mode, capsys):
+        argv = ["approx", "s2^3", "-n", "4", "--root", "5", "--delta", "1e-310", *mode]
+        res = run(argv)
+        assert (res.exit_code, res.payload["kind"]) == (3, "limit")
+        assert "error target 1e-310 on the sampling scale" in res.payload["error"]
+        assert "past float range" in res.payload["error"]
+        assert res.payload["error"] in res.rendered
+        assert main(argv) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("estimate", [
+        lambda delta: approx_jones(TREFOIL_PLAT, 5, delta),
+        lambda delta: estimate_markov_trace(TREFOIL_PLAT, [HALF], 5, delta),
+    ], ids=["approx_jones", "estimate_markov_trace"])
     def test_estimators_reject_infinite_delta_and_sample_a_huge_one(self, estimate):
         with pytest.raises(DomainError, match="finite"):
             estimate(math.inf)

@@ -9,8 +9,8 @@ from knit.jones import jones_polynomial, kauffman_bracket
 from knit.laurent import LaurentPoly
 from knit.reidemeister import (
     Site,
+    _faces,
     apply_reidemeister,
-    faces,
     reidemeister_sites,
 )
 
@@ -29,14 +29,14 @@ def borromean():
 def test_face_count_euler():
     # connected 4-valent planar graph: V - E + F = 2 with E = 2V
     d = trefoil()
-    assert len(faces(d)) == d.crossing_count() + 2
+    assert len(_faces(d)) == d.crossing_count() + 2
     d = borromean()
-    assert len(faces(d)) == d.crossing_count() + 2
+    assert len(_faces(d)) == d.crossing_count() + 2
 
 
 def test_faces_partition_corners():
     d = borromean()
-    corners = [corner for face in faces(d) for corner in face]
+    corners = [corner for face in _faces(d) for corner in face]
     assert len(corners) == 4 * d.crossing_count()
     assert len(set(corners)) == len(corners)
 
