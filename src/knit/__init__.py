@@ -37,7 +37,6 @@ _NUMERIC = {
     ),
     "su2q": (
         "BraidingOperator",
-        "ColorLabel",
         "ColoredSpace",
         "DegenerateColorError",
         "colored_invariant",

@@ -32,10 +32,10 @@ import sys
 from dataclasses import dataclass, field
 
 from .braid import BraidWord, parse_braid, random_braid
-from .diagram import closure_plat, closure_trace, plat_profile
+from .diagram import DIGIT_LIMIT, closure_plat, closure_trace, plat_profile, require_plat_index
 from .errors import DomainError, KnitError, LimitError, ParseError
 from .garside import normal_form, words_equal
-from .jones import jones_polynomial
+from .jones import _check_crossings, jones_polynomial
 from .laurent import evaluate_at_root
 
 __all__ = ["CommandResult", "run", "main"]
@@ -249,6 +249,10 @@ def _cmd_closure_info(args) -> dict:
 
 def _cmd_jones(args) -> dict:
     w = parse_braid(args.word, args.strands)
+    if args.closure_kind == "plat":
+        require_plat_index(w)
+    # either closure has one crossing per letter: refuse the word before building it
+    _check_crossings(len(w.letters))
     close = closure_trace if args.closure_kind == "trace" else closure_plat
     poly = jones_polynomial(close(w))
     payload = {
@@ -275,11 +279,17 @@ def _parse_colors(text: str) -> list[int]:
     for token in text.split(","):
         token = token.strip()
         if not re.fullmatch(r"\d+", token):
+            shown = repr(token)
+            if len(token) > 20:
+                shown = f"{token[:9]!r}... ({len(token)} characters)"
             raise ParseError(
                 f"colors must be comma-separated nonnegative integers "
-                f"(doubled spins), got {token!r}",
+                f"(doubled spins), got {shown}",
                 0,
             )
+        # int() refuses a number past ~4,300 digits with an untyped error
+        if len(token.lstrip("0")) > DIGIT_LIMIT:
+            raise ParseError(f"color longer than {DIGIT_LIMIT} digits", 0)
         colors.append(int(token))
     return colors
 

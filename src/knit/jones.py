@@ -80,6 +80,13 @@ def _crossing_limit(limit: int | None) -> int:
     return limit
 
 
+def _check_crossings(c: int, limit: int | None = None):
+    """Raise LimitError when a state sum over ``c`` crossings passes the limit."""
+    cap = _crossing_limit(limit)
+    if c > cap:
+        raise LimitError(f"state sum over {c} crossings exceeds the limit {cap}")
+
+
 def kauffman_bracket(d: LinkDiagram, limit: int | None = None) -> LaurentPoly:
     """Bracket polynomial in A over all smoothing states, exactly.
 
@@ -104,11 +111,7 @@ def kauffman_bracket(d: LinkDiagram, limit: int | None = None) -> LaurentPoly:
     """
     d.require_valid()
     c = d.crossing_count()
-    cap = _crossing_limit(limit)
-    if c > cap:
-        raise LimitError(
-            f"state sum over {c} crossings exceeds the limit {cap}"
-        )
+    _check_crossings(c, limit)
     if d.unknot_count > FREE_CIRCLE_LIMIT:
         raise LimitError(
             f"{d.unknot_count} free circles exceed the limit {FREE_CIRCLE_LIMIT}"

@@ -2,7 +2,8 @@
 
 Everything here works at ``q = exp(2*pi*i/r)`` for an integer root
 parameter ``r >= 3``.  Colors are spins ``j`` in half-integer steps,
-stored as ``2j`` so all bookkeeping stays integral.
+held as the int ``2j`` (the doubled spin, which ``as_color`` returns)
+from each entry point's one color check to every table.
 
 The braiding machinery acts on *coupled* bases rather than on tensor
 products of single-strand bases.  A basis vector for strands colored
@@ -24,7 +25,8 @@ scalar prefactor, the bottom bend state and the braided branch state.
 A twist changes only the fusion label between its two strands, so
 ``_twist`` builds it once per (colors, position, sign, root) as a cached
 gather table: each output path reads at most ``2j + 1`` source paths,
-and a letter costs O(D b) on D paths instead of a dense D x D matrix.
+and a letter costs O(D b) on D paths instead of a dense D x D matrix;
+``_bend`` caches the bend states beside it, once per (colors, root).
 ``colored_invariant``, ``jones_value_from_plat`` and the sampled
 estimators of ``qsim`` all contract or sample those three pieces.  The
 dense operators of ``r_matrix`` and ``braiding_operator_for_word``
@@ -53,7 +55,6 @@ __all__ = [
     "NORM_TOL",
     "UNITARITY_TOL",
     "BraidingOperator",
-    "ColorLabel",
     "ColoredSpace",
     "DegenerateColorError",
     "as_color",
@@ -67,7 +68,8 @@ __all__ = [
     "r_matrix",
 ]
 
-# Largest tensor-product dimension r_matrix will realize densely.
+# Bounds two counts: r_matrix's classical size (2j1 + 1)(2j2 + 1), and
+# the coupled dimension braiding_operator_for_word realizes densely.
 DENSE_LIMIT = 4096
 
 # Every constructed braiding operator is checked against this bound.
@@ -97,54 +99,31 @@ class DegenerateColorError(DomainError):
 # colors
 
 
-@dataclass(frozen=True, order=True)
-class ColorLabel:
-    """A spin color ``j``, stored as the integer ``2j``."""
-
-    twice_j: int
-
-    def __post_init__(self):
-        if not isinstance(self.twice_j, int) or isinstance(self.twice_j, bool):
-            raise DomainError(f"color needs an integer doubled spin, got {self.twice_j!r}")
-        if self.twice_j < 0:
-            raise DomainError(f"color spin must be nonnegative, got {self.twice_j}/2")
-
-    @property
-    def j(self) -> Fraction:
-        return Fraction(self.twice_j, 2)
-
-    @property
-    def dimension(self) -> int:
-        """Classical multiplet size 2j + 1."""
-        return self.twice_j + 1
-
-    def admissible_for(self, r: int) -> bool:
-        """Whether the label exists at root ``r`` (j <= r)."""
-        return self.twice_j <= 2 * r
-
-    def __str__(self) -> str:
-        j = self.j
-        return f"{j.numerator}/{j.denominator}" if j.denominator == 2 else str(j.numerator)
+def _spin(t: int) -> str:
+    """The spin ``t / 2`` as text: "1/2", "1", "3/2"."""
+    return f"{t}/2" if t % 2 else str(t // 2)
 
 
-def as_color(value) -> ColorLabel:
-    """Coerce ``value`` to a ColorLabel.
+def as_color(value) -> int:
+    """Coerce ``value`` to a doubled spin ``2j``.
 
-    Accepts a ColorLabel, an integer doubled spin (the CLI convention:
-    ``1`` means spin 1/2), or an exact half-integral Fraction/float spin.
+    Accepts an integer doubled spin (the CLI convention: ``1`` means
+    spin 1/2) or an exact half-integral Fraction/float spin.
     """
-    if isinstance(value, ColorLabel):
-        return value
     if isinstance(value, int) and not isinstance(value, bool):
-        return ColorLabel(value)
-    if isinstance(value, float) and not math.isfinite(value):
+        doubled = value
+    elif isinstance(value, float) and not math.isfinite(value):
         raise DomainError(f"spin must be a finite half-integer, got {value}")
-    if isinstance(value, (Fraction, float)):
+    elif isinstance(value, (Fraction, float)):
         doubled = Fraction(value) * 2
         if doubled.denominator != 1:
             raise DomainError(f"spin must be a half-integer, got {value}")
-        return ColorLabel(int(doubled))
-    raise DomainError(f"cannot read {value!r} as a color")
+        doubled = int(doubled)
+    else:
+        raise DomainError(f"cannot read {value!r} as a color")
+    if doubled < 0:
+        raise DomainError(f"color spin must be nonnegative, got {doubled}/2")
+    return doubled
 
 
 def _check_root(r: int):
@@ -154,17 +133,16 @@ def _check_root(r: int):
         raise DomainError(f"root parameter too small: need r >= 3, got {r}")
 
 
-def _check_admissible(color: ColorLabel, r: int):
-    if not color.admissible_for(r):
-        raise DomainError(f"color j = {color} is not admissible at r = {r} (needs j <= r)")
-
-
-def _check_braidable(color: ColorLabel, r: int):
-    _check_admissible(color, r)
-    if color.twice_j > r - 2:
-        raise DegenerateColorError(
-            f"color j = {color} is degenerate at r = {r}: braiding needs 2j <= r - 2"
-        )
+def _check_colors(doubled, r: int):
+    """Refuse the first color that does not exist at root ``r`` (j <= r)
+    or has no braiding headroom there (2j <= r - 2)."""
+    for t in doubled:
+        if t > 2 * r:
+            raise DomainError(f"color j = {_spin(t)} is not admissible at r = {r} (needs j <= r)")
+        if t > r - 2:
+            raise DegenerateColorError(
+                f"color j = {_spin(t)} is degenerate at r = {r}: braiding needs 2j <= r - 2"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -357,29 +335,22 @@ class ColoredSpace:
     basis, whose size is ``coupled_dimension``.
     """
 
-    factors: tuple[ColorLabel, ...]
+    doubled: tuple[int, ...]
     r: int
 
-    def __init__(self, factors, r: int):
-        object.__setattr__(self, "factors", tuple(as_color(f) for f in factors))
+    def __init__(self, colors, r: int):
+        object.__setattr__(self, "doubled", tuple(as_color(c) for c in colors))
         object.__setattr__(self, "r", r)
         _check_root(r)
-        for color in self.factors:
-            _check_admissible(color, r)
+        _check_colors(self.doubled, r)
 
     @property
     def dimension(self) -> int:
         """Product of the classical multiplet sizes (2j_i + 1)."""
-        return math.prod(color.dimension for color in self.factors)
-
-    @property
-    def doubled(self) -> tuple[int, ...]:
-        return tuple(color.twice_j for color in self.factors)
+        return math.prod(t + 1 for t in self.doubled)
 
     def paths(self) -> tuple[tuple[int, ...], ...]:
         """The coupled fusion-path basis, in lexicographic order."""
-        for color in self.factors:
-            _check_braidable(color, self.r)
         return _paths(self.doubled, self.r)
 
     @property
@@ -387,22 +358,16 @@ class ColoredSpace:
         return len(self.paths())
 
     def bend_index(self) -> int:
-        """Position in ``paths()`` of the cap/cup contraction path.
-
-        The path climbs to each odd strand's color and returns to 0 after
-        its partner, so it exists exactly when consecutive strands pair up
-        with equal colors, which is what the plat boundary requires.
-        """
+        """Position in ``paths()`` of the cap/cup contraction path (see ``_bend``)."""
         doubled = self.doubled
         for i in range(0, len(doubled), 2):
             if doubled[i : i + 2] != (doubled[i],) * 2:
-                pair = ", ".join(str(c) for c in self.factors[i : i + 2])
+                pair = ", ".join(_spin(t) for t in doubled[i : i + 2])
                 raise DomainError(f"bend ({i + 1}, {i + 2}) of {self} cannot join colors {pair}")
-        path = (0,) + tuple(t if k % 2 == 0 else 0 for k, t in enumerate(doubled))
-        return self.paths().index(path)
+        return int(_bend(doubled, self.r).argmax())
 
     def __str__(self) -> str:
-        return "(" + ", ".join(str(c) for c in self.factors) + f") at r={self.r}"
+        return "(" + ", ".join(_spin(t) for t in self.doubled) + f") at r={self.r}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -479,6 +444,22 @@ def _twist(colors: tuple[int, ...], position: int, sign: int, r: int):
     return swapped, idx, wts
 
 
+@lru_cache(maxsize=None)
+def _bend(colors: tuple[int, ...], r: int) -> np.ndarray:
+    """The read-only cap/cup state on the paths of paired ``colors``.
+
+    Its one path climbs to each odd strand's color and returns to 0 after
+    its partner, so it exists exactly when consecutive strands pair up
+    with equal colors, which is what the plat boundary requires.
+    """
+    paths = _paths(colors, r)
+    vector = np.zeros(len(paths), dtype=complex)
+    path = (0,) + tuple(t if k % 2 == 0 else 0 for k, t in enumerate(colors))
+    vector[paths.index(path)] = 1.0
+    vector.flags.writeable = False
+    return vector
+
+
 def _braid(colors: tuple[int, ...], letters, r: int, state: np.ndarray):
     """Apply one ``_twist`` per letter to ``state``; returns the final coloring and state.
 
@@ -500,15 +481,14 @@ def r_matrix(j1, j2, r: int) -> BraidingOperator:
     orientation convention pinned by the spin-1/2 Jones agreement.
     Composing with its inverse gives the identity exactly.
     """
-    c1, c2 = as_color(j1), as_color(j2)
+    colors = (as_color(j1), as_color(j2))
     _check_root(r)
-    _check_admissible(c1, r)
-    _check_admissible(c2, r)
-    if c1.dimension * c2.dimension > DENSE_LIMIT:
-        raise LimitError(
-            f"dense limit exceeded: {c1.dimension * c2.dimension} > {DENSE_LIMIT}"
-        )
-    return braiding_operator_for_word(BraidWord(2, ((1, 1),)), (c1, c2), r)
+    # a color past the root is named before the dense limit, a degenerate one after
+    _check_colors([t for t in colors if t > 2 * r], r)
+    size = (colors[0] + 1) * (colors[1] + 1)
+    if size > DENSE_LIMIT:
+        raise LimitError(f"dense limit exceeded: {size} > {DENSE_LIMIT}")
+    return braiding_operator_for_word(BraidWord(2, ((1, 1),)), colors, r)
 
 
 def braiding_operator_for_word(w: BraidWord, colors, r: int) -> BraidingOperator:
@@ -518,19 +498,14 @@ def braiding_operator_for_word(w: BraidWord, colors, r: int) -> BraidingOperator
     the codomain's colors are the domain's pushed through the word's
     permutation.
     """
-    labels = tuple(as_color(c) for c in colors)
-    if len(labels) != w.index:
-        raise DomainError(f"need {w.index} strand colors, got {len(labels)}")
-    _check_root(r)
-    for color in labels:
-        _check_braidable(color, r)
-    domain = ColoredSpace(labels, r)
-    if domain.coupled_dimension > DENSE_LIMIT:
-        raise LimitError(
-            f"dense limit exceeded: {domain.coupled_dimension} > {DENSE_LIMIT}"
-        )
-    identity = np.eye(domain.coupled_dimension, dtype=complex)
-    final, mat = _braid(domain.doubled, w.letters, r, identity)
+    doubled = tuple(as_color(c) for c in colors)
+    if len(doubled) != w.index:
+        raise DomainError(f"need {w.index} strand colors, got {len(doubled)}")
+    domain = ColoredSpace(doubled, r)
+    size = domain.coupled_dimension
+    if size > DENSE_LIMIT:
+        raise LimitError(f"dense limit exceeded: {size} > {DENSE_LIMIT}")
+    final, mat = _braid(doubled, w.letters, r, np.eye(size, dtype=complex))
     return BraidingOperator(mat, domain, ColoredSpace(final, r))
 
 
@@ -545,11 +520,13 @@ def plat_branch(w: BraidWord, colors, r: int):
     ``colored_invariant``.  ``branch`` is the top bend state braided by
     ``w`` one elementary twist per letter, ``reference`` is the bottom
     bend state, and ``prefactor * vdot(reference, branch)`` is the
-    invariant.  The scalar prefactor carries the quantum dimension of
-    every cap, and per component the framing phase of its self crossings
-    and the bend sign of its extra turns.  A non-finite prefactor or a
-    branch whose norm drifted from 1 by more than ``NORM_TOL`` means the
-    quantum weights broke down in floating point; that raises LimitError.
+    invariant.  ``reference`` is a shared, read-only vector, cached like
+    the twist tables (so is ``branch`` for an empty word).  The scalar
+    prefactor carries the quantum dimension of every cap, and per
+    component the framing phase of its self crossings and the bend sign
+    of its extra turns.  A non-finite prefactor or a branch whose norm
+    drifted from 1 by more than ``NORM_TOL`` means the quantum weights
+    broke down in floating point; that raises LimitError.
     """
     return _plat_branch(w, plat_profile(w), colors, r)
 
@@ -561,39 +538,31 @@ def _plat_branch(w: BraidWord, profile, colors, r: int):
         raise DomainError(
             f"root parameter must be at least the component count: r = {r} < {count}"
         )
-    labels = tuple(as_color(c) for c in colors)
-    if len(labels) != count:
+    doubled = tuple(as_color(c) for c in colors)
+    if len(doubled) != count:
         raise DomainError(
-            f"need one color per link component: got {len(labels)} for {count} components"
+            f"need one color per link component: got {len(doubled)} for {count} components"
         )
-    for color in labels:
-        _check_braidable(color, r)
+    _check_colors(doubled, r)
 
-    pair_colors = tuple(labels[profile.pair_component[i]] for i in range(w.index // 2))
-    current = tuple(t for color in pair_colors for t in (color.twice_j,) * 2)
+    pair_colors = tuple(doubled[comp] for comp in profile.pair_component)
+    current = tuple(t for t in pair_colors for _ in (0, 1))
 
     prefactor = 1.0 + 0.0j
-    for color in pair_colors:
-        prefactor *= _qdim(color.twice_j, r)
-    for comp in range(count):
-        t = labels[comp].twice_j
+    for t in pair_colors:
+        prefactor *= _qdim(t, r)
+    for comp, t in enumerate(doubled):
         framing = _braid_phase(t, t, 0, r)
         prefactor *= framing ** (-profile.self_writhe[comp])
         prefactor *= ((-1) ** t) ** (profile.cup_count[comp] - 1)
 
-    current, branch = _braid(current, w.letters, r, _bend_vector(ColoredSpace(current, r)))
+    current, branch = _braid(current, w.letters, r, _bend(current, r))
     if not (cmath.isfinite(prefactor) and abs(np.linalg.norm(branch) - 1.0) <= NORM_TOL):
         raise LimitError(
             f"plat contraction broke down numerically at r = {r}: the prefactor is "
             f"not finite or the braided state lost its unit norm"
         )
-    return prefactor, _bend_vector(ColoredSpace(current, r)), branch
-
-
-def _bend_vector(space: ColoredSpace) -> np.ndarray:
-    vector = np.zeros(space.coupled_dimension, dtype=complex)
-    vector[space.bend_index()] = 1.0
-    return vector
+    return prefactor, _bend(current, r), branch
 
 
 def jones_plat_branch(w: BraidWord, r: int):
@@ -605,7 +574,7 @@ def jones_plat_branch(w: BraidWord, r: int):
     """
     profile = plat_profile(w)
     count = profile.component_count
-    prefactor, reference, branch = _plat_branch(w, profile, (ColorLabel(1),) * count, r)
+    prefactor, reference, branch = _plat_branch(w, profile, (1,) * count, r)
     framing = _braid_phase(1, 1, 0, r)
     prefactor *= (-1) ** (count - 1) * framing ** (-2 * profile.linking_sum())
     return prefactor / _qdim(1, r), reference, branch

@@ -242,6 +242,28 @@ class TestJones:
         assert res.exit_code == 1
         assert res.payload["kind"] == "domain"
 
+    @pytest.mark.parametrize(
+        "closure", [["--closure", "trace"], ["--closure", "plat", "-n", "2"]], ids=["trace", "plat"]
+    )
+    def test_over_cap_word_is_refused_before_its_closure(self, monkeypatch, closure):
+        def refuse(w):
+            raise AssertionError("the closure was built")
+
+        monkeypatch.setattr(cli, "closure_trace", refuse)
+        monkeypatch.setattr(cli, "closure_plat", refuse)
+        res = run(["jones", "s1^1000000", *closure, "--json"])
+        assert res.exit_code == 3
+        assert res.payload == {
+            "error": "state sum over 1000000 crossings exceeds the limit 20",
+            "kind": "limit",
+        }
+
+    def test_odd_index_plat_over_the_cap_is_still_a_domain_error(self):
+        res = run(["jones", "s1^30", "-n", "3", "--closure", "plat", "--json"])
+        assert res.exit_code == 1
+        assert res.payload["kind"] == "domain"
+        assert "even braid index" in res.payload["error"]
+
     def test_round_trip_through_json_rendering(self):
         res = run(["jones", "s1 s2^-1 s1 s2^-1", "-n", "3", "--json"])
         assert res.exit_code == 0
@@ -299,6 +321,18 @@ class TestColored:
     def test_malformed_colors_are_a_parse_error(self):
         res = run(["colored", "s2^3", "-n", "4", "--colors", "1,x", "--root", "7"])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("colors", ["7" * 5000, "1," + "x" * 5000], ids=["digits", "malformed"])
+    def test_overlong_color_is_a_short_parse_error(self, colors, capsys):
+        argv = ["colored", "s1", "-n", "2", "--colors", colors, "--root", "5", "--json"]
+        res = run(argv)
+        assert res.exit_code == 2
+        assert res.payload["kind"] == "parse"
+        assert len(res.payload["error"]) < 200
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert all(len(line) < 200 for line in err.splitlines())
 
     def test_numerical_breakdown_is_a_limit_error_not_nan(self):
         res = run(["colored", "s1", "-n", "2", "--colors", "300", "--root", "400", "--json"])

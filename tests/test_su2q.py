@@ -19,7 +19,6 @@ from knit.jones import jones_polynomial
 from knit.laurent import evaluate_at_root
 from knit.su2q import (
     BraidingOperator,
-    ColorLabel,
     ColoredSpace,
     DegenerateColorError,
     as_color,
@@ -60,15 +59,16 @@ def oracle_value(word, n, r):
 
 
 class TestColorLabel:
+    """Colors are doubled spins 2j, held as plain ints."""
+
     def test_coercions(self):
-        assert as_color(1) == ColorLabel(1)
-        assert as_color(Fraction(1, 2)) == ColorLabel(1)
-        assert as_color(1.5) == ColorLabel(3)
-        assert as_color(ColorLabel(4)) == ColorLabel(4)
+        for value, doubled in ((1, 1), (Fraction(1, 2), 1), (1.5, 3), (4, 4), (2.0, 4)):
+            color = as_color(value)
+            assert color == doubled and type(color) is int
 
     def test_rejects_bad_spins(self):
-        with pytest.raises(DomainError):
-            ColorLabel(-1)
+        with pytest.raises(DomainError, match="nonnegative"):
+            as_color(-1)
         with pytest.raises(DomainError):
             as_color(0.3)
         with pytest.raises(DomainError):
@@ -83,16 +83,13 @@ class TestColorLabel:
         with pytest.raises(DomainError, match="finite"):
             r_matrix(Fraction(1, 2), spin, 5)
 
-    def test_properties(self):
-        c = ColorLabel(3)
-        assert c.j == Fraction(3, 2)
-        assert c.dimension == 4
-        assert str(c) == "3/2"
-        assert str(ColorLabel(4)) == "2"
-
     def test_admissibility_bound(self):
-        assert ColorLabel(2 * 5).admissible_for(5)
-        assert not ColorLabel(2 * 5 + 1).admissible_for(5)
+        # j <= r exists but has no braiding headroom; j > r does not exist
+        with pytest.raises(DegenerateColorError, match=r"j = 5 is degenerate at r = 5"):
+            ColoredSpace((2 * 5,), 5)
+        with pytest.raises(DomainError, match=r"j = 11/2 is not admissible at r = 5") as info:
+            ColoredSpace((2 * 5 + 1,), 5)
+        assert not isinstance(info.value, DegenerateColorError)
 
 
 class TestQInteger:
@@ -144,7 +141,7 @@ class TestRMatrix:
     def test_unitary_grid(self, r):
         for t1 in range(0, 4):
             for t2 in range(0, 4):
-                op = r_matrix(ColorLabel(t1), ColorLabel(t2), r)
+                op = r_matrix(t1, t2, r)
                 assert op.unitarity_defect() < 1e-10
 
     def test_inverse_cancels(self):
@@ -163,31 +160,31 @@ class TestRMatrix:
 
     def test_dense_limit(self):
         with pytest.raises(LimitError):
-            r_matrix(ColorLabel(63), ColorLabel(65), 70)
+            r_matrix(63, 65, 70)
 
     def test_rejects_inadmissible(self):
         with pytest.raises(DomainError):
-            r_matrix(ColorLabel(11), 0, 5)
+            r_matrix(11, 0, 5)
 
     def test_rejects_degenerate(self):
         with pytest.raises(DegenerateColorError):
-            r_matrix(ColorLabel(4), ColorLabel(4), 5)
+            r_matrix(4, 4, 5)
 
 
 class TestColoredSpace:
     def test_dimension_is_classical_product(self):
-        space = ColoredSpace((ColorLabel(1), ColorLabel(2), ColorLabel(3)), 10)
+        space = ColoredSpace((1, 2, 3), 10)
         assert space.dimension == 2 * 3 * 4
 
     def test_coupled_dimension_counts_paths(self):
-        space = ColoredSpace((ColorLabel(1),) * 4, 10)
+        space = ColoredSpace((1,) * 4, 10)
         # spin-1/2 strands: walks on the truncated ladder returning anywhere
         assert space.coupled_dimension == len(space.paths())
         assert space.paths()[0] == (0, 1, 0, 1, 0)
 
     def test_rejects_inadmissible_factor(self):
         with pytest.raises(DomainError):
-            ColoredSpace((ColorLabel(11),), 5)
+            ColoredSpace((11,), 5)
 
     def test_bend_index_is_the_cap_path(self):
         space = ColoredSpace((1, 1, 2, 2), 10)
@@ -284,12 +281,12 @@ class TestColoredInvariant:
     def test_unknot_all_colors_at_ten(self):
         r = 10
         for tj in range(0, 9):  # up to the degeneracy edge 2j = r - 2
-            value = colored_invariant(parse_braid("", 2), [ColorLabel(tj)], r)
+            value = colored_invariant(parse_braid("", 2), [tj], r)
             assert value == pytest.approx(q_integer(tj + 1, r), abs=1e-10)
 
     def test_crossed_unknot_still_quantum_dimension(self):
         for tj in (1, 2, 3, 4):
-            value = colored_invariant(parse_braid("s2", 4), [ColorLabel(tj)], 10)
+            value = colored_invariant(parse_braid("s2", 4), [tj], 10)
             assert value == pytest.approx(q_integer(tj + 1, 10), abs=1e-10)
 
     def test_kink_appends_do_not_change_the_value(self):
@@ -308,8 +305,8 @@ class TestColoredInvariant:
 
     def test_braid_relation_rewrite_fixed(self):
         for tj in (1, 2):
-            one = colored_invariant(parse_braid("s1 s2 s1 s3", 4), [ColorLabel(tj)], 10)
-            two = colored_invariant(parse_braid("s2 s1 s2 s3", 4), [ColorLabel(tj)], 10)
+            one = colored_invariant(parse_braid("s1 s2 s1 s3", 4), [tj], 10)
+            two = colored_invariant(parse_braid("s2 s1 s2 s3", 4), [tj], 10)
             assert one == pytest.approx(two, abs=1e-8)
 
     def test_far_commutation_rewrite_fixed(self):
@@ -387,7 +384,7 @@ class TestColoredInvariant:
 
     def test_rejects_degenerate_color(self):
         with pytest.raises(DegenerateColorError):
-            colored_invariant(parse_braid("", 2), [ColorLabel(4)], 5)
+            colored_invariant(parse_braid("", 2), [4], 5)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -454,7 +451,7 @@ class TestTwist:
         composite = np.eye(op.matrix.shape[1])
         space = op.domain
         for letter in w.letters:
-            step = braiding_operator_for_word(BraidWord(n, (letter,)), space.factors, r)
+            step = braiding_operator_for_word(BraidWord(n, (letter,)), space.doubled, r)
             assert step.domain == space
             composite = step.matrix @ composite
             space = step.codomain
@@ -467,6 +464,13 @@ class TestTwist:
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0, 0] = 0
+        bend = su2q._bend((2, 2, 1, 1), 7)
+        assert not bend.flags.writeable
+        with pytest.raises(ValueError):
+            bend[0] = 0
+        # the plat engine hands out the cached bend state itself
+        _, reference, _ = plat_branch(parse_braid("s2^2", 4), (2, 1), 7)
+        assert reference is su2q._bend((2, 2, 1, 1), 7)
 
     def test_engine_value_is_pinned(self):
         # recorded from the dense per-letter engine
@@ -527,7 +531,7 @@ class TestGridProperties:
             left = braiding_operator_for_word(parse_braid("s1 s2 s1", 3), colors, r)
             right = braiding_operator_for_word(parse_braid("s2 s1 s2", 3), colors, r)
             worst_y = max(worst_y, float(np.abs(left.matrix - right.matrix).max()))
-            pair = r_matrix(ColorLabel(colors[0]), ColorLabel(colors[1]), r)
+            pair = r_matrix(colors[0], colors[1], r)
             worst_u = max(worst_u, pair.unitarity_defect())
         assert worst_u < 1e-10
         assert worst_y < 1e-10
