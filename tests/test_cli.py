@@ -1,10 +1,12 @@
 """Tests for the `knit` command-line front end."""
 
 import json
+import math
 import random
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -606,3 +608,39 @@ class TestParserReuse:
         fresh = [_record(run(argv)) for argv in requests]
         assert reused == fresh
         assert {r[0] for r in reused} == {0, 1, 2, 3}
+
+
+# (argv, exit code, rendered text, diagnostics) of every CORPUS request,
+# recorded once from a known-good tree. A change that alters what knit
+# prints must show up here: mend the program, never the table.
+PINNED = json.loads((Path(__file__).parent / "cli_corpus_output.json").read_text())
+
+
+def _same_json(got, want) -> bool:
+    """Equal documents, floats within 1e-12."""
+    if isinstance(want, float):
+        return isinstance(got, float) and math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
+    if isinstance(want, dict):
+        return isinstance(got, dict) and got.keys() == want.keys() and all(
+            _same_json(got[k], want[k]) for k in want
+        )
+    if isinstance(want, list):
+        return isinstance(got, list) and len(got) == len(want) and all(map(_same_json, got, want))
+    return type(got) is type(want) and got == want
+
+
+class TestPinnedOutput:
+    def test_the_table_covers_the_corpus(self):
+        assert [row[0] for row in PINNED] == [list(argv) for argv in CORPUS]
+
+    @pytest.mark.parametrize(
+        "argv, exit_code, rendered, diagnostics", PINNED, ids=[" ".join(row[0]) for row in PINNED]
+    )
+    def test_prints_the_pinned_text(self, monkeypatch, argv, exit_code, rendered, diagnostics):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
+        res = run(argv)
+        assert (res.exit_code, res.diagnostics) == (exit_code, diagnostics)
+        if "--json" in argv and exit_code == 0:
+            assert _same_json(json.loads(res.rendered), json.loads(rendered))
+        else:
+            assert res.rendered == rendered
