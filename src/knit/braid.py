@@ -17,7 +17,7 @@ import random
 import re
 from dataclasses import dataclass
 
-from .errors import DomainError, LimitError, ParseError
+from .errors import DomainError, LimitError, ParseError, _quoted
 
 __all__ = [
     "BraidWord",
@@ -164,7 +164,7 @@ def parse_braid(text: str, index: int | None = None) -> BraidWord:
             raise ParseError(f"expected generator token, found {text[pos]!r}", pos)
         end = m.end()
         if end < n and not text[end].isspace():
-            raise ParseError(f"malformed token {text[pos:end + 1]!r}", pos)
+            raise ParseError(f"malformed token {_quoted(text[pos:end + 1])}", pos)
         gen = _bounded_int(m.group(1), gen_width)
         if gen == 0:
             raise ParseError(f"generator index must be >= 1, got s{gen}", pos)

@@ -13,7 +13,9 @@ result that is not finite, which would not be valid JSON.
 script, also run by ``python -m knit`` and ``python -m knit.cli``.
 The argument parser is built on the first ``run`` and reused by every
 later one: ``parse_args`` only reads it, filling a fresh namespace per
-call.
+call.  Each subcommand has one handler, bound to its subparser; it
+returns its JSON payload, its text lines and its notes for stderr, and
+``run`` renders the payload under ``--json`` and the text otherwise.
 
 Only ``colored`` and ``approx`` need numpy; their handlers import
 ``su2q`` and ``qsim`` when called, so the exact commands start without it.
@@ -33,20 +35,14 @@ from dataclasses import dataclass, field
 
 from .braid import BraidWord, parse_braid, random_braid
 from .diagram import DIGIT_LIMIT, closure_plat, closure_trace, plat_profile, require_plat_index
-from .errors import DomainError, KnitError, LimitError, ParseError
+from .errors import DomainError, KnitError, LimitError, ParseError, _quoted
 from .garside import normal_form, words_equal
 from .jones import _check_crossings, jones_polynomial
 from .laurent import evaluate_at_root
 
 __all__ = ["CommandResult", "run", "main"]
 
-_INVARIANCE_FAMILIES = (
-    "markov-conjugate",
-    "markov-stabilize",
-    "RI",
-    "RII",
-    "RIII",
-)
+_INVARIANCE_FAMILIES = ("markov-conjugate", "markov-stabilize", "RI", "RII", "RIII")
 
 
 @dataclass
@@ -77,6 +73,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message, self.format_usage())
 
 
+def _int(text: str) -> int:
+    """argparse type for every integer option: int(), quoting a bad value short."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quoted(text)}") from None
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
@@ -89,9 +93,14 @@ def _build_parser() -> _Parser:
     word_args.add_argument(
         "-n",
         "--strands",
-        type=int,
+        type=_int,
         default=None,
         help="number of strands (default: one more than the largest generator)",
+    )
+
+    closure_args = argparse.ArgumentParser(add_help=False)
+    closure_args.add_argument(
+        "--closure", choices=("trace", "plat"), default="trace", dest="closure_kind"
     )
 
     parser = _Parser(
@@ -105,45 +114,41 @@ def _build_parser() -> _Parser:
         "parse",
         parents=[common, word_args],
         help="parse a braid word and report its basic data",
-    )
+    ).set_defaults(handler=_cmd_parse)
 
     sub.add_parser(
         "nf",
         parents=[common, word_args],
         help="left-canonical normal form (half-twist power and simple factors)",
-    )
+    ).set_defaults(handler=_cmd_nf)
 
     eq = sub.add_parser(
         "eq", parents=[common], help="decide whether two braid words are equal"
     )
     eq.add_argument("left", help="first braid word")
     eq.add_argument("right", help="second braid word")
-    eq.add_argument("-n", "--strands", type=int, default=None)
+    eq.add_argument("-n", "--strands", type=_int, default=None)
+    eq.set_defaults(handler=_cmd_eq)
 
-    closure = sub.add_parser(
+    sub.add_parser(
         "closure-info",
-        parents=[common, word_args],
+        parents=[common, word_args, closure_args],
         help="components, crossings, and writhe of a closure",
-    )
-    closure.add_argument(
-        "--closure", choices=("trace", "plat"), default="trace", dest="closure_kind"
-    )
+    ).set_defaults(handler=_cmd_closure_info)
 
     jones = sub.add_parser(
         "jones",
-        parents=[common, word_args],
+        parents=[common, word_args, closure_args],
         help="exact Jones polynomial of a closure",
     )
     jones.add_argument(
-        "--closure", choices=("trace", "plat"), default="trace", dest="closure_kind"
-    )
-    jones.add_argument(
         "--at-root",
-        type=int,
+        type=_int,
         default=None,
         metavar="R",
         help="also evaluate at q = exp(2*pi*i/R)",
     )
+    jones.set_defaults(handler=_cmd_jones)
 
     colored = sub.add_parser(
         "colored",
@@ -155,99 +160,120 @@ def _build_parser() -> _Parser:
         required=True,
         help="comma-separated doubled spins, one per component, e.g. 1,1,1",
     )
-    colored.add_argument("--root", type=int, required=True, metavar="R")
+    colored.add_argument("--root", type=_int, required=True, metavar="R")
     colored.add_argument(
         "--normalize",
         choices=("none", "ambient", "regular"),
         default="none",
         help="rescale: 'regular' keeps framing, 'ambient' is kink-invariant",
     )
+    colored.set_defaults(handler=_cmd_colored)
 
     approx = sub.add_parser(
         "approx",
         parents=[common, word_args],
         help="sampled Jones value of the plat closure, unknot normalized",
     )
-    approx.add_argument("--root", type=int, required=True, metavar="R")
+    approx.add_argument("--root", type=_int, required=True, metavar="R")
     approx.add_argument("--delta", type=float, required=True)
     approx.add_argument("--confidence", type=float, default=0.75)
-    approx.add_argument("--seed", type=int, default=0)
+    approx.add_argument("--seed", type=_int, default=0)
+    approx.set_defaults(handler=_cmd_approx)
 
     inv = sub.add_parser(
         "invariance-test",
         parents=[common],
         help="randomized Markov-move and local-move invariance checks",
     )
-    inv.add_argument("--trials", type=int, default=20)
-    inv.add_argument("--seed", type=int, default=0)
+    inv.add_argument("--trials", type=_int, default=20)
+    inv.add_argument("--seed", type=_int, default=0)
+    inv.set_defaults(handler=_cmd_invariance_test)
 
     return parser
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns its JSON payload, its text lines and
+# its notes for stderr
 
 
-def _cmd_parse(args) -> dict:
+def _cmd_parse(args):
     w = parse_braid(args.word, args.strands)
-    return {
-        "word": str(w),
+    word, exponent_sum = str(w), w.exponent_sum()
+    permutation = list(w.permutation().targets)
+    payload = {
+        "word": word,
         "strands": w.index,
         "length": len(w.letters),
-        "exponent_sum": w.exponent_sum(),
+        "exponent_sum": exponent_sum,
         "letters": [[g, s] for g, s in w.letters],
-        "permutation": list(w.permutation().targets),
+        "permutation": permutation,
     }
+    return payload, [
+        f"word: {word or '(empty)'}",
+        f"strands: {w.index}",
+        f"length: {len(w.letters)}",
+        f"exponent sum: {exponent_sum}",
+        f"permutation: {permutation}",
+    ], []
 
 
-def _cmd_nf(args) -> dict:
-    w = parse_braid(args.word, args.strands)
-    nf = normal_form(w)
-    return {
+def _cmd_nf(args):
+    nf = normal_form(parse_braid(args.word, args.strands))
+    form, length = str(nf), nf.canonical_length()
+    trivial = nf.infimum == 0 and length == 0
+    payload = {
         "strands": nf.index,
         "half_twist_power": nf.infimum,
-        "canonical_length": nf.canonical_length(),
+        "canonical_length": length,
         "factors": [list(f.targets) for f in nf.factors],
-        "normal_form": str(nf),
-        "trivial": nf.infimum == 0 and nf.canonical_length() == 0,
+        "normal_form": form,
+        "trivial": trivial,
     }
+    return payload, [
+        f"normal form: {form}",
+        f"half-twist power: {nf.infimum}",
+        f"canonical length: {length}",
+        f"trivial: {str(trivial).lower()}",
+    ], []
 
 
-def _cmd_eq(args) -> dict:
+def _cmd_eq(args):
     left = parse_braid(args.left, args.strands)
     right = parse_braid(args.right, args.strands)
     # without -n the narrower word is read in the wider word's group
     n = max(left.index, right.index)
-    left, right = BraidWord(n, left.letters), BraidWord(n, right.letters)
-    return {"equal": words_equal(left, right)}
+    equal = words_equal(BraidWord(n, left.letters), BraidWord(n, right.letters))
+    return {"equal": equal}, ["equal" if equal else "not equal"], []
 
 
-def _cmd_closure_info(args) -> dict:
+def _cmd_closure_info(args):
     w = parse_braid(args.word, args.strands)
+    payload = {"closure": args.closure_kind, "strands": w.index}
     if args.closure_kind == "trace":
         d = closure_trace(w)
-        return {
-            "closure": "trace",
-            "strands": w.index,
-            "components": d.component_count(),
-            "crossings": d.crossing_count(),
-            "writhe": d.writhe(),
-        }
-    profile = plat_profile(w)
-    return {
-        "closure": "plat",
-        "strands": w.index,
-        "components": profile.component_count,
-        "crossings": len(w.letters),
-        "writhe": profile.writhe,
-        "self_writhe": list(profile.self_writhe),
-        "cup_counts": list(profile.cup_count),
-        "pair_components": list(profile.pair_component),
-        "linking_sum": profile.linking_sum(),
-    }
+        payload.update(
+            components=d.component_count(), crossings=d.crossing_count(), writhe=d.writhe()
+        )
+    else:
+        profile = plat_profile(w)
+        payload.update(
+            components=profile.component_count,
+            crossings=len(w.letters),
+            writhe=profile.writhe,
+            self_writhe=list(profile.self_writhe),
+            cup_counts=list(profile.cup_count),
+            pair_components=list(profile.pair_component),
+            linking_sum=profile.linking_sum(),
+        )
+    lines = [f"{key}: {payload[key]}" for key in ("closure", "components", "crossings", "writhe")]
+    if args.closure_kind == "plat":
+        lines.append(f"self-writhe by component: {payload['self_writhe']}")
+        lines.append(f"linking sum: {payload['linking_sum']}")
+    return payload, lines, []
 
 
-def _cmd_jones(args) -> dict:
+def _cmd_jones(args):
     w = parse_braid(args.word, args.strands)
     if args.closure_kind == "plat":
         require_plat_index(w)
@@ -255,23 +281,18 @@ def _cmd_jones(args) -> dict:
     _check_crossings(len(w.letters))
     close = closure_trace if args.closure_kind == "trace" else closure_plat
     poly = jones_polynomial(close(w))
+    pretty = poly.format("t")
     payload = {
         "closure": args.closure_kind,
         "strands": w.index,
-        "polynomial": {
-            "variable": "t",
-            "terms": poly.to_json_terms(),
-            "pretty": poly.format("t"),
-        },
+        "polynomial": {"variable": "t", "terms": poly.to_json_terms(), "pretty": pretty},
     }
+    lines = [f"jones ({args.closure_kind} closure): {pretty}"]
     if args.at_root is not None:
         value = evaluate_at_root(poly, args.at_root)
-        payload["value_at_root"] = {
-            "r": args.at_root,
-            "re": value.real,
-            "im": value.imag,
-        }
-    return payload
+        payload["value_at_root"] = {"r": args.at_root, "re": value.real, "im": value.imag}
+        lines.append(f"at r = {args.at_root}: {value.real:.12g} + {value.imag:.12g}i")
+    return payload, lines, []
 
 
 def _parse_colors(text: str) -> list[int]:
@@ -279,12 +300,9 @@ def _parse_colors(text: str) -> list[int]:
     for token in text.split(","):
         token = token.strip()
         if not re.fullmatch(r"\d+", token):
-            shown = repr(token)
-            if len(token) > 20:
-                shown = f"{token[:9]!r}... ({len(token)} characters)"
             raise ParseError(
                 f"colors must be comma-separated nonnegative integers "
-                f"(doubled spins), got {shown}",
+                f"(doubled spins), got {_quoted(token)}",
                 0,
             )
         # int() refuses a number past ~4,300 digits with an untyped error
@@ -294,7 +312,7 @@ def _parse_colors(text: str) -> list[int]:
     return colors
 
 
-def _cmd_colored(args) -> dict:
+def _cmd_colored(args):
     from .su2q import colored_invariant, normalize_ambient
 
     w = parse_braid(args.word, args.strands)
@@ -309,7 +327,7 @@ def _cmd_colored(args) -> dict:
             if args.normalize == "regular"
             else normalize_ambient(regular, writhe, r)
         )
-    return {
+    payload = {
         "root": r,
         "colors": colors,
         "components": len(colors),
@@ -318,39 +336,48 @@ def _cmd_colored(args) -> dict:
         "value_re": value.real,
         "value_im": value.imag,
     }
+    return payload, [
+        f"colored invariant (r = {r}, colors {colors}, normalization {args.normalize}):",
+        f"  {value.real:.12g} + {value.imag:.12g}i",
+    ], []
 
 
-def _cmd_approx(args) -> tuple[dict, list[str]]:
+def _cmd_approx(args):
     from .qsim import approx_jones
 
     w = parse_braid(args.word, args.strands)
     estimate = approx_jones(w, args.root, args.delta, args.confidence, args.seed)
+    value, exact = estimate.value, estimate.exact
+    lines = [
+        f"Z = {value.real:.6g} + {value.imag:.6g}i "
+        f"(delta {estimate.delta}, confidence {estimate.confidence})"
+    ]
+    if exact is not None:
+        lines.append(f"exact = {exact.real:.6g} + {exact.imag:.6g}i")
+    lines.append(
+        f"samples: {estimate.samples_used}  seed: {estimate.seed}  "
+        f"generator: {estimate.generator}  scale: {estimate.scale:.6g}"
+    )
     notes = []
     if estimate.tractable_root:
         notes.append(
             f"note: r = {args.root} is a classically tractable evaluation "
             f"point; sampling buys nothing there"
         )
-    return estimate.to_json_dict(), notes
+    return estimate.to_json_dict(), lines, notes
 
 
 def _trace_jones(w: BraidWord) -> object:
     return jones_polynomial(closure_trace(w))
 
 
-def _random_closure(rng: random.Random):
-    """A seeded small braid closure, kept within the state-sum budget."""
-    n = rng.randint(2, 4)
-    length = rng.randint(3, 6)
-    w = random_braid(n, length, rng.randrange(2**32))
-    return w, closure_trace(w)
-
-
 def _invariance_trial(family: str, seed_text: str) -> bool:
     from .reidemeister import apply_reidemeister, reidemeister_sites
 
     rng = random.Random(seed_text)
-    w, d = _random_closure(rng)
+    # a seeded small closure, kept within the state-sum budget
+    w = random_braid(rng.randint(2, 4), rng.randint(3, 6), rng.randrange(2**32))
+    d = closure_trace(w)
     if family == "markov-conjugate":
         a = random_braid(w.index, rng.randint(1, 4), rng.randrange(2**32))
         return _trace_jones(w.conjugate_by(a)) == _trace_jones(w)
@@ -387,99 +414,25 @@ def _invariance_trial(family: str, seed_text: str) -> bool:
     )
 
 
-def _cmd_invariance_test(args) -> dict:
+def _cmd_invariance_test(args):
     if args.trials < 1:
         raise DomainError(f"trial count must be positive, got {args.trials}")
-    results = {}
-    for family in _INVARIANCE_FAMILIES:
-        passed = sum(
+    passed = {
+        family: sum(
             _invariance_trial(family, f"{family}:{args.seed}:{t}")
             for t in range(args.trials)
         )
-        results[family] = {"passed": passed, "trials": args.trials}
-    return {
+        for family in _INVARIANCE_FAMILIES
+    }
+    all_passed = all(count == args.trials for count in passed.values())
+    payload = {
         "trials": args.trials,
         "seed": args.seed,
-        "results": results,
-        "all_passed": all(
-            row["passed"] == row["trials"] for row in results.values()
-        ),
+        "results": {f: {"passed": count, "trials": args.trials} for f, count in passed.items()},
+        "all_passed": all_passed,
     }
-
-
-# ---------------------------------------------------------------------------
-# rendering
-
-
-def _render(command: str, payload: dict) -> str:
-    lines: list[str] = []
-    if command == "parse":
-        lines.append(f"word: {payload['word'] or '(empty)'}")
-        lines.append(f"strands: {payload['strands']}")
-        lines.append(f"length: {payload['length']}")
-        lines.append(f"exponent sum: {payload['exponent_sum']}")
-        lines.append(f"permutation: {payload['permutation']}")
-    elif command == "nf":
-        lines.append(f"normal form: {payload['normal_form']}")
-        lines.append(f"half-twist power: {payload['half_twist_power']}")
-        lines.append(f"canonical length: {payload['canonical_length']}")
-        lines.append(f"trivial: {str(payload['trivial']).lower()}")
-    elif command == "eq":
-        lines.append("equal" if payload["equal"] else "not equal")
-    elif command == "closure-info":
-        lines.append(f"closure: {payload['closure']}")
-        lines.append(f"components: {payload['components']}")
-        lines.append(f"crossings: {payload['crossings']}")
-        lines.append(f"writhe: {payload['writhe']}")
-        if payload["closure"] == "plat":
-            lines.append(f"self-writhe by component: {payload['self_writhe']}")
-            lines.append(f"linking sum: {payload['linking_sum']}")
-    elif command == "jones":
-        lines.append(f"jones ({payload['closure']} closure): "
-                     f"{payload['polynomial']['pretty']}")
-        if "value_at_root" in payload:
-            at = payload["value_at_root"]
-            lines.append(
-                f"at r = {at['r']}: {at['re']:.12g} + {at['im']:.12g}i"
-            )
-    elif command == "colored":
-        lines.append(
-            f"colored invariant (r = {payload['root']}, colors "
-            f"{payload['colors']}, normalization {payload['normalization']}):"
-        )
-        lines.append(f"  {payload['value_re']:.12g} + {payload['value_im']:.12g}i")
-    elif command == "approx":
-        lines.append(
-            f"Z = {payload['Z_re']:.6g} + {payload['Z_im']:.6g}i "
-            f"(delta {payload['delta']}, confidence {payload['confidence']})"
-        )
-        if payload["exact_available"]:
-            lines.append(
-                f"exact = {payload['exact_re']:.6g} + {payload['exact_im']:.6g}i"
-            )
-        lines.append(
-            f"samples: {payload['samples']}  seed: {payload['seed']}  "
-            f"generator: {payload['generator']}  scale: {payload['scale']:.6g}"
-        )
-    elif command == "invariance-test":
-        for family, row in payload["results"].items():
-            lines.append(f"{family}: {row['passed']}/{row['trials']} passed")
-        lines.append(f"all passed: {str(payload['all_passed']).lower()}")
-    else:
-        lines.append(json.dumps(payload, indent=2, sort_keys=True))
-    return "\n".join(lines)
-
-
-_HANDLERS = {
-    "parse": _cmd_parse,
-    "nf": _cmd_nf,
-    "eq": _cmd_eq,
-    "closure-info": _cmd_closure_info,
-    "jones": _cmd_jones,
-    "colored": _cmd_colored,
-    "approx": _cmd_approx,
-    "invariance-test": _cmd_invariance_test,
-}
+    lines = [f"{f}: {count}/{args.trials} passed" for f, count in passed.items()]
+    return payload, [*lines, f"all passed: {str(all_passed).lower()}"], []
 
 
 def run(argv: list[str]) -> CommandResult:
@@ -487,19 +440,16 @@ def run(argv: list[str]) -> CommandResult:
     parser = _build_parser()
     diagnostics: list[str] = []
     command = ""
-    json_mode = False
     try:
         args = parser.parse_args(argv)
         command = args.command
-        json_mode = getattr(args, "json", False)
-        outcome = _HANDLERS[command](args)
-        payload, notes = outcome if isinstance(outcome, tuple) else (outcome, [])
+        payload, lines, notes = args.handler(args)
         diagnostics.extend(notes)
         try:
             document = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
         except ValueError:
             raise LimitError(f"{command} produced a non-finite value") from None
-        rendered = document if json_mode else _render(command, payload)
+        rendered = document if args.json else "\n".join(lines)
         return CommandResult(0, payload, diagnostics, command, rendered)
     except _UsageError as exc:
         payload = {"error": str(exc), "kind": "usage"}

@@ -31,3 +31,11 @@ class DomainError(KnitError):
 
 class LimitError(KnitError):
     """A configured size or resource limit would be exceeded."""
+
+
+def _quoted(text: str) -> str:
+    """``repr(text)`` up to 20 characters, else its first 9 and its length,
+    so a bad value from outside the program is never echoed in full."""
+    if len(text) <= 20:
+        return repr(text)
+    return f"{text[:9]!r}... ({len(text)} characters)"

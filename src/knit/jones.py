@@ -32,7 +32,7 @@ from math import comb
 
 from .braid import STRAND_LIMIT, BraidWord
 from .diagram import LinkDiagram, component_labels
-from .errors import DomainError, LimitError
+from .errors import DomainError, LimitError, _quoted
 from .laurent import LaurentPoly
 
 __all__ = [
@@ -69,10 +69,7 @@ def _crossing_limit(limit: int | None) -> int:
         try:
             limit = int(raw)
         except ValueError:
-            shown = repr(raw)
-            if len(raw) > 20:
-                shown = f"{raw[:9]!r}... ({len(raw)} characters)"
-            raise DomainError(f"{source} must be an integer, got {shown}") from None
+            raise DomainError(f"{source} must be an integer, got {_quoted(raw)}") from None
     elif not isinstance(limit, int) or isinstance(limit, bool):
         raise DomainError(f"{source} must be an integer, got {limit!r}")
     if limit < 0:

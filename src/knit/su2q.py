@@ -1,7 +1,8 @@
 """Colored link invariants from quantum SU(2) braiding at a root of unity.
 
 Everything here works at ``q = exp(2*pi*i/r)`` for an integer root
-parameter ``r >= 3``.  Colors are spins ``j`` in half-integer steps,
+parameter ``r >= 3`` whose double fits a float; a larger root raises
+LimitError.  Colors are spins ``j`` in half-integer steps,
 held as the int ``2j`` (the doubled spin, which ``as_color`` returns)
 from each entry point's one color check to every table.
 
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -131,6 +133,11 @@ def _check_root(r: int):
         raise DomainError(f"root parameter must be an integer, got {r!r}")
     if r < 3:
         raise DomainError(f"root parameter too small: need r >= 3, got {r}")
+    # phases divide by 2r as a float; str() refuses ints past ~4,300 digits,
+    # so the digits are counted from the logarithm (nearest power of ten)
+    if 2 * r > sys.float_info.max:
+        d = round(math.log10(r))
+        raise LimitError(f"root parameter of {d + (r >= 10**d)} digits is past float range")
 
 
 def _check_colors(doubled, r: int):

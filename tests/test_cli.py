@@ -399,6 +399,89 @@ class TestApprox:
         }
 
 
+NINES = "9" * 5000  # past the ~4,300 digits int() reads
+
+
+class TestLongValues:
+    """A bad value from outside the program is quoted short, never in full."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["jones", "s1", "-n", NINES],
+            ["eq", "s1", "s1", "-n", NINES],
+            ["jones", "s1", "--at-root", NINES],
+            ["colored", "s1", "-n", "2", "--colors", "1", "--root", NINES],
+            ["approx", "s1", "-n", "2", "--root", NINES, "--delta", "0.5"],
+            ["approx", "s1", "-n", "2", "--root", "5", "--delta", "0.5", "--seed", NINES],
+            ["invariance-test", "--seed", NINES],
+            ["invariance-test", "--trials", NINES],
+        ],
+        ids=["strands", "eq-strands", "at-root", "colored-root", "approx-root",
+             "approx-seed", "invariance-seed", "trials"],
+    )
+    def test_long_int_option_is_a_short_usage_error(self, argv):
+        res = run(argv)
+        assert (res.exit_code, res.payload["kind"]) == (2, "usage")
+        assert "invalid int value: '999999999'... (5000 characters)" in res.payload["error"]
+        assert len(res.rendered.splitlines()[0]) < 200
+
+    @pytest.mark.parametrize("value", ["x" * 20, "1" * 19 + "x"])
+    def test_bad_value_of_twenty_characters_is_quoted_in_full(self, value):
+        res = run(["jones", "s1", "-n", value])
+        assert res.payload["error"] == f"argument -n/--strands: invalid int value: {value!r}"
+
+    def test_long_malformed_token_is_a_short_parse_error(self, capsys):
+        argv = ["parse", "s" + "1" * 5000 + "x"]
+        res = run(argv)
+        assert (res.exit_code, res.payload["kind"]) == (2, "parse")
+        assert res.payload["error"] == (
+            "malformed token 's11111111'... (5002 characters) (at position 0)"
+        )
+        assert main(argv) == 2
+        assert all(len(line) < 200 for line in capsys.readouterr().err.splitlines())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["jones", "s1^3", "--at-root", "1" + "0" * 400],
+            ["approx", "s2^3", "-n", "4", "--root", "5", "--delta", "0.3", "--seed", "9" * 30],
+            ["invariance-test", "--trials", "1", "--seed", "9" * 4300],
+        ],
+        ids=["at-root", "approx-seed", "invariance-seed"],
+    )
+    def test_long_values_int_reads_are_still_accepted(self, argv):
+        assert run(argv).exit_code == 0
+
+
+class TestHugeRoot:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["colored", "s1", "-n", "2", "--colors", "1", "--root", "1" + "0" * 400],
+            ["approx", "s1", "-n", "2", "--root", "1" + "0" * 400, "--delta", "0.5"],
+        ],
+        ids=["colored", "approx"],
+    )
+    def test_root_past_float_range_is_a_limit_error(self, argv, capsys):
+        res = run(argv)
+        assert (res.exit_code, res.payload["kind"]) == (3, "limit")
+        assert res.payload["error"] == "root parameter of 401 digits is past float range"
+        assert main(argv) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["colored", "s1", "-n", "2", "--colors", "1", "--root", str(10**20)],
+            ["approx", "s1", "-n", "2", "--root", str(10**20), "--delta", "0.5"],
+        ],
+        ids=["colored", "approx"],
+    )
+    def test_root_of_twenty_one_digits_still_answers(self, argv):
+        assert run(argv).exit_code == 0
+
+
 class TestInvarianceTest:
     def test_all_families_pass(self):
         res = run(["invariance-test", "--trials", "3", "--seed", "5"])

@@ -273,6 +273,19 @@ class TestBraidingOperatorForPlat:
 
 
 class TestColoredInvariant:
+    @pytest.mark.parametrize(
+        "r, digits",
+        [(10**400, 401), (10**400 - 1, 400), (10**5000, 5001), (2**1024, 309)],
+        ids=["1e400", "1e400-1", "1e5000", "2^1024"],
+    )
+    def test_root_past_float_range_is_a_limit_error(self, r, digits):
+        with pytest.raises(LimitError, match=f"root parameter of {digits} digits is past float range"):
+            colored_invariant(parse_braid("s1", 2), [1], r)
+
+    def test_root_of_twenty_one_digits_still_answers(self):
+        value = colored_invariant(parse_braid("s1", 2), [1], 10**20)
+        assert value == pytest.approx(2.0, abs=1e-12)
+
     def test_unknot_is_quantum_dimension_at_five(self):
         value = colored_invariant(parse_braid("", 2), [Fraction(1, 2)], 5)
         assert value.real == pytest.approx(1.6180339887, abs=1e-9)
