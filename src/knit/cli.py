@@ -42,7 +42,13 @@ from .laurent import evaluate_at_root
 
 __all__ = ["CommandResult", "run", "main"]
 
-_INVARIANCE_FAMILIES = ("markov-conjugate", "markov-stabilize", "RI", "RII", "RIII")
+_INVARIANCE_FAMILIES = (
+    "markov-conjugate",
+    "markov-stabilize",
+    "RI",
+    "RII",
+    "RIII",
+)
 
 
 @dataclass
@@ -196,8 +202,10 @@ def _build_parser() -> _Parser:
 # subcommand handlers: each returns its JSON payload, its text lines and
 # its notes for stderr
 
+_Output = tuple[dict, list[str], list[str]]
 
-def _cmd_parse(args):
+
+def _cmd_parse(args) -> _Output:
     w = parse_braid(args.word, args.strands)
     word, exponent_sum = str(w), w.exponent_sum()
     permutation = list(w.permutation().targets)
@@ -218,7 +226,7 @@ def _cmd_parse(args):
     ], []
 
 
-def _cmd_nf(args):
+def _cmd_nf(args) -> _Output:
     nf = normal_form(parse_braid(args.word, args.strands))
     form, length = str(nf), nf.canonical_length()
     trivial = nf.infimum == 0 and length == 0
@@ -238,7 +246,7 @@ def _cmd_nf(args):
     ], []
 
 
-def _cmd_eq(args):
+def _cmd_eq(args) -> _Output:
     left = parse_braid(args.left, args.strands)
     right = parse_braid(args.right, args.strands)
     # without -n the narrower word is read in the wider word's group
@@ -247,7 +255,7 @@ def _cmd_eq(args):
     return {"equal": equal}, ["equal" if equal else "not equal"], []
 
 
-def _cmd_closure_info(args):
+def _cmd_closure_info(args) -> _Output:
     w = parse_braid(args.word, args.strands)
     payload = {"closure": args.closure_kind, "strands": w.index}
     if args.closure_kind == "trace":
@@ -273,7 +281,7 @@ def _cmd_closure_info(args):
     return payload, lines, []
 
 
-def _cmd_jones(args):
+def _cmd_jones(args) -> _Output:
     w = parse_braid(args.word, args.strands)
     if args.closure_kind == "plat":
         require_plat_index(w)
@@ -312,7 +320,7 @@ def _parse_colors(text: str) -> list[int]:
     return colors
 
 
-def _cmd_colored(args):
+def _cmd_colored(args) -> _Output:
     from .su2q import colored_invariant, normalize_ambient
 
     w = parse_braid(args.word, args.strands)
@@ -342,7 +350,7 @@ def _cmd_colored(args):
     ], []
 
 
-def _cmd_approx(args):
+def _cmd_approx(args) -> _Output:
     from .qsim import approx_jones
 
     w = parse_braid(args.word, args.strands)
@@ -414,7 +422,7 @@ def _invariance_trial(family: str, seed_text: str) -> bool:
     )
 
 
-def _cmd_invariance_test(args):
+def _cmd_invariance_test(args) -> _Output:
     if args.trials < 1:
         raise DomainError(f"trial count must be positive, got {args.trials}")
     passed = {
