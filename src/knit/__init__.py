@@ -12,23 +12,25 @@ The package is organized bottom-up:
 - qsim: Hadamard-test sampling of plat invariants with an error contract
 - cli: the `knit` command
 
-The exact layers need only the standard library.  ``su2q`` and ``qsim``
-need numpy, so their names (and the two modules themselves) are
-imported on first access through the module ``__getattr__``; importing
+Importing ``knit`` loads only ``braid``, ``errors`` and ``garside``, so
+the word problem starts without the polynomial layers.  Every other
+module, and its names re-exported here, is imported on first access
+through the module ``__getattr__``.  The exact layers need only the
+standard library; ``su2q`` and ``qsim`` need numpy, so importing
 ``knit`` or running an exact ``knit`` command never loads numpy.
 """
 
 from importlib import import_module as _import_module
 
 from .braid import BraidWord, Permutation, parse_braid, random_braid
-from .diagram import LinkDiagram, closure_plat, closure_trace, plat_profile
 from .errors import DomainError, KnitError, LimitError, ParseError
 from .garside import NormalForm, is_trivial, normal_form, words_equal
-from .jones import jones_polynomial, kauffman_bracket, markov_trace_jones
-from .laurent import LaurentPoly, evaluate_at_root
 
-#: Public names of the numpy-backed modules, by home module.
-_NUMERIC = {
+#: Public names of the modules imported on first use, by home module.
+_LAZY = {
+    "diagram": ("LinkDiagram", "closure_plat", "closure_trace", "plat_profile"),
+    "jones": ("jones_polynomial", "kauffman_bracket", "markov_trace_jones"),
+    "laurent": ("LaurentPoly", "evaluate_at_root"),
     "qsim": (
         "TraceEstimate",
         "approx_jones",
@@ -46,7 +48,7 @@ _NUMERIC = {
         "r_matrix",
     ),
 }
-_HOME = {name: module for module, names in _NUMERIC.items() for name in names}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -55,10 +57,6 @@ __all__ = [
     "Permutation",
     "parse_braid",
     "random_braid",
-    "LinkDiagram",
-    "closure_plat",
-    "closure_trace",
-    "plat_profile",
     "DomainError",
     "KnitError",
     "LimitError",
@@ -67,19 +65,14 @@ __all__ = [
     "is_trivial",
     "normal_form",
     "words_equal",
-    "jones_polynomial",
-    "kauffman_bracket",
-    "markov_trace_jones",
-    "LaurentPoly",
-    "evaluate_at_root",
     *_HOME,
     "__version__",
 ]
 
 
 def __getattr__(name: str):
-    """Import ``su2q`` or ``qsim`` on first use of it or of one of its names."""
-    if name in _NUMERIC:
+    """Import a lazy module on first use of it or of one of its names."""
+    if name in _LAZY:
         return _import_module(f".{name}", __name__)
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -89,4 +82,4 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_HOME) | set(_NUMERIC))
+    return sorted(set(globals()) | set(_HOME) | set(_LAZY))

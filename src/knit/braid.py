@@ -17,7 +17,7 @@ import random
 import re
 from dataclasses import dataclass
 
-from .errors import DomainError, LimitError, ParseError, _quoted
+from .errors import DomainError, LimitError, ParseError, _quoted, _shown
 
 __all__ = [
     "BraidWord",
@@ -148,7 +148,7 @@ def parse_braid(text: str, index: int | None = None) -> BraidWord:
         if index < 1:
             raise DomainError(f"braid index must be >= 1, got {index}")
         if index > STRAND_LIMIT:
-            raise LimitError(f"braid index {index} is past {STRAND_LIMIT} strands")
+            raise LimitError(f"braid index {_shown(index)} is past {STRAND_LIMIT} strands")
     # a number with more digits than its limit is past it
     gen_width, power_width = len(str(STRAND_LIMIT)), len(str(LETTER_LIMIT))
     letters: list[tuple[int, int]] = []

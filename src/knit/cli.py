@@ -35,12 +35,16 @@ from dataclasses import dataclass, field
 
 from .braid import BraidWord, parse_braid, random_braid
 from .diagram import DIGIT_LIMIT, closure_plat, closure_trace, plat_profile, require_plat_index
-from .errors import DomainError, KnitError, LimitError, ParseError, _quoted
+from .errors import DomainError, KnitError, LimitError, ParseError, _quoted, _shown
 from .garside import normal_form, words_equal
 from .jones import _check_crossings, jones_polynomial
 from .laurent import evaluate_at_root
 
-__all__ = ["CommandResult", "run", "main"]
+__all__ = ["CommandResult", "TRIAL_LIMIT", "run", "main"]
+
+#: Most trials ``invariance-test`` runs; a trial of the five families takes
+#: about 10 ms, so the largest admitted run takes about 10 s.
+TRIAL_LIMIT = 1_000
 
 _INVARIANCE_FAMILIES = (
     "markov-conjugate",
@@ -425,6 +429,8 @@ def _invariance_trial(family: str, seed_text: str) -> bool:
 def _cmd_invariance_test(args) -> _Output:
     if args.trials < 1:
         raise DomainError(f"trial count must be positive, got {args.trials}")
+    if args.trials > TRIAL_LIMIT:
+        raise LimitError(f"trial count {_shown(args.trials)} is past {TRIAL_LIMIT}")
     passed = {
         family: sum(
             _invariance_trial(family, f"{family}:{args.seed}:{t}")

@@ -8,6 +8,8 @@ maps them to exit codes 2, 1 and 3 respectively.
 
 from __future__ import annotations
 
+import math
+
 __all__ = ["KnitError", "ParseError", "DomainError", "LimitError"]
 
 
@@ -39,3 +41,14 @@ def _quoted(text: str) -> str:
     if len(text) <= 20:
         return repr(text)
     return f"{text[:9]!r}... ({len(text)} characters)"
+
+
+def _shown(n: int) -> str:
+    """The positive int n for a message: in full up to 20 digits, else
+    named by its digit count, so a long number is never echoed in full.
+    The digits are counted from the logarithm (nearest power of ten),
+    since str() refuses ints past ~4,300 digits."""
+    if n < 10**20:
+        return str(n)
+    d = round(math.log10(n))
+    return f"of {d + (n >= 10**d)} digits"

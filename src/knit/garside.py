@@ -12,19 +12,25 @@ their permutations.  For a permutation braid x, a generator si can start
 x iff x(i) > x(i+1), and can end x iff i appears after i+1 in the image
 list, that is iff xinv(i) > xinv(i+1) for the inverse list xinv.
 
-The form is built one letter at a time: each letter is a simple factor
-multiplied on the right, and the pairs are then repaired from right to
-left, stopping at the first pair that is already left-weighted.  A pair
-(x, y) is repaired on the lists y and xinv: each generator that slides
-from y into x is one swap of two adjacent entries in both lists.
+The form is built one run at a time.  The word is split into maximal
+same-sign runs whose positive lift is simple: si extends a run while its
+two strands have not crossed yet.  A positive run is its simple factor P;
+a negative run is Delta^-1 times the simple factor Delta P, whose image
+list is P's reversed.  Each factor is multiplied on the right, and the
+pairs are then repaired from right to left, stopping at the first pair
+that is already left-weighted.  A pair (x, y) is repaired on the lists y
+and xinv: each generator that slides from y into x is one swap of two
+adjacent entries in both lists.  When a repair makes a half twist, it
+moves to the front in one pass, x Delta = Delta tau(x) with tau mapping
+si to s(n-i), and joins the infimum; no pair to its left needs repair.
 
-A letter may repair every factor before it, and there are at most as
-many factors as letters.  A pair repair scans n positions, plus a fixed
-overhead worth about 16, and the factor of an inverse letter, Delta
-si^-1, can slide up to n^2 / 2 generators at about four positions' cost
-each.  So normal_form refuses, before any work, a word whose cost
-estimate letters * (letters * (n + 16) + 2 * inverse letters * n^2)
-passes COST_LIMIT.
+A run may repair every factor before it, and there are at most as many
+factors as letters.  A pair repair scans n positions, plus a fixed
+overhead worth about 16, and the factor of a negative run, Delta P, can
+slide up to n^2 / 2 generators at about four positions' cost each.  So
+normal_form refuses, before any work, a word whose cost estimate
+letters * (letters * (n + 16) + 2 * inverse letters * n^2) passes
+COST_LIMIT.
 """
 
 from __future__ import annotations
@@ -38,13 +44,21 @@ from .errors import DomainError, LimitError
 __all__ = ["COST_LIMIT", "NormalForm", "normal_form", "words_equal", "is_trivial"]
 
 #: Largest admitted cost estimate of one normal form (see the module
-#: docstring); the most expensive admitted words take about 10 s.
+#: docstring).  The most expensive admitted words measured, one inverse
+#: letter after long positive words at n = 1,000 (``s3^138 s2^-1``), take
+#: 20-26 s; most admitted words take well under a second.
 COST_LIMIT = 300_000_000
 
 
 def _append_gen(t: tuple[int, ...], i: int) -> tuple[int, ...]:
     """The simple element t followed by s(i+1): swap the values i, i+1."""
     return tuple(i + 1 if v == i else i if v == i + 1 else v for v in t)
+
+
+def _tau(x: tuple[int, ...]) -> tuple[int, ...]:
+    """Delta^-1 x Delta, which maps each si to s(n-i)."""
+    n = len(x)
+    return tuple(n - 1 - v for v in reversed(x))
 
 
 def _left_weight_pair(x: tuple[int, ...], y: tuple[int, ...]):
@@ -58,13 +72,8 @@ def _left_weight_pair(x: tuple[int, ...], y: tuple[int, ...]):
     after a swap, since only positions i-1..i+1 can change; so the
     smallest movable generator slides first, and a pair costs
     O(n + slides).
-
-    A half twist y moves past x in one step: x Delta = Delta tau(x), where
-    tau(x) = Delta^-1 x Delta maps each si to s(n-i).
     """
     n = len(x)
-    if y == tuple(range(n - 1, -1, -1)):
-        return None if x == y else (y, tuple(n - 1 - v for v in reversed(x)))
     xinv = [0] * n
     for i, v in enumerate(x):
         xinv[v] = i
@@ -143,31 +152,39 @@ def normal_form(w: BraidWord) -> NormalForm:
     identity = tuple(range(n))
     delta = identity[::-1]
 
-    # A positive letter si is the simple element si; a negative one is
-    # Delta^-1 times the simple element Delta si^-1.  Pushing each Delta^-1
-    # to the front conjugates every letter to its left by Delta, which maps
-    # si to s(n-i); so a letter is flipped when an odd number of negative
-    # letters follow it.
-    infimum, after = -inverse, inverse
-    factors: list[tuple[int, ...]] = []
+    # maximal same-sign runs whose positive lift P is simple: si extends a
+    # run while its two strands, the values i and i+1, have not crossed yet
+    runs: list[list] = []  # [sign, image tuple of P]
     for gen, sign in w.letters:
+        i = gen - 1
+        if not runs or runs[-1][0] != sign or runs[-1][1].index(i) > runs[-1][1].index(i + 1):
+            runs.append([sign, identity])
+        runs[-1][1] = _append_gen(runs[-1][1], i)
+
+    # Pushing each negative run's Delta^-1 to the front conjugates every
+    # run to its left by Delta; so a run is flipped by tau when an odd
+    # number of negative runs follow it.
+    after = sum(1 for sign, _ in runs if sign < 0)
+    infimum = -after
+    factors: list[tuple[int, ...]] = []
+    for sign, p in runs:
         if sign < 0:
             after -= 1
-        i = gen - 1 if after % 2 == 0 else n - 1 - gen
-        # Multiply the left-weighted form by the letter's simple factor,
-        # repairing pairs from the right until one is already left-weighted.
-        factors.append(_append_gen(identity if sign > 0 else delta, i))
+            p = p[::-1]
+        factors.append(_tau(p) if after % 2 else p)
+        # repair from the right; a half twist moves to the front in one pass
         k = len(factors) - 1
-        while k:
-            pair = _left_weight_pair(factors[k - 1], factors[k])
+        while True:
+            if factors[k] == delta:
+                factors[: k + 1] = map(_tau, factors[:k])
+                infimum += 1
+                break
+            pair = _left_weight_pair(factors[k - 1], factors[k]) if k else None
             if pair is None:
                 break
             factors[k - 1], factors[k] = pair
             k -= 1
-        # Delta factors can only surface at the front, identities at the back.
-        while factors and factors[0] == delta:
-            factors.pop(0)
-            infimum += 1
+        # identities can only surface at the back
         while factors and factors[-1] == identity:
             factors.pop()
     return NormalForm(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import numbers
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
 from .errors import DomainError, LimitError, ParseError
 
@@ -117,11 +117,12 @@ class LaurentPoly:
             return "0"
         parts: list[str] = []
         for n, c in self.terms:
-            e = Fraction(n, EXPONENT_DENOMINATOR)
-            if e == 0:
+            if n == 0:
                 body = str(abs(c))
             else:
-                exp = str(e) if e.denominator == 1 else f"{e.numerator}/{e.denominator}"
+                g = gcd(n, EXPONENT_DENOMINATOR)
+                num, den = n // g, EXPONENT_DENOMINATOR // g
+                exp = str(num) if den == 1 else f"{num}/{den}"
                 mag = "" if abs(c) == 1 else f"{abs(c)}*"
                 body = f"{mag}{var}^{exp}"
             sign = "-" if c < 0 else "+"

@@ -50,7 +50,7 @@ import numpy as np
 
 from .braid import BraidWord
 from .diagram import plat_profile
-from .errors import DomainError, LimitError
+from .errors import DomainError, LimitError, _shown
 
 __all__ = [
     "DENSE_LIMIT",
@@ -133,11 +133,9 @@ def _check_root(r: int):
         raise DomainError(f"root parameter must be an integer, got {r!r}")
     if r < 3:
         raise DomainError(f"root parameter too small: need r >= 3, got {r}")
-    # phases divide by 2r as a float; str() refuses ints past ~4,300 digits,
-    # so the digits are counted from the logarithm (nearest power of ten)
+    # phases divide by 2r as a float
     if 2 * r > sys.float_info.max:
-        d = round(math.log10(r))
-        raise LimitError(f"root parameter of {d + (r >= 10**d)} digits is past float range")
+        raise LimitError(f"root parameter {_shown(r)} is past float range")
 
 
 def _check_colors(doubled, r: int):

@@ -12,7 +12,7 @@ import pytest
 
 from knit import cli, su2q
 from knit.braid import LETTER_LIMIT, STRAND_LIMIT, parse_braid, random_braid
-from knit.cli import CommandResult, main, run
+from knit.cli import TRIAL_LIMIT, CommandResult, main, run
 from knit.diagram import closure_plat, closure_trace
 from knit.jones import CROSSING_LIMIT_ENV, jones_polynomial
 from knit.laurent import LaurentPoly
@@ -104,6 +104,18 @@ class TestStrandLimit:
         assert (res.exit_code, res.payload["kind"]) == (3, "limit")
         assert f"{STRAND_LIMIT} strands" in res.payload["error"]
         assert peak < 1_000_000
+
+    @pytest.mark.parametrize("command", [["parse", "s1"], ["eq", "s1", "s1"]])
+    @pytest.mark.parametrize(
+        "strands, shown",
+        [("9" * 4000, "of 4000 digits"), ("1" + "0" * 20, "of 21 digits"),
+         ("9" * 20, "9" * 20)],
+        ids=["4000-digits", "21-digits", "20-digits"],
+    )
+    def test_long_strand_count_is_named_by_its_digits(self, command, strands, shown):
+        res = run(command + ["-n", strands])
+        assert (res.exit_code, res.payload["kind"]) == (3, "limit")
+        assert res.payload["error"] == f"braid index {shown} is past {STRAND_LIMIT} strands"
 
     def test_inferred_strand_count_at_the_limit(self):
         res = run(["parse", f"s{STRAND_LIMIT - 1}", "--json"])
@@ -504,6 +516,25 @@ class TestInvarianceTest:
     def test_rejects_nonpositive_trials(self):
         res = run(["invariance-test", "--trials", "0"])
         assert res.exit_code == 1
+
+    @pytest.mark.parametrize(
+        "trials", [TRIAL_LIMIT + 1, 10**6, int("9" * 4000)], ids=["cap+1", "1e6", "4000-digits"]
+    )
+    def test_trials_past_the_cap_are_refused_before_any_trial(self, monkeypatch, trials):
+        def no_trial(family, seed_text):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(cli, "_invariance_trial", no_trial)
+        res = run(["invariance-test", "--trials", str(trials)])
+        assert (res.exit_code, res.payload["kind"]) == (3, "limit")
+        assert res.payload["error"].endswith(f"is past {TRIAL_LIMIT}")
+        assert len(res.rendered) < 200
+
+    def test_trials_at_the_cap_are_run(self, monkeypatch):
+        monkeypatch.setattr(cli, "_invariance_trial", lambda family, seed_text: True)
+        res = run(["invariance-test", "--trials", str(TRIAL_LIMIT), "--json"])
+        assert res.exit_code == 0
+        assert res.payload["results"]["RIII"] == {"passed": TRIAL_LIMIT, "trials": TRIAL_LIMIT}
 
 
 class TestMainEntryPoint:

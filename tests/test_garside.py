@@ -415,3 +415,67 @@ def test_long_words(n):
     check_left_canonical(normal_form(w))
     assert is_trivial(w * w.inverse())
     assert is_trivial(w.inverse() * w)
+
+
+def _run_piece(rng, n):
+    """A same-sign word with long runs whose positive lifts are simple: the
+    positive lift of a random permutation, a power sk^m, Delta^2 or
+    (s1 .. s(n-1))^n, either positive or as the inverse of one."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        targets = list(range(1, n + 1))
+        rng.shuffle(targets)
+        gens = _positive_lift_word(Permutation(tuple(targets)))
+    elif kind == 1:
+        gens = [rng.randrange(1, n)] * rng.randint(2, 8)
+    elif kind == 2:
+        gens = _positive_lift_word(Permutation(tuple(range(n, 0, -1)))) * 2
+    else:
+        gens = list(range(1, n)) * n
+    if rng.random() < 0.5:
+        return [(g, 1) for g in gens]
+    return [(g, -1) for g in reversed(gens)]
+
+
+def test_form_matches_sweep_oracle_on_long_runs_and_half_twists():
+    # B3-B12, weighted toward few strands to keep the oracle fast; the
+    # widest words get one piece
+    rng = random.Random(9054)
+    lifted = 0
+    for _ in range(2000):
+        n = 3 + min(rng.randrange(10), rng.randrange(10))
+        letters = []
+        for _ in range(rng.randint(1, 2 if n <= 7 else 1)):
+            letters += _run_piece(rng, n)
+        if rng.random() < 0.5:
+            x = [(rng.randrange(1, n), rng.choice((1, -1))) for _ in range(rng.randint(1, 4))]
+            pos = rng.randrange(len(letters) + 1)
+            letters[pos:pos] = x + [(g, -s) for g, s in reversed(x)]
+        w = BraidWord(n, tuple(letters))
+        nf = normal_form(w)
+        assert nf == _sweep_normal_form(w), str(w)
+        lifted += nf.infimum > 0
+    assert lifted > 400  # the corpus makes many half twists
+
+
+@pytest.mark.parametrize(
+    "text, n, infimum, factors",
+    [
+        ("", 1, 0, 0),
+        ("", 2, 0, 0),
+        ("s1 s1^-1 s1^-1 s1", 2, 0, 0),
+        ("s1^3 s1^-5", 2, -2, 0),
+        ("s1 s2 s1", 3, 1, 0),  # one run that is Delta
+        ("s1^-1 s2^-1 s1^-1", 3, -1, 0),  # Delta^-1 times the identity
+        ("s1 s2 s1 s1^-1 s2^-1 s1^-1", 3, 0, 0),
+        ("s1 s2 s1 s2 s1 s2", 3, 2, 0),
+        ("s1 s2 s3 s1 s2 s1", 4, 1, 0),
+        ("s2 s1 s2^-1 s1 s2 s1", 3, 0, 2),
+        ("s1^-1 s3 s2 s1 s2", 4, 0, 1),  # s3 s2 s1
+    ],
+)
+def test_edge_words_match_sweep_oracle(text, n, infimum, factors):
+    w = parse_braid(text, n)
+    nf = normal_form(w)
+    assert nf == _sweep_normal_form(w)
+    assert (nf.infimum, nf.canonical_length()) == (infimum, factors)

@@ -1,5 +1,5 @@
-"""Tests for the package surface: lazy numeric exports, start-up without
-numpy, and the ``python -m knit`` entry points."""
+"""Tests for the package surface: lazy exports, start-up without the
+polynomial layers or numpy, and the ``python -m knit`` entry points."""
 
 import ast
 import importlib
@@ -81,6 +81,31 @@ class TestLazyExports:
             "assert 'numpy' not in sys.modules\n"
             "assert knit.su2q.__name__ == 'knit.su2q'\n"
             "assert knit.qsim.approx_jones is knit.approx_jones\n",
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_the_word_problem_starts_with_only_its_own_modules(self):
+        done = _python(
+            "-c",
+            "import sys\n"
+            "from knit import parse_braid, words_equal\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('knit'))\n"
+            "assert loaded == ['knit', 'knit.braid', 'knit.errors', 'knit.garside'], loaded\n"
+            "import knit\n"
+            "for name in knit.__all__:\n"
+            "    getattr(knit, name)\n"
+            "assert knit.jones.jones_polynomial is knit.jones_polynomial\n",
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_exact_commands_do_not_load_fractions(self):
+        done = _python(
+            "-c",
+            "import sys\n"
+            "from knit.cli import run\n"
+            f"for argv in {EXACT_COMMANDS!r}:\n"
+            "    assert run(argv).exit_code == 0, argv\n"
+            "assert 'fractions' not in sys.modules\n",
         )
         assert done.returncode == 0, done.stderr
 
