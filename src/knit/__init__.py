@@ -43,7 +43,6 @@ _LAZY = {
         "DegenerateColorError",
         "colored_invariant",
         "jones_value_from_plat",
-        "normalize_ambient",
         "q_integer",
         "r_matrix",
     ),

@@ -146,7 +146,7 @@ def parse_braid(text: str, index: int | None = None) -> BraidWord:
     """
     if index is not None:
         if index < 1:
-            raise DomainError(f"braid index must be >= 1, got {index}")
+            raise DomainError(f"braid index must be >= 1, got {_shown(index)}")
         if index > STRAND_LIMIT:
             raise LimitError(f"braid index {_shown(index)} is past {STRAND_LIMIT} strands")
     # a number with more digits than its limit is past it

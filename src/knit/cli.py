@@ -34,7 +34,14 @@ import sys
 from dataclasses import dataclass, field
 
 from .braid import BraidWord, parse_braid, random_braid
-from .diagram import DIGIT_LIMIT, closure_plat, closure_trace, plat_profile, require_plat_index
+from .diagram import (
+    DIGIT_LIMIT,
+    closure_plat,
+    closure_trace,
+    component_labels,
+    plat_profile,
+    require_plat_index,
+)
 from .errors import DomainError, KnitError, LimitError, ParseError, _quoted, _shown
 from .garside import normal_form, words_equal
 from .jones import _check_crossings, jones_polynomial
@@ -263,9 +270,11 @@ def _cmd_closure_info(args) -> _Output:
     w = parse_braid(args.word, args.strands)
     payload = {"closure": args.closure_kind, "strands": w.index}
     if args.closure_kind == "trace":
-        d = closure_trace(w)
+        # read off the word, without building the closure: a component per
+        # cycle of the permutation, a crossing per letter, writhe = exponent sum
+        cycles = component_labels(w.index, enumerate(t - 1 for t in w.permutation().targets))
         payload.update(
-            components=d.component_count(), crossings=d.crossing_count(), writhe=d.writhe()
+            components=len(set(cycles)), crossings=len(w.letters), writhe=w.exponent_sum()
         )
     else:
         profile = plat_profile(w)
@@ -325,7 +334,7 @@ def _parse_colors(text: str) -> list[int]:
 
 
 def _cmd_colored(args) -> _Output:
-    from .su2q import colored_invariant, normalize_ambient
+    from .su2q import colored_invariant
 
     w = parse_braid(args.word, args.strands)
     colors = _parse_colors(args.colors)
@@ -333,12 +342,13 @@ def _cmd_colored(args) -> _Output:
     value = colored_invariant(w, colors, r)
     writhe = plat_profile(w).writhe
     if args.normalize != "none":
-        regular = value * cmath.exp(3j * math.pi * writhe / (2 * r))
-        value = (
-            regular
-            if args.normalize == "regular"
-            else normalize_ambient(regular, writhe, r)
-        )
+        # the framed value: times q^(3w/4) at q = exp(2 pi i / r)
+        value *= cmath.exp(3j * math.pi * writhe / (2 * r))
+    if args.normalize == "ambient":
+        # the plain value over q^(1/2) - q^(-1/2); the phase is taken back
+        # out rather than skipped, so the printed digits stay as they were
+        half = cmath.exp(1j * math.pi / r)
+        value = value * cmath.exp(-3j * math.pi * writhe / (2 * r)) / (half - 1 / half)
     payload = {
         "root": r,
         "colors": colors,
@@ -428,7 +438,7 @@ def _invariance_trial(family: str, seed_text: str) -> bool:
 
 def _cmd_invariance_test(args) -> _Output:
     if args.trials < 1:
-        raise DomainError(f"trial count must be positive, got {args.trials}")
+        raise DomainError(f"trial count must be positive, got {_shown(args.trials)}")
     if args.trials > TRIAL_LIMIT:
         raise LimitError(f"trial count {_shown(args.trials)} is past {TRIAL_LIMIT}")
     passed = {

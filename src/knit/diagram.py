@@ -113,9 +113,9 @@ def component_labels(size: int, joins) -> list[int]:
 class LinkDiagram:
     """An oriented link diagram: PD crossings plus free circles.
 
-    Values are plain data; ``validate`` reports invariant violations so
-    that malformed input can be inspected rather than exploding during
-    construction.  Operations that need a sound diagram check first.
+    Construction refuses a diagram that breaks the PD invariants, raising
+    DomainError that names every problem, so each method may assume a
+    sound diagram.
     """
 
     crossings: tuple[Crossing, ...]
@@ -128,8 +128,7 @@ class LinkDiagram:
             seen.update(c.edges)
         return tuple(sorted(seen))
 
-    def validate(self) -> list[str]:
-        """Invariant violations as human-readable strings; empty means ok."""
+    def __post_init__(self):
         problems = []
         circles = self.unknot_count
         if not isinstance(circles, int) or isinstance(circles, bool):
@@ -159,16 +158,10 @@ class LinkDiagram:
                     f"orientation: labels {wrong} lack one incoming and one "
                     "outgoing end"
                 )
-        return problems
-
-    def require_valid(self):
-        """Raise DomainError naming every invariant violation, if any."""
-        problems = self.validate()
         if problems:
             raise DomainError("invalid diagram: " + "; ".join(problems))
 
     def writhe(self) -> int:
-        self.require_valid()
         return sum(c.sign for c in self.crossings)
 
     def crossing_count(self) -> int:
@@ -177,7 +170,6 @@ class LinkDiagram:
     def component_edge_sets(self) -> list[frozenset[int]]:
         """Edge labels grouped by link component (free circles excluded),
         in order of each component's smallest label."""
-        self.require_valid()
         edges = self.edges
         index = {e: i for i, e in enumerate(edges)}
         joins = []
@@ -192,17 +184,6 @@ class LinkDiagram:
 
     def component_count(self) -> int:
         return len(self.component_edge_sets()) + self.unknot_count
-
-    def relabeled(self) -> "LinkDiagram":
-        """Rename edges 1..E in first-appearance order; canonical form."""
-        mapping: dict[int, int] = {}
-        for c in self.crossings:
-            for e in c.edges:
-                if e not in mapping:
-                    mapping[e] = len(mapping) + 1
-        return LinkDiagram(
-            tuple(c.relabel(mapping) for c in self.crossings), self.unknot_count
-        )
 
     def to_text(self) -> str:
         items = [str(c) for c in self.crossings]
@@ -250,11 +231,10 @@ def parse_diagram(text: str) -> LinkDiagram:
             sign = 1 if m.group(5) == "+" else -1
             crossings.append(Crossing((a, b, c, d), sign))
         pos = m.end()
-    diagram = LinkDiagram(tuple(crossings), circles)
-    problems = diagram.validate()
-    if problems:
-        raise ParseError("invalid diagram: " + "; ".join(problems))
-    return diagram
+    try:
+        return LinkDiagram(tuple(crossings), circles)
+    except DomainError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def require_plat_index(w: BraidWord):

@@ -44,11 +44,13 @@ def _quoted(text: str) -> str:
 
 
 def _shown(n: int) -> str:
-    """The positive int n for a message: in full up to 20 digits, else
-    named by its digit count, so a long number is never echoed in full.
-    The digits are counted from the logarithm (nearest power of ten),
-    since str() refuses ints past ~4,300 digits."""
-    if n < 10**20:
+    """The int n for a message: in full up to 20 digits, else named by its
+    digit count and, when negative, its sign, so a long number is never
+    echoed in full.  The digits are counted from the logarithm (nearest
+    power of ten), since str() refuses ints past ~4,300 digits."""
+    size = abs(n)
+    if size < 10**20:
         return str(n)
-    d = round(math.log10(n))
-    return f"of {d + (n >= 10**d)} digits"
+    d = round(math.log10(size))
+    digits = f"of {d + (size >= 10**d)} digits"
+    return f"a negative number {digits}" if n < 0 else digits

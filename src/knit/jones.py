@@ -27,19 +27,17 @@ comes out in negative powers of t.
 from __future__ import annotations
 
 import os
-from functools import lru_cache
 from math import comb
 
 from .braid import STRAND_LIMIT, BraidWord
 from .diagram import LinkDiagram, component_labels
-from .errors import DomainError, LimitError, _quoted
+from .errors import DomainError, LimitError, _quoted, _shown
 from .laurent import LaurentPoly
 
 __all__ = [
     "kauffman_bracket",
     "jones_polynomial",
     "markov_trace_jones",
-    "noncrossing_matchings",
     "LOOP_VALUE",
     "CROSSING_LIMIT_ENV",
 ]
@@ -59,32 +57,26 @@ CROSSING_LIMIT_ENV = "KNIT_CROSSING_LIMIT"
 LOOP_VALUE = LaurentPoly.from_dict({8: -1, -8: -1})
 
 
-def _crossing_limit(limit: int | None) -> int:
-    source = "crossing limit"
-    if limit is None:
-        raw = os.environ.get(CROSSING_LIMIT_ENV)
-        if raw is None:
-            return DEFAULT_CROSSING_LIMIT
-        source = CROSSING_LIMIT_ENV
+def _check_crossings(c: int):
+    """Raise LimitError when a state sum over ``c`` crossings passes the
+    limit: DEFAULT_CROSSING_LIMIT, or the KNIT_CROSSING_LIMIT environment
+    variable when it is set."""
+    raw = os.environ.get(CROSSING_LIMIT_ENV)
+    cap = DEFAULT_CROSSING_LIMIT
+    if raw is not None:
         try:
-            limit = int(raw)
+            cap = int(raw)
         except ValueError:
-            raise DomainError(f"{source} must be an integer, got {_quoted(raw)}") from None
-    elif not isinstance(limit, int) or isinstance(limit, bool):
-        raise DomainError(f"{source} must be an integer, got {limit!r}")
-    if limit < 0:
-        raise DomainError(f"{source} must be nonnegative, got {limit}")
-    return limit
-
-
-def _check_crossings(c: int, limit: int | None = None):
-    """Raise LimitError when a state sum over ``c`` crossings passes the limit."""
-    cap = _crossing_limit(limit)
+            raise DomainError(
+                f"{CROSSING_LIMIT_ENV} must be an integer, got {_quoted(raw)}"
+            ) from None
+        if cap < 0:
+            raise DomainError(f"{CROSSING_LIMIT_ENV} must be nonnegative, got {_shown(cap)}")
     if c > cap:
         raise LimitError(f"state sum over {c} crossings exceeds the limit {cap}")
 
 
-def kauffman_bracket(d: LinkDiagram, limit: int | None = None) -> LaurentPoly:
+def kauffman_bracket(d: LinkDiagram) -> LaurentPoly:
     """Bracket polynomial in A over all smoothing states, exactly.
 
     The A-smoothing joins slot 0 to slot 3 and slot 1 to slot 2; the
@@ -106,9 +98,8 @@ def kauffman_bracket(d: LinkDiagram, limit: int | None = None) -> LaurentPoly:
     free circles, and DomainError when the crossing limit is negative or
     not an integer.
     """
-    d.require_valid()
     c = d.crossing_count()
-    _check_crossings(c, limit)
+    _check_crossings(c)
     if d.unknot_count > FREE_CIRCLE_LIMIT:
         raise LimitError(
             f"{d.unknot_count} free circles exceed the limit {FREE_CIRCLE_LIMIT}"
@@ -181,44 +172,9 @@ def _bracket_to_jones(bracket: LaurentPoly, writhe: int) -> LaurentPoly:
     return LaurentPoly.from_dict({3 * writhe - n // 4: sign * c for n, c in bracket.terms})
 
 
-def jones_polynomial(d: LinkDiagram, limit: int | None = None) -> LaurentPoly:
+def jones_polynomial(d: LinkDiagram) -> LaurentPoly:
     """Jones polynomial in t: writhe-corrected bracket with t = A^-4."""
-    bracket = kauffman_bracket(d, limit)
-    # the bracket has validated d, so the writhe needs no second check
-    return _bracket_to_jones(bracket, sum(c.sign for c in d.crossings))
-
-
-def noncrossing_matchings(n: int) -> tuple[tuple[int, ...], ...]:
-    """All Catalan(n) TL basis diagrams on n strands, as partner tuples.
-
-    Top position p is boundary point p and bottom position p is point
-    n + p; entry k of a partner tuple is the point joined to k.
-    """
-    # circle point q < n is top position q; q >= n is bottom 2n-1-q
-    point = [*range(n), *range(2 * n - 1, n - 1, -1)]
-    out = []
-    for pairs in _noncrossing(2 * n):
-        m = [0] * (2 * n)
-        for a, b in pairs:
-            m[point[a]], m[point[b]] = point[b], point[a]
-        out.append(tuple(m))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _noncrossing(points: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    if points == 0:
-        return ((),)
-    out = []
-    for k in range(1, points, 2):
-        for inside in _noncrossing(k - 1):
-            shifted_in = tuple((a + 1, b + 1) for a, b in inside)
-            for outside in _noncrossing(points - k - 1):
-                shifted_out = tuple((a + k + 1, b + k + 1) for a, b in outside)
-                out.append(
-                    tuple(sorted(((0, k),) + shifted_in + shifted_out))
-                )
-    return tuple(out)
+    return _bracket_to_jones(kauffman_bracket(d), d.writhe())
 
 
 def _identity_matching(n: int) -> tuple[int, ...]:

@@ -41,21 +41,11 @@ class LaurentPoly:
         return LaurentPoly(tuple(sorted((n, c) for n, c in d.items() if c != 0)))
 
     @staticmethod
-    def zero() -> "LaurentPoly":
-        return LaurentPoly(())
-
-    @staticmethod
-    def one() -> "LaurentPoly":
-        return LaurentPoly(((0, 1),))
-
-    @staticmethod
     def monomial(coeff: int, num: int, den: int = 1) -> "LaurentPoly":
         """coeff * t^(num/den) with den dividing 4."""
         if EXPONENT_DENOMINATOR % den != 0:
             raise DomainError(f"exponent denominator must divide 4, got {den}")
-        if coeff == 0:
-            return LaurentPoly.zero()
-        return LaurentPoly(((num * (EXPONENT_DENOMINATOR // den), coeff),))
+        return LaurentPoly.from_dict({num * (EXPONENT_DENOMINATOR // den): coeff})
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         d = dict(self.terms)

@@ -49,7 +49,6 @@ def _occurrences(d: LinkDiagram) -> dict[int, list[tuple[int, int]]]:
 
 def _faces(d: LinkDiagram) -> list[tuple[tuple[int, int], ...]]:
     """All faces as corner tuples (crossing, slot), canonically rotated."""
-    d.require_valid()
     occ = _occurrences(d)
 
     def step(ci: int, si: int) -> tuple[int, int]:
@@ -99,7 +98,6 @@ def reidemeister_sites(d: LinkDiagram, move: str) -> tuple[Site, ...]:
     """All admissible sites for the move on this diagram, sorted."""
     if move not in _MOVES:
         raise DomainError(f"unknown move {move!r}")
-    d.require_valid()
 
     if move == "RI+":
         sites = []

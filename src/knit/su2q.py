@@ -64,7 +64,6 @@ __all__ = [
     "colored_invariant",
     "jones_plat_branch",
     "jones_value_from_plat",
-    "normalize_ambient",
     "plat_branch",
     "q_integer",
     "r_matrix",
@@ -132,7 +131,7 @@ def _check_root(r: int):
     if not isinstance(r, int) or isinstance(r, bool):
         raise DomainError(f"root parameter must be an integer, got {r!r}")
     if r < 3:
-        raise DomainError(f"root parameter too small: need r >= 3, got {r}")
+        raise DomainError(f"root parameter too small: need r >= 3, got {_shown(r)}")
     # phases divide by 2r as a float
     if 2 * r > sys.float_info.max:
         raise LimitError(f"root parameter {_shown(r)} is past float range")
@@ -335,9 +334,8 @@ def _paths(colors: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
 class ColoredSpace:
     """An ordered list of strand colors at a fixed root.
 
-    ``dimension`` is the classical tensor-product size the coloring
-    describes; the braiding matrices act on the coupled fusion-path
-    basis, whose size is ``coupled_dimension``.
+    The braiding matrices act on the coupled fusion-path basis, whose
+    size is ``coupled_dimension``.
     """
 
     doubled: tuple[int, ...]
@@ -348,11 +346,6 @@ class ColoredSpace:
         object.__setattr__(self, "r", r)
         _check_root(r)
         _check_colors(self.doubled, r)
-
-    @property
-    def dimension(self) -> int:
-        """Product of the classical multiplet sizes (2j_i + 1)."""
-        return math.prod(t + 1 for t in self.doubled)
 
     def paths(self) -> tuple[tuple[int, ...], ...]:
         """The coupled fusion-path basis, in lexicographic order."""
@@ -609,18 +602,3 @@ def jones_value_from_plat(w: BraidWord, r: int) -> complex:
     """
     prefactor, reference, branch = jones_plat_branch(w, r)
     return prefactor * complex(np.vdot(reference, branch))
-
-
-def normalize_ambient(value: complex, w_writhe: int, r: int) -> complex:
-    """Writhe-compensated rescaling of a regular-isotopy evaluation.
-
-    Multiplies by ``q^(-3w/4) / (q^(1/2) - q^(-1/2))`` at
-    ``q = exp(2*pi*i/r)``, which cancels the phase a kink contributes
-    and fixes the overall scale.
-    """
-    _check_root(r)
-    if not isinstance(w_writhe, int) or isinstance(w_writhe, bool):
-        raise DomainError(f"writhe must be an integer, got {w_writhe!r}")
-    half = cmath.exp(1j * math.pi / r)  # q^{1/2}
-    phase = cmath.exp(-3j * math.pi * w_writhe / (2 * r))  # q^{-3w/4}
-    return value * phase / (half - 1 / half)

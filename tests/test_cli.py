@@ -1,5 +1,6 @@
 """Tests for the `knit` command-line front end."""
 
+import cmath
 import json
 import math
 import random
@@ -13,7 +14,7 @@ import pytest
 from knit import cli, su2q
 from knit.braid import LETTER_LIMIT, STRAND_LIMIT, parse_braid, random_braid
 from knit.cli import TRIAL_LIMIT, CommandResult, main, run
-from knit.diagram import closure_plat, closure_trace
+from knit.diagram import closure_plat, closure_trace, plat_profile
 from knit.jones import CROSSING_LIMIT_ENV, jones_polynomial
 from knit.laurent import LaurentPoly
 from knit.qsim import approx_jones
@@ -197,6 +198,23 @@ class TestClosureInfo:
         res = run(["closure-info", "s1", "-n", "3", "--closure", "plat"])
         assert res.exit_code == 1
 
+    def test_trace_figures_read_off_the_word_match_the_closure(self):
+        # the word answers without building the closure; the figures must
+        # be the closure's, strands that no letter touches included
+        rng = random.Random(2506)
+        for _ in range(600):
+            n = rng.randint(1, 9)
+            letters = " ".join(
+                f"s{rng.randint(1, n - 1)}^{rng.choice((1, -1))}"
+                for _ in range(rng.randint(0, 12) if n > 1 else 0)
+            )
+            res = run(["closure-info", letters, "-n", str(n), "--json"])
+            d = closure_trace(parse_braid(letters, n))
+            assert res.exit_code == 0
+            assert (res.payload["components"], res.payload["crossings"], res.payload["writhe"]) == (
+                d.component_count(), d.crossing_count(), d.writhe()
+            ), (letters, n)
+
 
 class TestJones:
     def test_plat_and_trace_agree_on_trefoil(self):
@@ -235,6 +253,14 @@ class TestJones:
         assert code == 1 and "Traceback" not in err
         assert CROSSING_LIMIT_ENV in err and "5000" in err
         assert all(len(line) < 200 for line in err.splitlines())
+
+    def test_long_negative_crossing_limit_is_named_by_its_digits(self, monkeypatch):
+        monkeypatch.setenv(CROSSING_LIMIT_ENV, "-" + "9" * 4000)
+        res = run(["jones", "s1^3"])
+        assert (res.exit_code, res.payload["kind"]) == (1, "domain")
+        assert res.payload["error"] == (
+            f"{CROSSING_LIMIT_ENV} must be nonnegative, got a negative number of 4000 digits"
+        )
 
     def test_bad_root_is_domain_error(self):
         res = run(["jones", "s1^3", "-n", "2", "--at-root", "0"])
@@ -312,6 +338,20 @@ class TestColored:
         ) == pytest.approx(
             complex(base.payload["value_re"], base.payload["value_im"])
         )
+
+    def test_ambient_is_the_plain_value_over_the_balanced_denominator(self):
+        rng = random.Random(2507)
+        for _ in range(300):
+            n, r = rng.choice((2, 4, 6)), rng.choice((5, 7, 10))
+            w = random_braid(n, rng.randint(0, 8), rng.randrange(10**6))
+            colors = [rng.choice((1, 2))] * plat_profile(w).component_count
+            argv = ["colored", str(w), "-n", str(n), "--colors", ",".join(map(str, colors)),
+                    "--root", str(r), "--normalize", "ambient", "--json"]
+            res = run(argv)
+            half = cmath.exp(1j * math.pi / r)
+            want = colored_invariant(w, colors, r) / (half - 1 / half)
+            assert res.exit_code == 0
+            assert abs(complex(res.payload["value_re"], res.payload["value_im"]) - want) < 1e-12
 
     def test_regular_normalization_sees_kinks(self):
         base = run(
@@ -437,6 +477,23 @@ class TestLongValues:
         assert (res.exit_code, res.payload["kind"]) == (2, "usage")
         assert "invalid int value: '999999999'... (5000 characters)" in res.payload["error"]
         assert len(res.rendered.splitlines()[0]) < 200
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["parse", "s1", "-n", "-" + "9" * 4000], "braid index must be >= 1"),
+            (["invariance-test", "--trials", "-" + "9" * 4000], "trial count must be positive"),
+            (["colored", "s1", "-n", "2", "--colors", "1", "--root", "-" + "9" * 4000],
+             "root parameter too small: need r >= 3"),
+        ],
+        ids=["strands", "trials", "colored-root"],
+    )
+    def test_long_negative_value_is_named_by_its_sign_and_digits(self, argv, message, capsys):
+        res = run(argv)
+        assert (res.exit_code, res.payload["kind"]) == (1, "domain")
+        assert res.payload["error"] == f"{message}, got a negative number of 4000 digits"
+        assert main(argv) == 1
+        assert all(len(line) < 200 for line in capsys.readouterr().err.splitlines())
 
     @pytest.mark.parametrize("value", ["x" * 20, "1" * 19 + "x"])
     def test_bad_value_of_twenty_characters_is_quoted_in_full(self, value):

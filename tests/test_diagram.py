@@ -180,59 +180,64 @@ def test_mirror_negates_writhe():
     m = closure_trace(parse_braid("s1^-3", 2))
     assert m.writhe() == -3
     assert m.component_count() == 1
-    assert not m.validate()
+
+
+def _refused(crossings, circles=0):
+    """The DomainError text of building the diagram; where the text form
+    can say it, parse_diagram raises a ParseError with the same text."""
+    with pytest.raises(DomainError) as built:
+        LinkDiagram(crossings, circles)
+    if type(circles) is int and circles >= 0:
+        with pytest.raises(ParseError) as parsed:
+            parse_diagram(", ".join([*map(str, crossings), f"O[{circles}]"]))
+        assert str(parsed.value) == str(built.value)
+    return str(built.value)
 
 
 def test_validate_reports_multiplicity():
-    d = LinkDiagram((Crossing((1, 2, 3, 4), 1),))
-    problems = d.validate()
-    assert any("multiplicity" in p for p in problems)
+    message = _refused((Crossing((1, 2, 3, 4), 1),))
+    assert message == "invalid diagram: edge multiplicity: labels [1, 2, 3, 4] do not appear twice"
 
 
 @pytest.mark.parametrize("circles", [1.5, "2", None, True, False])
 def test_validate_reports_a_free_circle_count_that_is_not_an_int(circles):
-    problems = LinkDiagram((), circles).validate()
-    assert any("free-circle count" in p for p in problems)
-    with pytest.raises(DomainError):
-        LinkDiagram((), circles).require_valid()
+    message = _refused((), circles)
+    assert message == f"invalid diagram: free-circle count must be an int, got {circles!r}"
 
 
 def test_validate_reports_orientation():
     # both ends of edge 1 incoming at the two crossings
     c1 = Crossing((1, 2, 3, 4), 1)
     c2 = Crossing((1, 3, 2, 4), 1)
-    problems = LinkDiagram((c1, c2)).validate()
-    assert any("orientation" in p for p in problems)
-    with pytest.raises(DomainError):
-        LinkDiagram((c1, c2)).writhe()
+    assert _refused((c1, c2)) == (
+        "invalid diagram: orientation: labels [1, 4] lack one incoming "
+        "and one outgoing end"
+    )
 
 
 def test_validate_trace_closures_clean():
+    # a closure is built only if it is sound; rebuilding it checks it again
     for seed in range(10):
-        w = random_braid(5, 12, seed=seed)
-        assert closure_trace(w).validate() == []
+        d = closure_trace(random_braid(5, 12, seed=seed))
+        assert LinkDiagram(d.crossings, d.unknot_count) == d
 
 
 def test_validate_plat_closures_clean():
     for seed in range(10):
-        w = random_braid(6, 12, seed=100 + seed)
-        assert closure_plat(w).validate() == []
+        d = closure_plat(random_braid(6, 12, seed=100 + seed))
+        assert LinkDiagram(d.crossings, d.unknot_count) == d
 
 
 def test_closures_number_edges_in_first_appearance_order():
-    # the closures label edges canonically, as relabeled() would
+    # the closures label edges canonically: 1, 2, ... as they first appear
     rng = random.Random(808)
     for _ in range(300):
         n = rng.randint(1, 8)
         w = random_braid(n, rng.randint(0, 20) if n > 1 else 0, seed=rng.randrange(10**6))
         closures = [closure_trace(w)] + ([closure_plat(w)] if n % 2 == 0 else [])
         for d in closures:
-            assert d.relabeled() == d
-
-
-def test_relabeled_renames_parsed_edges():
-    d = parse_diagram("X[7,9,4,2;+], X[4,2,9,7;+], O[1]")
-    assert d.relabeled().to_text() == "X[1,2,3,4;+], X[3,4,2,1;+], O[1]"
+            first = list(dict.fromkeys(e for c in d.crossings for e in c.edges))
+            assert first == list(range(1, len(first) + 1))
 
 
 def test_text_round_trip():
@@ -310,6 +315,6 @@ def test_trace_crossing_count_is_length(w):
 @given(words)
 def test_plat_closures_validate_and_round_trip(w):
     d = closure_plat(w)
-    assert d.validate() == []
+    assert LinkDiagram(d.crossings, d.unknot_count) == d
     assert d.crossing_count() == len(w)
     assert parse_diagram(d.to_text()) == d

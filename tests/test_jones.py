@@ -17,7 +17,6 @@ from knit.jones import (
     jones_polynomial,
     kauffman_bracket,
     markov_trace_jones,
-    noncrossing_matchings,
 )
 from knit.laurent import LaurentPoly, evaluate_at_root
 from knit.reidemeister import apply_reidemeister, reidemeister_sites
@@ -28,9 +27,27 @@ def poly(d):
     return LaurentPoly.from_dict(d)
 
 
+ONE = poly({0: 1})
+
+
+def tl_basis(n):
+    """The TL basis diagrams on n strands: every diagram reached from the
+    identity by the cup-cap action of E_1, ..., E_(n-1), in sorted order."""
+    found = {_identity_matching(n)}
+    frontier = list(found)
+    while frontier:
+        m = frontier.pop()
+        for i in range(1, n):
+            composed, _ = _cupcap_action(n, i, m)
+            if composed not in found:
+                found.add(composed)
+                frontier.append(composed)
+    return sorted(found)
+
+
 def test_bracket_unknot():
     d = LinkDiagram((), 1)
-    assert kauffman_bracket(d) == LaurentPoly.one()
+    assert kauffman_bracket(d) == ONE
 
 
 def test_bracket_two_circles():
@@ -50,11 +67,13 @@ def test_bracket_empty_diagram_rejected():
         kauffman_bracket(LinkDiagram((), 0))
 
 
-def test_bracket_crossing_limit():
-    w = parse_braid("s1^5", 2)
-    with pytest.raises(LimitError):
-        kauffman_bracket(closure_trace(w), limit=4)
-    kauffman_bracket(closure_trace(w), limit=5)
+def test_bracket_crossing_limit(monkeypatch):
+    d = closure_trace(parse_braid("s1^5", 2))
+    monkeypatch.setenv("KNIT_CROSSING_LIMIT", "4")
+    with pytest.raises(LimitError, match="state sum over 5 crossings exceeds the limit 4"):
+        kauffman_bracket(d)
+    monkeypatch.setenv("KNIT_CROSSING_LIMIT", "5")
+    kauffman_bracket(d)
 
 
 def test_bracket_limit_env(monkeypatch):
@@ -73,51 +92,52 @@ def test_bracket_negative_limit_is_domain_error(monkeypatch):
     monkeypatch.setenv("KNIT_CROSSING_LIMIT", "-1")
     with pytest.raises(DomainError):
         kauffman_bracket(unknot)
-    monkeypatch.delenv("KNIT_CROSSING_LIMIT")
-    with pytest.raises(DomainError):
-        jones_polynomial(unknot, limit=-1)
-    assert kauffman_bracket(unknot, limit=0) == LaurentPoly.one()
+    with pytest.raises(DomainError, match="must be nonnegative, got -1"):
+        jones_polynomial(unknot)
+    monkeypatch.setenv("KNIT_CROSSING_LIMIT", "0")
+    assert kauffman_bracket(unknot) == ONE
 
 
-@pytest.mark.parametrize("limit", [True, 2.5, "3"])
-def test_bracket_limit_must_be_an_int(limit):
-    # a one-crossing kink sits under every one of these caps, so none of
-    # them may pass as a number
+@pytest.mark.parametrize("limit", [True, 2.5])
+def test_bracket_limit_must_be_an_int(monkeypatch, limit):
+    # a one-crossing kink sits under both of these caps, so neither may
+    # pass as a number
+    monkeypatch.setenv("KNIT_CROSSING_LIMIT", str(limit))
     kink = closure_trace(parse_braid("s1", 2))
-    with pytest.raises(DomainError):
-        kauffman_bracket(kink, limit)
-    with pytest.raises(DomainError):
-        jones_polynomial(kink, limit)
+    with pytest.raises(DomainError, match="KNIT_CROSSING_LIMIT must be an integer"):
+        kauffman_bracket(kink)
+    with pytest.raises(DomainError, match="KNIT_CROSSING_LIMIT must be an integer"):
+        jones_polynomial(kink)
 
 
 def test_jones_validates_its_diagram_once(monkeypatch):
+    # the closure is checked when it is built, and the bracket and the
+    # writhe check nothing more
     calls = []
-    validate = LinkDiagram.validate
-    monkeypatch.setattr(LinkDiagram, "validate", lambda d: calls.append(d) or validate(d))
+    check = LinkDiagram.__post_init__
+    monkeypatch.setattr(LinkDiagram, "__post_init__", lambda d: calls.append(d) or check(d))
     d = closure_trace(parse_braid("s1^3", 2))
     assert jones_polynomial(d) == poly({4: 1, 12: 1, 16: -1})
     assert calls == [d]
 
 
 def test_jones_of_an_invalid_diagram_names_every_problem():
-    # edges 1 and 3 appear once each, and the free-circle count is negative
-    d = LinkDiagram((Crossing((1, 2, 3, 2), 1),), -1)
-    message = "; ".join(d.validate())
-    assert "edge multiplicity" in message and "negative" in message
-    for route in (kauffman_bracket, jones_polynomial):
-        with pytest.raises(DomainError) as error:
-            route(d)
-        assert str(error.value) == "invalid diagram: " + message
+    # edges 1 and 3 appear once each, and the free-circle count is negative,
+    # so no diagram is built for either route to see
+    with pytest.raises(DomainError) as error:
+        LinkDiagram((Crossing((1, 2, 3, 2), 1),), -1)
+    assert str(error.value) == (
+        "invalid diagram: free-circle count is negative; "
+        "edge multiplicity: labels [1, 3] do not appear twice"
+    )
 
 
 @pytest.mark.parametrize("circles", [1.5, "2", None, True])
 def test_bracket_rejects_a_free_circle_count_that_is_not_an_int(circles):
+    # no diagram with such a count is built, so no bracket sees one
     for crossings in ((), closure_trace(parse_braid("s1 s1", 2)).crossings):
-        d = LinkDiagram(crossings, circles)
-        with pytest.raises(DomainError):
-            kauffman_bracket(d)
-        with pytest.raises(DomainError):
-            jones_polynomial(d)
+        with pytest.raises(DomainError, match="free-circle count must be an int"):
+            LinkDiagram(crossings, circles)
 
 
 def test_bracket_hopf():
@@ -126,9 +146,9 @@ def test_bracket_hopf():
 
 
 def test_jones_unknot_normalized():
-    assert jones_polynomial(LinkDiagram((), 1)) == LaurentPoly.one()
-    assert jones_polynomial(closure_trace(parse_braid("s1", 2))) == LaurentPoly.one()
-    assert jones_polynomial(closure_plat(parse_braid("s1^3", 2))) == LaurentPoly.one()
+    assert jones_polynomial(LinkDiagram((), 1)) == ONE
+    assert jones_polynomial(closure_trace(parse_braid("s1", 2))) == ONE
+    assert jones_polynomial(closure_plat(parse_braid("s1^3", 2))) == ONE
 
 
 def test_jones_trefoil():
@@ -166,14 +186,14 @@ def test_jones_plat_equals_trace_for_trefoil():
 
 
 def test_catalan_counts():
-    for n in range(1, 7):
+    for n in range(1, 8):
         expected = math.comb(2 * n, n) // (n + 1)
-        assert len(noncrossing_matchings(n)) == expected
+        assert len(tl_basis(n)) == expected
 
 
 def _same_action(n, left, right):
     # both letter sequences, propagated from every basis diagram of B_n
-    for m in noncrossing_matchings(n):
+    for m in tl_basis(n):
         start = {(m, 0): 1}
         assert _propagate(n, left, start) == _propagate(n, right, start), m
 
@@ -188,7 +208,7 @@ def _scaled(n, letters, m):
 
 
 def test_tl_rep_small_shape():
-    basis = noncrossing_matchings(2)
+    basis = tl_basis(2)
     assert len(basis) == 2
     identity = _identity_matching(2)
     assert identity in basis
@@ -228,7 +248,7 @@ def _crosses(m, p, q):
 
 def test_tl_basis_is_noncrossing_and_closed_under_cupcap():
     for n in range(1, 8):
-        basis = noncrossing_matchings(n)
+        basis = tl_basis(n)
         assert len(set(basis)) == len(basis) == math.comb(2 * n, n) // (n + 1)
         assert _identity_matching(n) in basis
         members = set(basis)
@@ -268,7 +288,7 @@ def test_tl_cupcap_relations():
     # E_i^2 = delta E_i and E_i E_j E_i = E_i for |i - j| = 1, on every
     # basis diagram of B3 and B4
     for n in (3, 4):
-        for m in noncrossing_matchings(n):
+        for m in tl_basis(n):
             for i in range(1, n):
                 once, loops = _scaled(n, (i,), m)
                 assert _scaled(n, (i, i), m) == (once, loops + 1)
@@ -278,7 +298,7 @@ def test_tl_cupcap_relations():
 
 
 def test_markov_trace_identity_words():
-    assert markov_trace_jones(BraidWord(1, ())) == LaurentPoly.one()
+    assert markov_trace_jones(BraidWord(1, ())) == ONE
     assert markov_trace_jones(BraidWord(2, ())) == poly({-2: -1, 2: -1})
 
 
@@ -372,7 +392,7 @@ def test_bracket_of_parsed_diagram_round_trip():
 
 def test_bracket_of_free_circles_alone_is_a_power_of_delta():
     for k in range(1, 61):
-        assert kauffman_bracket(LinkDiagram((), k)) == math.prod([LOOP_VALUE] * (k - 1), start=LaurentPoly.one())
+        assert kauffman_bracket(LinkDiagram((), k)) == math.prod([LOOP_VALUE] * (k - 1), start=ONE)
 
 
 def test_free_circles_beside_a_kink_are_a_power_of_delta():

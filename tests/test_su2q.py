@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from knit import su2q
 from knit.braid import BraidWord, parse_braid, random_braid
+from knit.cli import run
 from knit.diagram import closure_plat, plat_profile
 from knit.errors import DomainError, LimitError
 from knit.jones import jones_polynomial
@@ -25,7 +26,6 @@ from knit.su2q import (
     braiding_operator_for_word,
     colored_invariant,
     jones_value_from_plat,
-    normalize_ambient,
     plat_branch,
     q_integer,
     r_matrix,
@@ -156,7 +156,6 @@ class TestRMatrix:
         op = r_matrix(1, 2, 10)
         assert op.domain.doubled == (1, 2)
         assert op.codomain.doubled == (2, 1)
-        assert op.domain.dimension == 2 * 3
 
     def test_dense_limit(self):
         with pytest.raises(LimitError):
@@ -172,10 +171,6 @@ class TestRMatrix:
 
 
 class TestColoredSpace:
-    def test_dimension_is_classical_product(self):
-        space = ColoredSpace((1, 2, 3), 10)
-        assert space.dimension == 2 * 3 * 4
-
     def test_coupled_dimension_counts_paths(self):
         space = ColoredSpace((1,) * 4, 10)
         # spin-1/2 strands: walks on the truncated ladder returning anywhere
@@ -504,36 +499,39 @@ class TestTwist:
         assert peak < 4e6
 
 
+def colored_cli(word, n, colors, r, normalize):
+    """``knit colored`` with ``--normalize``: its exit code and its value."""
+    res = run(["colored", word, "-n", str(n), "--colors", colors, "--root", str(r),
+               "--normalize", normalize, "--json"])
+    return res.exit_code, complex(res.payload.get("value_re", 0), res.payload.get("value_im", 0))
+
+
 class TestNormalizeAmbient:
+    # ``knit colored --normalize ambient`` divides the invariant by
+    # q^(1/2) - q^(-1/2)
+
     def test_zero_stays_zero(self):
-        assert normalize_ambient(0j, 4, 7) == 0
+        # the spin-1/2 Hopf link vanishes at r = 4, where q^2 = -1
+        assert colored_cli("s2^2", 4, "1,1", 4, "none")[1] == pytest.approx(0, abs=1e-12)
+        assert colored_cli("s2^2", 4, "1,1", 4, "ambient")[1] == pytest.approx(0, abs=1e-12)
 
     def test_zero_writhe_divides_by_the_balanced_denominator(self):
         r = 7
         q = unit_root(r)
-        value = 2.5 + 0.5j
-        want = value / (q**0.5 - q**-0.5)
-        assert normalize_ambient(value, 0, r) == pytest.approx(want, abs=1e-12)
+        w = parse_braid("s2 s1^-1 s3 s2^-1", 4)
+        assert plat_profile(w).writhe == 0
+        want = colored_invariant(w, [1, 1], r) / (q**0.5 - q**-0.5)
+        assert colored_cli(str(w), 4, "1,1", r, "ambient") == (0, pytest.approx(want, abs=1e-12))
 
     def test_kink_invariance_through_the_pipeline(self):
-        # feed the writhe-sensitive companion value; the rescaled output
-        # must not move when the diagram picks up kinks
-        r = 7
-        q = unit_root(r)
-
-        def ambient(word, n):
-            w = parse_braid(word, n)
-            writhe = closure_plat(w).writhe()
-            regular = colored_invariant(w, [1, 2], r) * q ** (Fraction(3, 4) * writhe)
-            return normalize_ambient(regular, writhe, r)
-
-        reference = ambient("s2 s2", 4)
+        # the rescaled output must not move when the diagram picks up kinks
+        reference = colored_cli("s2 s2", 4, "1,2", 7, "ambient")[1]
         for extra in ("s1", "s1^-1", "s3^2"):
-            assert ambient("s2 s2 " + extra, 4) == pytest.approx(reference, abs=1e-10)
+            kinked = colored_cli("s2 s2 " + extra, 4, "1,2", 7, "ambient")[1]
+            assert kinked == pytest.approx(reference, abs=1e-10)
 
     def test_rejects_small_root(self):
-        with pytest.raises(DomainError):
-            normalize_ambient(1 + 0j, 0, 2)
+        assert colored_cli("s1", 2, "1", 2, "ambient")[0] == 1
 
 
 class TestGridProperties:
