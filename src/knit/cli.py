@@ -341,14 +341,12 @@ def _cmd_colored(args) -> _Output:
     r = args.root
     value = colored_invariant(w, colors, r)
     writhe = plat_profile(w).writhe
-    if args.normalize != "none":
+    if args.normalize == "regular":
         # the framed value: times q^(3w/4) at q = exp(2 pi i / r)
         value *= cmath.exp(3j * math.pi * writhe / (2 * r))
-    if args.normalize == "ambient":
-        # the plain value over q^(1/2) - q^(-1/2); the phase is taken back
-        # out rather than skipped, so the printed digits stay as they were
-        half = cmath.exp(1j * math.pi / r)
-        value = value * cmath.exp(-3j * math.pi * writhe / (2 * r)) / (half - 1 / half)
+    elif args.normalize == "ambient":
+        # the plain value over q^(1/2) - q^(-1/2) = 2i sin(pi / r)
+        value /= 2j * math.sin(math.pi / r)
     payload = {
         "root": r,
         "colors": colors,

@@ -18,6 +18,12 @@ from those two vectors, and the estimators contract them once more for
 the exact companion value.  Each crossing is the cached block-sparse
 half twist of ``su2q._twist``, not a gate-level compilation: at desk
 scale only the induced statistics matter, and those are exact here.
+
+Reading k of quadrature p compares the first ``random()`` of numpy's
+PCG64 seeded by ``SeedSequence((seed, p, k))`` with the chance of a +1.
+``_plus_readings`` computes those draws a block at a time, hashing the
+seeds in uint32 lanes and stepping the generator in exact ints, so it
+matches numpy bit for bit without importing ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -65,9 +71,96 @@ def _reading_probability(reference: np.ndarray, branch: np.ndarray, phase: compl
     return min(1.0, float(np.vdot(upper, upper).real))
 
 
-def _reading(p_plus: float, entropy) -> int:
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
-    return 1 if rng.random() < p_plus else -1
+#: Readings drawn per block: it bounds the sampler's working memory.
+_BLOCK = 1024
+
+# SeedSequence (O'Neill's seed_seq_fe) and PCG64 constants, as numpy defines them
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_constants(init: int, multiplier: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """The constants SeedSequence's hashmix XORs and multiplies by, one row per call.
+
+    The running constant steps by ``multiplier`` between the XOR and the
+    multiply of every call, whatever the data, so the rows are fixed.
+    """
+    running = [init]
+    for _ in range(calls):
+        running.append(running[-1] * multiplier & _MASK32)
+    column = np.array(running, dtype=np.uint32)[:, None]
+    return column[:-1], column[1:]
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * multiplier
+    return value ^ value >> np.uint32(16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return result ^ result >> np.uint32(16)
+
+
+def _plus_readings(p_plus: float, seed: int, part: int, start: int, stop: int) -> int:
+    """How many of readings ``start`` to ``stop - 1`` of quadrature ``part`` are +1.
+
+    Reading k is +1 when the first ``random()`` of
+    ``Generator(PCG64(SeedSequence((seed, part, k))))`` falls below
+    ``p_plus``.  SeedSequence hashes every k of the block at once in uint32
+    lanes, one column per k; PCG64's two steps and its XSL-RR output are
+    taken in exact ints.  Each k must fit one 32-bit word, as every k
+    below ``SAMPLE_LIMIT`` does.
+    """
+    # the entropy words: the seed's little-endian 32-bit words, the
+    # quadrature, then k; all but the last are the same in every column
+    constant = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    constant.append(part)
+    words = np.empty((len(constant) + 1, stop - start), dtype=np.uint32)
+    words[:-1] = np.array(constant, dtype=np.uint32)[:, None]
+    words[-1] = np.arange(start, stop, dtype=np.uint32)
+
+    # hash the first four words (zero-padded) into the pool, mix each pool
+    # word into the other three, then mix every later word into all four
+    xor, mul = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * max(0, len(words) - 4))
+    pool = np.zeros((4, stop - start), dtype=np.uint32)
+    pool[: len(words)] = words[:4]
+    pool = _hashmix(pool, xor[:4], mul[:4])
+    call = 4
+    for src in range(4):
+        others = [dst for dst in range(4) if dst != src]
+        hashed = _hashmix(pool[src], xor[call : call + 3], mul[call : call + 3])
+        pool[others] = _mix(pool[others], hashed)
+        call += 3
+    for word in words[4:]:
+        pool = _mix(pool, _hashmix(word, xor[call : call + 4], mul[call : call + 4]))
+        call += 4
+
+    # PCG64's seed: eight 32-bit words hashed out of the pool, paired
+    # little-endian into four 64-bit words
+    xor, mul = _hash_constants(_INIT_B, _MULT_B, 8)
+    halves = _hashmix(np.vstack((pool, pool)), xor, mul).astype(np.uint64)
+    seeds = halves[0::2] | halves[1::2] << np.uint64(32)
+
+    # random() < p_plus exactly when the top 53 output bits fall below p_plus * 2^53
+    threshold = p_plus * 2.0**53
+    plus = 0
+    for high, low, inc_high, inc_low in zip(*seeds.tolist()):
+        inc = (inc_high << 64 | inc_low) << 1 | 1
+        # seeding: one step from 0, add the initial state, step again;
+        # then the first output steps once more
+        state = ((inc + (high << 64 | low)) * _PCG_MULT + inc) & _MASK128
+        state = (state * _PCG_MULT + inc) & _MASK128
+        rot = state >> 122
+        folded = (state >> 64 ^ state) & _MASK64
+        if ((folded >> rot | folded << (64 - rot)) & _MASK64) >> 11 < threshold:
+            plus += 1
+    return plus
 
 
 def _is_real(x) -> bool:
@@ -185,8 +278,9 @@ def _sampled_overlap(reference, branch, planned: int, seed: int) -> complex:
 
     Sample k of quadrature p draws from a generator seeded with
     (seed, p, k), so samples are independent, reproducible, and safe to
-    evaluate in any order; the ±1 readings are aggregated as exact
-    integers, making the reported mean order-independent.
+    evaluate in any order; they are drawn ``_BLOCK`` at a time and the
+    ±1 readings are aggregated as exact integers, making the reported
+    mean order-independent.
     """
     if planned > SAMPLE_LIMIT:
         raise LimitError(
@@ -197,8 +291,11 @@ def _sampled_overlap(reference, branch, planned: int, seed: int) -> complex:
     # quadrature 0 is the real part, 1 the imaginary part
     for index, phase in enumerate((1.0, -1.0j)):
         p_plus = _reading_probability(reference, branch, phase)
-        total = sum(_reading(p_plus, (seed, index, k)) for k in range(planned))
-        means.append(total / planned)
+        plus = sum(
+            _plus_readings(p_plus, seed, index, start, min(start + _BLOCK, planned))
+            for start in range(0, planned, _BLOCK)
+        )
+        means.append((2 * plus - planned) / planned)
     return complex(means[0], means[1])
 
 

@@ -167,6 +167,23 @@ class TestStartWithoutNumpy:
         )
         assert done.returncode == 0, done.stderr
 
+    def test_the_sampler_runs_without_numpy_random(self):
+        # qsim hashes and steps every reading itself, so the estimators and
+        # knit approx never pay for importing numpy.random
+        done = _python(
+            "-c",
+            "import sys\n"
+            "from knit import approx_jones, estimate_markov_trace, parse_braid\n"
+            "from knit.cli import main\n"
+            "w = parse_braid('s2^3', 4)\n"
+            "approx_jones(w, 5, 0.3, seed=1)\n"
+            "estimate_markov_trace(w, [2], 5, 0.3, seed=1)\n"
+            "assert main(['approx', 's2^3', '-n', '4', '--root', '5', '--delta', '0.5']) == 0\n"
+            "assert 'numpy' in sys.modules\n"
+            "assert 'numpy.random' not in sys.modules\n",
+        )
+        assert done.returncode == 0, done.stderr
+
 
 class TestModuleEntryPoints:
     @pytest.mark.parametrize("module", ["knit", "knit.cli"])

@@ -2,12 +2,11 @@
 
 Reading k of quadrature p in a run seeded with s compares the first
 double of ``Generator(PCG64(SeedSequence((s, p, k))))`` with the chance
-of a +1 reading (``qsim._reading``).  The documented ``numpy-PCG64``
-readings rest on that double, so this module rebuilds it from the
-published algorithms with Python ints alone and pins ``_reading`` to it
-bit for bit.  A numpy upgrade that changed the draws would fail here,
-and a vectorised port of the draws has a reference to be checked
-against.
+of a +1 reading.  The documented ``numpy-PCG64`` readings rest on that
+double, so this module rebuilds it from the published algorithms with
+Python ints alone and pins ``qsim._plus_readings``, which draws a block
+of readings at once, to it bit for bit.  A numpy upgrade that changed
+the draws would fail here.
 
 - SeedSequence (O'Neill's seed_seq_fe): each entropy int is split into
   little-endian 32-bit words, hashed into a pool of four words and mixed;
@@ -23,7 +22,7 @@ import random
 import numpy as np
 import pytest
 
-from knit.qsim import _reading
+from knit.qsim import _BLOCK, SAMPLE_LIMIT, _plus_readings, _reading_probability, _sampled_overlap
 
 MASK32 = (1 << 32) - 1
 MASK64 = (1 << 64) - 1
@@ -129,10 +128,58 @@ def test_reference_matches_numpy_on_word_boundaries(entropy):
     assert first_double(entropy) == _numpy_double(entropy)
 
 
+def _pins(entropy, draw) -> bool:
+    """Whether reading k of the block function is +1 exactly above ``draw``.
+
+    A reading is +1 exactly when the draw falls below p_plus, so the two
+    chances either side of the draw pin it bit for bit.
+    """
+    seed, part, k = entropy
+    return (
+        _plus_readings(draw, seed, part, k, k + 1) == 0
+        and _plus_readings(math.nextafter(draw, 1.0), seed, part, k, k + 1) == 1
+    )
+
+
+@pytest.mark.parametrize("entropy", [
+    (0, 0, 0), (0, 1, 0), (42, 0, 5807), (2**32 - 1, 1, 7), (2**32, 0, 2**32 - 1),
+    (2**64 + 3, 1, 2**16), (2**96 - 1, 0, 1), (2**128 + 1, 1, 12345),
+])
+def test_block_readings_match_the_reference_and_numpy_on_word_boundaries(entropy):
+    # seeds of one to five words: a seed of three words puts k, and one of
+    # four or more the quadrature too, past the pool's first four words
+    draw = first_double(entropy)
+    assert draw == _numpy_double(entropy)
+    assert _pins(entropy, draw)
+
+
 def test_reading_is_the_reference_double_against_the_chance_of_plus_one():
-    # a reading is +1 exactly when the draw falls below p_plus, so the
-    # two chances either side of the draw pin it bit for bit
-    for entropy in _triples(10_000, 2024):
+    for entropy in _triples(20_000, 2024):
         draw = first_double(entropy)
-        assert _reading(draw, entropy) == -1, entropy
-        assert _reading(math.nextafter(draw, 1.0), entropy) == 1, entropy
+        assert draw == _numpy_double(entropy), entropy
+        assert _pins(entropy, draw), entropy
+
+
+@pytest.mark.parametrize("planned", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+def test_block_edges_give_the_per_reading_count(planned):
+    # one reading per generator, as numpy draws them, against the blocks
+    assert SAMPLE_LIMIT < 2**32  # every reading index fits one word
+    rng = random.Random(planned)
+    seed = rng.randrange(1 << 40)
+    reference = np.array([0.6, 0.8j])
+    branch = np.array([0.8, 0.6])
+    means = []
+    for index, phase in enumerate((1.0, -1.0j)):
+        p_plus = _reading_probability(reference, branch, phase)
+        plus = sum(_numpy_double((seed, index, k)) < p_plus for k in range(planned))
+        means.append((2 * plus - planned) / planned)
+    assert _sampled_overlap(reference, branch, planned, seed) == complex(*means)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**200 + 2**31])
+def test_block_wraps_its_uint32_lanes_without_warnings(seed):
+    # every product in the hashing overflows uint32 on purpose; numpy
+    # warns on overflowing scalars but not arrays, so no lane may be a scalar
+    for start, stop in ((0, 1), (5, _BLOCK + 5)):
+        assert 0 <= _plus_readings(0.5, seed, 1, start, stop) <= stop - start
