@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 _TOKEN = re.compile(r"s(\d+)(?:\^(-?\d+))?")
+_WORD = re.compile(r"\S+")
 
 #: Most letters a parsed word may expand to; a power that would pass it
 #: raises LimitError before any letter is stored.
@@ -135,6 +136,47 @@ def _bounded_int(digits: str, width: int) -> int | None:
     return int(digits) if len(digits.lstrip("-0")) <= width else None
 
 
+def _past_letters(pos: int) -> LimitError:
+    return LimitError(
+        f"the power at position {pos} takes the word past {LETTER_LIMIT} letters"
+    )
+
+
+def _token_run(token: str, pos: int, index: int | None, room: int) -> tuple:
+    """The letters of one whitespace-free token found at ``pos``.
+
+    Raises as parse_braid documents; ``room`` is how many more letters
+    the word may take, and a power is checked against it before its run
+    is expanded.
+    """
+    m = _TOKEN.match(token)
+    if m is None:
+        raise ParseError(f"expected generator token, found {token[0]!r}", pos)
+    if m.end() < len(token):
+        raise ParseError(f"malformed token {_quoted(token[:m.end() + 1])}", pos)
+    # a number with more digits than its limit is past it
+    gen = _bounded_int(m.group(1), len(str(STRAND_LIMIT)))
+    if gen == 0:
+        raise ParseError(f"generator index must be >= 1, got s{gen}", pos)
+    if index is None:
+        if gen is None or gen >= STRAND_LIMIT:
+            raise LimitError(
+                f"the generator at position {pos} takes the word past "
+                f"{STRAND_LIMIT} strands"
+            )
+    elif gen is None or gen >= index:
+        shown = gen if gen is not None else m.group(1)[:9] + "..."
+        raise ParseError(
+            f"generator s{shown} out of range for braid index {index}", pos
+        )
+    power = _bounded_int(m.group(2) or "1", len(str(LETTER_LIMIT)))
+    if power is None or abs(power) > room:
+        raise _past_letters(pos)
+    if power == 0:
+        raise ParseError("zero power is not a letter", pos)
+    return ((gen, 1 if power > 0 else -1),) * abs(power)
+
+
 def parse_braid(text: str, index: int | None = None) -> BraidWord:
     """Parse generator tokens like ``s3^-1 s2 s1^3`` into a BraidWord.
 
@@ -143,55 +185,29 @@ def parse_braid(text: str, index: int | None = None) -> BraidWord:
     sk (B_1 when empty).  Raises ParseError (with a position) on malformed
     text and on generator indices outside 1..index-1, and LimitError when
     the word would pass LETTER_LIMIT letters or STRAND_LIMIT strands.
+
+    The text is read once, token by token, split at the characters
+    ``str.isspace`` matches.  Each distinct token is parsed and checked
+    once, at its first occurrence; later occurrences reuse its run of
+    letters and only count it against LETTER_LIMIT.
     """
     if index is not None:
         if index < 1:
             raise DomainError(f"braid index must be >= 1, got {_shown(index)}")
         if index > STRAND_LIMIT:
             raise LimitError(f"braid index {_shown(index)} is past {STRAND_LIMIT} strands")
-    # a number with more digits than its limit is past it
-    gen_width, power_width = len(str(STRAND_LIMIT)), len(str(LETTER_LIMIT))
+    limit = LETTER_LIMIT
     letters: list[tuple[int, int]] = []
+    runs: dict[str, tuple] = {}  # token -> its letters
     top = 0
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"expected generator token, found {text[pos]!r}", pos)
-        end = m.end()
-        if end < n and not text[end].isspace():
-            raise ParseError(f"malformed token {_quoted(text[pos:end + 1])}", pos)
-        gen = _bounded_int(m.group(1), gen_width)
-        if gen == 0:
-            raise ParseError(f"generator index must be >= 1, got s{gen}", pos)
-        if index is None:
-            if gen is None or gen >= STRAND_LIMIT:
-                raise LimitError(
-                    f"the generator at position {pos} takes the word past "
-                    f"{STRAND_LIMIT} strands"
-                )
-        elif gen is None or gen >= index:
-            shown = gen if gen is not None else m.group(1)[:9] + "..."
-            raise ParseError(
-                f"generator s{shown} out of range for braid index {index}", pos
-            )
-        power = _bounded_int(m.group(2) or "1", power_width)
-        if power is None or len(letters) + abs(power) > LETTER_LIMIT:
-            raise LimitError(
-                f"the power at position {pos} takes the word past "
-                f"{LETTER_LIMIT} letters"
-            )
-        if power == 0:
-            raise ParseError("zero power is not a letter", pos)
-        sign = 1 if power > 0 else -1
-        letters.extend([(gen, sign)] * abs(power))
-        if gen > top:
-            top = gen
-        pos = end
+    for m in _WORD.finditer(text):
+        run = runs.get(m[0])
+        if run is None:
+            run = runs[m[0]] = _token_run(m[0], m.start(), index, limit - len(letters))
+            top = max(top, run[0][0])
+        elif len(letters) + len(run) > limit:
+            raise _past_letters(m.start())
+        letters += run
     return BraidWord(top + 1 if index is None else index, tuple(letters))
 
 

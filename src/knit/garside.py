@@ -14,11 +14,15 @@ list, that is iff xinv(i) > xinv(i+1) for the inverse list xinv.
 
 The form is built one run at a time.  The word is split into maximal
 same-sign runs whose positive lift is simple: si extends a run while its
-two strands have not crossed yet.  A positive run is its simple factor P;
-a negative run is Delta^-1 times the simple factor Delta P, whose image
-list is P's reversed.  Each factor is multiplied on the right, and the
-pairs are then repaired from right to left, stopping at the first pair
-that is already left-weighted.  A pair (x, y) is repaired on the lists y
+two strands have not crossed yet.  A run is built on a mutable image
+list p of P and its inverse pinv: the strands of si have crossed when
+pinv[i] > pinv[i+1], and appending si swaps the values i and i+1 in p
+and their positions in pinv, so a run costs O(n) to start and O(1) per
+letter.  A positive run is its simple factor P; a negative run is
+Delta^-1 times the simple factor Delta P, whose image list is P's
+reversed.  Each factor is multiplied on the right, and the pairs are
+then repaired from right to left, stopping at the first pair that is
+already left-weighted.  A pair (x, y) is repaired on the lists y
 and xinv: each generator that slides from y into x is one swap of two
 adjacent entries in both lists.  When a repair makes a half twist, it
 moves to the front in one pass, x Delta = Delta tau(x) with tau mapping
@@ -48,11 +52,6 @@ __all__ = ["COST_LIMIT", "NormalForm", "normal_form", "words_equal", "is_trivial
 #: letter after long positive words at n = 1,000 (``s3^138 s2^-1``), take
 #: 20-26 s; most admitted words take well under a second.
 COST_LIMIT = 300_000_000
-
-
-def _append_gen(t: tuple[int, ...], i: int) -> tuple[int, ...]:
-    """The simple element t followed by s(i+1): swap the values i, i+1."""
-    return tuple(i + 1 if v == i else i if v == i + 1 else v for v in t)
 
 
 def _tau(x: tuple[int, ...]) -> tuple[int, ...]:
@@ -152,14 +151,23 @@ def normal_form(w: BraidWord) -> NormalForm:
     identity = tuple(range(n))
     delta = identity[::-1]
 
-    # maximal same-sign runs whose positive lift P is simple: si extends a
-    # run while its two strands, the values i and i+1, have not crossed yet
-    runs: list[list] = []  # [sign, image tuple of P]
+    # maximal same-sign runs whose positive lift P is simple, each built
+    # on P's image list p and its inverse pinv (see the module docstring)
+    runs: list[tuple[int, tuple[int, ...]]] = []  # (sign, image tuple of P)
+    run_sign, p, pinv = 0, identity, identity
     for gen, sign in w.letters:
         i = gen - 1
-        if not runs or runs[-1][0] != sign or runs[-1][1].index(i) > runs[-1][1].index(i + 1):
-            runs.append([sign, identity])
-        runs[-1][1] = _append_gen(runs[-1][1], i)
+        a, b = pinv[i], pinv[i + 1]
+        if sign != run_sign or a > b:
+            if run_sign:
+                runs.append((run_sign, tuple(p)))
+            run_sign = sign
+            p, pinv = list(identity), list(identity)
+            a, b = i, i + 1
+        p[a], p[b] = i + 1, i
+        pinv[i], pinv[i + 1] = b, a
+    if run_sign:
+        runs.append((run_sign, tuple(p)))
 
     # Pushing each negative run's Delta^-1 to the front conjugates every
     # run to its left by Delta; so a run is flipped by tau when an odd

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -232,3 +233,91 @@ def test_permutation_matches_the_product_of_transpositions():
             # then the transposition (gen, gen + 1)
             p = [gen + 1 if t == gen else gen if t == gen + 1 else t for t in p]
         assert w.permutation().targets == tuple(p), w
+
+
+# Malformed inputs, each with its error type, message and position (None
+# for a LimitError, which has no position attribute).
+_LONG = "1" * 5000
+_MALFORMED = [
+    ("xs1", None, ParseError, "expected generator token, found 'x' (at position 0)", 0),
+    ("s1 s2 $", 3, ParseError, "expected generator token, found '$' (at position 6)", 6),
+    ("s1 s1x", 3, ParseError, "malformed token 's1x' (at position 3)", 3),
+    ("s1^", 3, ParseError, "malformed token 's1^' (at position 0)", 0),
+    ("s1^--1", 3, ParseError, "malformed token 's1^' (at position 0)", 0),
+    ("s^2", 3, ParseError, "expected generator token, found 's' (at position 0)", 0),
+    ("s1 s0", 3, ParseError, "generator index must be >= 1, got s0 (at position 3)", 3),
+    ("s1 s00^2", None, ParseError, "generator index must be >= 1, got s0 (at position 3)", 3),
+    ("s1^0", 3, ParseError, "zero power is not a letter (at position 0)", 0),
+    ("s2 s1^-0", None, ParseError, "zero power is not a letter (at position 3)", 3),
+    ("s1 s3", 3, ParseError, "generator s3 out of range for braid index 3 (at position 3)", 3),
+    ("s1 s2^-2 s4^-1", 4, ParseError,
+     "generator s4 out of range for braid index 4 (at position 9)", 9),
+    ("s1 s999 s1000^2", None, LimitError,
+     "the generator at position 8 takes the word past 1000 strands", None),
+    ("s1 s1^-1000000", 2, LimitError,
+     "the power at position 3 takes the word past 1000000 letters", None),
+    (f"s1 s{_LONG}", 3, ParseError,
+     "generator s111111111... out of range for braid index 3 (at position 3)", 3),
+    (f"s1 s{_LONG}", None, LimitError,
+     "the generator at position 3 takes the word past 1000 strands", None),
+    (f"s1 s{_LONG}x", 3, ParseError,
+     "malformed token 's11111111'... (5002 characters) (at position 3)", 3),
+    ("s1\u200bs2", 3, ParseError, "malformed token 's1\\u200b' (at position 0)", 0),
+]
+
+
+@pytest.mark.parametrize("text, index, error, message, position", _MALFORMED)
+def test_malformed_input_names_its_error_and_position(text, index, error, message, position):
+    with pytest.raises(error) as err:
+        parse_braid(text, index)
+    assert type(err.value) is error
+    assert str(err.value) == message
+    assert getattr(err.value, "position", None) == position
+    assert len(str(err.value)) < 200  # a long token is quoted short
+
+
+def test_every_unicode_space_separates_tokens():
+    text = "s1\ts2\ns1\x1cs2\u00a0s1\u2003s2\r\x0bs1\x0c \x85s2"
+    assert parse_braid(text, 3).letters == ((1, 1), (2, 1)) * 4
+    assert parse_braid("\u2003 s2^-2 \n") == BraidWord(3, ((2, -1), (2, -1)))
+
+
+@pytest.mark.parametrize(
+    "valid, bad, index, error, message",
+    [
+        ("s1", "s1y", 3, ParseError, "malformed token 's1y'"),
+        ("s2^-1", "s3", 3, ParseError, "generator s3 out of range for braid index 3"),
+        ("s2^-1", "s0", None, ParseError, "generator index must be >= 1, got s0"),
+        ("s2^2", "s1^0", None, ParseError, "zero power is not a letter"),
+    ],
+)
+def test_bad_token_after_many_repeats_of_a_valid_one(valid, bad, index, error, message):
+    text = " ".join([valid] * 5000 + [bad, valid])
+    position = 5000 * (len(valid) + 1)
+    with pytest.raises(error) as err:
+        parse_braid(text, index)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+def test_letter_limit_is_checked_at_each_repeat(monkeypatch):
+    monkeypatch.setattr(braid, "LETTER_LIMIT", 10)
+    assert len(parse_braid("s1 " * 10, 2)) == 10
+    with pytest.raises(LimitError) as err:
+        parse_braid("s1 " * 11, 2)
+    assert str(err.value) == "the power at position 30 takes the word past 10 letters"
+    with pytest.raises(LimitError, match="at position 10 "):
+        parse_braid("s1^4 s1^4 s1^4", 2)
+
+
+def test_seeded_long_word_parses_to_its_letters():
+    rng = random.Random(2027)
+    letters, tokens = [], []
+    for _ in range(200_000):
+        gen, power = rng.randrange(1, 8), rng.choice((1, 1, 1, -1, -1, 2, -2, 3, -3))
+        letters += [(gen, 1 if power > 0 else -1)] * abs(power)
+        tokens.append(f"s{gen}" if power == 1 else f"s{gen}^{power}")
+        tokens.append(rng.choice((" ", " ", "\t", "\n  ")))
+    text = "".join(tokens)
+    assert parse_braid(text, 8).letters == tuple(letters)
+    assert parse_braid(text) == BraidWord(8, tuple(letters))

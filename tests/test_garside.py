@@ -437,9 +437,22 @@ def _run_piece(rng, n):
     return [(g, -1) for g in reversed(gens)]
 
 
+def _staircase_piece(rng, n, longest):
+    """One to three ascending or descending staircases s(a) s(a+1) .. s(b)
+    of at most ``longest`` letters, anywhere in B_n, all of one sign."""
+    letters = []
+    sign = rng.choice((1, -1))
+    for _ in range(rng.randint(1, 3)):
+        a = rng.randrange(1, n)
+        b = min(n - 1, a + rng.randrange(longest))
+        gens = range(a, b + 1) if rng.random() < 0.5 else range(b, a - 1, -1)
+        letters += [(g, sign) for g in gens]
+    return letters
+
+
 def test_form_matches_sweep_oracle_on_long_runs_and_half_twists():
     # B3-B12, weighted toward few strands to keep the oracle fast; the
-    # widest words get one piece
+    # widest words get one piece.  Then staircases at n = 50-200.
     rng = random.Random(9054)
     lifted = 0
     for _ in range(2000):
@@ -456,6 +469,27 @@ def test_form_matches_sweep_oracle_on_long_runs_and_half_twists():
         assert nf == _sweep_normal_form(w), str(w)
         lifted += nf.infimum > 0
     assert lifted > 400  # the corpus makes many half twists
+    # same-sign staircases at any width; a sign change makes the oracle
+    # slide ~n^2/2 generators at O(n) each, so it is tried at n = 50 only
+    wide_factors = 0
+    for n in (50, 51, 100, 150, 200):
+        for _ in range(4):
+            letters = _staircase_piece(rng, n, 24)
+            if n == 50:
+                letters += _staircase_piece(rng, n, 4)
+            w = BraidWord(n, tuple(letters))
+            nf = normal_form(w)
+            assert nf == _sweep_normal_form(w), str(w)
+            wide_factors += nf.canonical_length()
+    assert wide_factors > 20
+
+
+def test_wide_staircase_is_one_cycle():
+    # s1 s2 .. s399 in B_1000 is one simple factor: strand 1 moves to
+    # position 400 and strands 2..400 each move one place left
+    nf = normal_form(parse_braid(" ".join(f"s{i}" for i in range(1, 400)), 1000))
+    assert nf.infimum == 0 and len(nf.factors) == 1
+    assert nf.factors[0].targets == (400, *range(1, 400), *range(401, 1001))
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from knit import qsim
 from knit.braid import BraidWord, parse_braid
 from knit.cli import main, run
 from knit.diagram import closure_plat
@@ -213,6 +214,22 @@ class TestPlanSamples:
         assert res.payload["error"] in res.rendered
         assert main(argv) == 3
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_sample_limit_admits_up_to_its_budget_and_refuses_past_it(self, monkeypatch):
+        # the trefoil plat at r = 5 plans 2,499,894 readings per quadrature
+        # at delta 0.003408 (the worst request admitted) and 2,501,362 at
+        # 0.003407; the readings are stubbed, so only the planning runs
+        monkeypatch.setattr(qsim, "_plus_readings", lambda p, seed, part, start, stop: 0)
+        argv = ["approx", "s2^3", "-n", "4", "--root", "5", "--json", "--delta"]
+        for delta, planned in (("0.01", 290_350), ("0.003408", 2_499_894)):
+            res = run([*argv, delta])
+            assert res.exit_code == 0 and res.payload["samples"] == 2 * planned
+        res = run([*argv, "0.003407"])
+        assert (res.exit_code, res.payload["kind"]) == (3, "limit")
+        assert res.payload["error"] == (
+            "sample budget 2501362 per quadrature exceeds the limit 2500000; "
+            "loosen delta or confidence"
+        )
 
     @pytest.mark.parametrize("estimate", [
         lambda delta: approx_jones(TREFOIL_PLAT, 5, delta),
