@@ -7,6 +7,12 @@ over strand runs: +1 means it enters at slot 1, -1 means it enters at
 slot 3.  Orientation of the whole diagram is therefore carried by the
 in/out role of each edge end and needs no separate flags.
 
+Slot s of crossing k is point 4k + s.  A diagram indexes its edge ends
+once, when it is built: ``ends`` maps each edge label to its (outgoing
+point, incoming point), and ``partner[p]`` is the point at the other
+end of the edge at point p.  The bracket, the faces and the
+Reidemeister moves read this index.
+
 Crossing-free circle components cannot be expressed by PD crossings, so
 the diagram carries an explicit count of them.
 
@@ -17,7 +23,7 @@ an optional ``O[k]`` item for k free circles.  Whitespace never matters.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .braid import BraidWord
 from .errors import DomainError, ParseError
@@ -72,12 +78,6 @@ class Crossing:
             return Crossing((u_in, o_in, u_out, o_out), 1)
         return Crossing((u_in, o_out, u_out, o_in), -1)
 
-    def incoming(self) -> tuple[int, int]:
-        return (self.under_in, self.over_in)
-
-    def outgoing(self) -> tuple[int, int]:
-        return (self.under_out, self.over_out)
-
     def relabel(self, mapping: dict[int, int]) -> "Crossing":
         return Crossing(tuple(mapping[e] for e in self.edges), self.sign)
 
@@ -115,18 +115,16 @@ class LinkDiagram:
 
     Construction refuses a diagram that breaks the PD invariants, raising
     DomainError that names every problem, so each method may assume a
-    sound diagram.
+    sound diagram.  The same pass builds the edge-end index: ``edges``
+    (the sorted labels), ``ends`` and ``partner``, as the module
+    docstring defines them.
     """
 
     crossings: tuple[Crossing, ...]
     unknot_count: int = 0
-
-    @property
-    def edges(self) -> tuple[int, ...]:
-        seen = set()
-        for c in self.crossings:
-            seen.update(c.edges)
-        return tuple(sorted(seen))
+    edges: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    ends: dict[int, tuple[int, int]] = field(init=False, repr=False, compare=False)
+    partner: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         problems = []
@@ -135,24 +133,27 @@ class LinkDiagram:
             problems.append(f"free-circle count must be an int, got {circles!r}")
         elif circles < 0:
             problems.append("free-circle count is negative")
-        counts: dict[int, int] = {}
-        for c in self.crossings:
-            for e in c.edges:
-                counts[e] = counts.get(e, 0) + 1
-        bad = sorted(e for e, k in counts.items() if k != 2)
+        points: dict[int, list[int]] = {}
+        for k, c in enumerate(self.crossings):
+            for p, e in enumerate(c.edges, 4 * k):
+                points.setdefault(e, []).append(p)
+        edges = tuple(sorted(points))
+        bad = [e for e in edges if len(points[e]) != 2]
+        ends = {}
+        partner = [0] * (4 * len(self.crossings))
         if bad:
             problems.append(f"edge multiplicity: labels {bad} do not appear twice")
         else:
-            ins: dict[int, int] = {}
-            outs: dict[int, int] = {}
-            for c in self.crossings:
-                for e in c.incoming():
-                    ins[e] = ins.get(e, 0) + 1
-                for e in c.outgoing():
-                    outs[e] = outs.get(e, 0) + 1
-            wrong = sorted(
-                e for e in counts if ins.get(e, 0) != 1 or outs.get(e, 0) != 1
-            )
+            wrong = []
+            for e in edges:
+                p, q = points[e]
+                partner[p] = q
+                partner[q] = p
+                # slot 2 and the over strand's exit, slot 2 + sign, are outgoing
+                p_out = (p & 3) in (2, 2 + self.crossings[p >> 2].sign)
+                if p_out == ((q & 3) in (2, 2 + self.crossings[q >> 2].sign)):
+                    wrong.append(e)
+                ends[e] = (p, q) if p_out else (q, p)
             if wrong:
                 problems.append(
                     f"orientation: labels {wrong} lack one incoming and one "
@@ -160,6 +161,9 @@ class LinkDiagram:
                 )
         if problems:
             raise DomainError("invalid diagram: " + "; ".join(problems))
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "ends", ends)
+        object.__setattr__(self, "partner", tuple(partner))
 
     def writhe(self) -> int:
         return sum(c.sign for c in self.crossings)
@@ -210,7 +214,7 @@ def parse_diagram(text: str) -> LinkDiagram:
     """
     crossings: list[Crossing] = []
     circles = 0
-    body = re.sub(r"\s+", "", text).strip(",")
+    body = re.sub(r"\s+", "", text)
     pos = 0
     while pos < len(body):
         if body[pos] == ",":
@@ -218,7 +222,7 @@ def parse_diagram(text: str) -> LinkDiagram:
             continue
         m = _ITEM.match(body, pos)
         if not m:
-            raise ParseError(f"unrecognized diagram text at position {pos}", pos)
+            raise ParseError("unrecognized diagram text", pos)
         for k in (1, 2, 3, 4, 6):
             # int() is never asked to read a longer number (it refuses
             # past ~4,300 digits), and the digits are not echoed

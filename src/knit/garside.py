@@ -137,8 +137,6 @@ def normal_form(w: BraidWord) -> NormalForm:
     n = w.index
     if n <= 2:
         # B_2 is infinite cyclic, generated by s1 = Delta
-        if n == 1 and w.letters:
-            raise DomainError("B_1 has no generators")
         return NormalForm(n, w.exponent_sum(), ())
     inverse = sum(1 for _, sign in w.letters if sign < 0)
     letters = len(w.letters)

@@ -83,15 +83,15 @@ def kauffman_bracket(d: LinkDiagram) -> LaurentPoly:
     B-smoothing joins 0-1 and 2-3.  Each state contributes
     A^(#A - #B) * delta^(loops - 1), counting free circles as loops.
 
-    Slot s of crossing k is point 4k + s, and each edge makes its two
-    slots partners.  Smoothing joins are spliced into a copy of that
-    list one at a time by the rule of ``_cupcap_action``: joining two
-    partners closes a loop, and any other join makes their partners
-    partners.  With low = c // 2, an outer loop splices each of the
-    2^(c - low) states of crossings low..c-1 once, noting its B count and
-    loops, and an inner loop copies that list for each of the 2^low
-    states of crossings 0..low-1 and splices only their joins.  States
-    are tallied by (B count, loops) and the polynomial is built once.
+    Smoothing joins are spliced into a copy of the diagram's ``partner``
+    list (its points as the ``diagram`` module defines them) one at a
+    time by the rule of ``_cupcap_action``: joining two partners closes
+    a loop, and any other join makes their partners partners.  With
+    low = c // 2, an outer loop splices each of the 2^(c - low) states of
+    crossings low..c-1 once, noting its B count and loops, and an inner
+    loop copies that list for each of the 2^low states of crossings
+    0..low-1 and splices only their joins.  States are tallied by
+    (B count, loops) and the polynomial is built once.
 
     Raises LimitError past the crossing limit (default 20, or the
     KNIT_CROSSING_LIMIT environment variable) or past FREE_CIRCLE_LIMIT
@@ -107,12 +107,7 @@ def kauffman_bracket(d: LinkDiagram) -> LaurentPoly:
     if c == 0 and d.unknot_count == 0:
         raise DomainError("the empty diagram has no bracket")
 
-    slots: dict[int, list[int]] = {}
-    for point, e in enumerate(e for cr in d.crossings for e in cr.edges):
-        slots.setdefault(e, []).append(point)
-    partner = [0] * (4 * c)
-    for p, q in slots.values():
-        partner[p], partner[q] = q, p
+    partner = list(d.partner)
     smoothings = [
         (((p, p + 3), (p + 1, p + 2)), ((p, p + 1), (p + 2, p + 3)))
         for p in range(0, 4 * c, 4)

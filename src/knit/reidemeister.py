@@ -1,9 +1,10 @@
 """Reidemeister moves on PD diagrams, with admissible-site enumeration.
 
 Faces of the diagram come from the rotation system: a corner state is
-(crossing index, slot); the next corner walks the edge at that slot to
-its other occurrence and turns one slot clockwise.  Orbits of that map
-are the faces, so kinks are 1-corner faces, bigons 2-corner faces and
+(crossing index, slot), that is point 4 * crossing + slot of the
+diagram's edge-end index; the next corner walks the edge at that point
+to its partner and turns one slot clockwise.  Orbits of that map are
+the faces, so kinks are 1-corner faces, bigons 2-corner faces and
 triangles 3-corner faces.  Site enumeration reads moves straight off
 the face list:
 
@@ -39,59 +40,29 @@ class Site:
     data: tuple
 
 
-def _occurrences(d: LinkDiagram) -> dict[int, list[tuple[int, int]]]:
-    occ: dict[int, list[tuple[int, int]]] = {}
-    for ci, c in enumerate(d.crossings):
-        for si, e in enumerate(c.edges):
-            occ.setdefault(e, []).append((ci, si))
-    return occ
-
-
 def _faces(d: LinkDiagram) -> list[tuple[tuple[int, int], ...]]:
-    """All faces as corner tuples (crossing, slot), canonically rotated."""
-    occ = _occurrences(d)
-
-    def step(ci: int, si: int) -> tuple[int, int]:
-        e = d.crossings[ci].edges[si]
-        first, second = occ[e]
-        cj, sj = second if (ci, si) == first else first
-        return cj, (sj - 1) % 4
-
-    seen: set[tuple[int, int]] = set()
+    """All faces as corner tuples (crossing, slot), each starting at its
+    smallest corner, in order of that corner."""
+    partner = d.partner
+    seen = [False] * len(partner)
     out = []
-    for ci in range(len(d.crossings)):
-        for si in range(4):
-            if (ci, si) in seen:
-                continue
-            orbit = []
-            state = (ci, si)
-            while state not in seen:
-                seen.add(state)
-                orbit.append(state)
-                state = step(*state)
-            k = orbit.index(min(orbit))
-            out.append(tuple(orbit[k:] + orbit[:k]))
+    for start in range(len(partner)):
+        if seen[start]:
+            continue
+        # every smaller point lies on a face already walked
+        orbit = []
+        p = start
+        while not seen[p]:
+            seen[p] = True
+            orbit.append(divmod(p, 4))
+            q = partner[p]
+            p = q - 1 if q & 3 else q + 3
+        out.append(tuple(orbit))
     return out
-
-
-def _in_slots(c: Crossing) -> tuple[int, int]:
-    return (0, 1) if c.sign > 0 else (0, 3)
-
-
-def _out_slots(c: Crossing) -> tuple[int, int]:
-    return (2, 3) if c.sign > 0 else (2, 1)
 
 
 def _is_over_slot(s: int) -> bool:
     return s in (1, 3)
-
-
-def _head_occurrence(d: LinkDiagram, e: int) -> tuple[int, int]:
-    for ci, c in enumerate(d.crossings):
-        for si in _in_slots(c):
-            if c.edges[si] == e:
-                return ci, si
-    raise DomainError(f"edge {e} has no incoming end")
 
 
 def reidemeister_sites(d: LinkDiagram, move: str) -> tuple[Site, ...]:
@@ -123,8 +94,7 @@ def reidemeister_sites(d: LinkDiagram, move: str) -> tuple[Site, ...]:
             along = []
             for ci, si in orbit:
                 e = d.crossings[ci].edges[si]
-                with_orientation = si in _out_slots(d.crossings[ci])
-                along.append((e, with_orientation))
+                along.append((e, d.ends[e][0] == 4 * ci + si))
             for e, de in along:
                 for f, df in along:
                     if e != f:
@@ -213,7 +183,7 @@ def apply_reidemeister(d: LinkDiagram, move: str, site: Site) -> LinkDiagram:
             )
         _, e, sign = site.data
         loop, tail = _fresh_labels(d, 2)
-        ci, si = _head_occurrence(d, e)
+        ci, si = divmod(d.ends[e][1], 4)
         crossings = list(d.crossings)
         edges = list(crossings[ci].edges)
         edges[si] = tail
@@ -242,7 +212,7 @@ def apply_reidemeister(d: LinkDiagram, move: str, site: Site) -> LinkDiagram:
         em, e2, fm, f2 = _fresh_labels(d, 4)
         crossings = list(d.crossings)
         for target, new in ((e, e2), (f, f2)):
-            ci, si = _head_occurrence(d, target)
+            ci, si = divmod(d.ends[target][1], 4)
             edges = list(crossings[ci].edges)
             edges[si] = new
             crossings[ci] = Crossing(tuple(edges), crossings[ci].sign)
@@ -275,14 +245,11 @@ def apply_reidemeister(d: LinkDiagram, move: str, site: Site) -> LinkDiagram:
     tri = {ci for ci, _ in orbit}
     new_ends: dict[tuple[int, bool], tuple[int, int]] = {}
     for k in range(3):
-        # side k is one edge, from corner k to the next corner; order its
-        # two ends as the strand's exit into the side, then its entry
+        # side k is one edge, from corner k to the next corner; its ends
+        # are the strand's exit into the side, then its entry
         ci, si = orbit[k]
-        cj, sj = orbit[(k + 1) % 3]
-        ends = ((ci, si), (cj, (sj + 1) % 4))
-        if si in _in_slots(d.crossings[ci]):
-            ends = ends[::-1]
-        (c_first, s_first), (c_second, s_second) = ends
+        side = d.ends[d.crossings[ci].edges[si]]
+        (c_first, s_first), (c_second, s_second) = (divmod(p, 4) for p in side)
         over = _is_over_slot(s_first)
         over2 = _is_over_slot(s_second)
         # a strand's two ends at a crossing sit two slots apart

@@ -15,6 +15,7 @@ from knit.diagram import (
     plat_profile,
 )
 from knit.errors import DomainError, ParseError
+from knit.reidemeister import apply_reidemeister, reidemeister_sites
 
 
 def test_trace_trefoil_shape():
@@ -228,6 +229,47 @@ def test_validate_plat_closures_clean():
         assert LinkDiagram(d.crossings, d.unknot_count) == d
 
 
+def _indexed_diagrams(rng):
+    """Seeded closures, the diagrams along seeded move chains, and the
+    parsed text of each with its labels scattered."""
+    moves = ("RI+", "RI-", "RII+", "RII-", "RIII")
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        length = rng.randint(0, 14) if n > 1 else 0
+        letters = tuple((rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(length))
+        w = BraidWord(n, letters)
+        d = closure_plat(w) if n % 2 == 0 and rng.random() < 0.5 else closure_trace(w)
+        for _ in range(rng.randint(0, 2)):
+            yield d
+            scatter = dict(zip(d.edges, rng.sample(range(1, 10**6), len(d.edges))))
+            text = ", ".join([str(c.relabel(scatter)) for c in d.crossings] + [f"O[{d.unknot_count}]"])
+            yield parse_diagram(text)
+            move = rng.choice([m for m in moves if reidemeister_sites(d, m)])
+            sites = reidemeister_sites(d, move)
+            d = apply_reidemeister(d, move, sites[rng.randrange(len(sites))])
+        yield d
+
+
+def test_edge_end_index_names_each_edge_once_by_its_two_ends():
+    count = 0
+    for d in _indexed_diagrams(random.Random(2808)):
+        points = range(4 * d.crossing_count())
+        assert len(d.partner) == len(points)
+        assert all(d.partner[p] != p and d.partner[d.partner[p]] == p for p in points)
+        assert d.edges == tuple(sorted(d.ends))
+        for e, (out, into) in d.ends.items():
+            assert d.partner[out] == into
+            c_out, c_in = d.crossings[out // 4], d.crossings[into // 4]
+            assert c_out.edges[out % 4] == e == c_in.edges[into % 4]
+            assert e in (c_out.under_out, c_out.over_out)
+            assert e in (c_in.under_in, c_in.over_in)
+            # the outgoing slot is the under exit (2) or the over exit
+            assert out % 4 in (2, 3 if c_out.sign > 0 else 1)
+            assert into % 4 in (0, 1 if c_in.sign > 0 else 3)
+        count += 1
+    assert count >= 500
+
+
 def test_closures_number_edges_in_first_appearance_order():
     # the closures label edges canonically: 1, 2, ... as they first appear
     rng = random.Random(808)
@@ -261,6 +303,34 @@ def test_parse_diagram_rejects_garbage():
         parse_diagram("Y[1,2,3,4;+]")
     with pytest.raises(ParseError):
         parse_diagram("X[1,2,3,4;+] X[1,2,3,4;+] extra")
+
+
+_MALFORMED = [
+    ("Q", "unrecognized diagram text (at position 0)", 0),
+    ("X[1,2,3;+]", "unrecognized diagram text (at position 0)", 0),
+    ("X[1,2,3,4;+] X[1,2,3,4;+] extra", "unrecognized diagram text (at position 24)", 24),
+    (",,X[1,2,3,4;+]Q", "unrecognized diagram text (at position 14)", 14),
+    (" , X[1,2,3,4;+] ,, Q", "unrecognized diagram text (at position 15)", 15),
+    ("\tX[1,2,3,4;+]\n Q", "unrecognized diagram text (at position 12)", 12),
+    ("X[1,2,3,4;+],\n,Y[1,2,3,4;+]", "unrecognized diagram text (at position 14)", 14),
+    ("O[" + "9" * 19 + "]", "number longer than 18 digits (at position 2)", 2),
+    (",X[1,2,3,1234567890123456789012;+]", "number longer than 18 digits (at position 9)", 9),
+    (",, O[1],X[1,2,3," + "1" * 19 + ";-]", "number longer than 18 digits (at position 15)", 15),
+    ("X[1,2,3,4;+]",
+     "invalid diagram: edge multiplicity: labels [1, 2, 3, 4] do not appear twice", None),
+    (",,X[1,2,3,4;+], ,X[4,3,5,6;+],X[6,5,2,1;-]",
+     "invalid diagram: orientation: labels [1, 5] lack one incoming and one outgoing end", None),
+]
+
+
+@pytest.mark.parametrize("text, message, position", _MALFORMED)
+def test_malformed_diagram_text_names_its_error_and_position(text, message, position):
+    # positions count the input with whitespace removed, leading commas
+    # included, and the message names a position once
+    with pytest.raises(ParseError) as err:
+        parse_diagram(text)
+    assert str(err.value) == message
+    assert err.value.position == position
 
 
 @pytest.mark.parametrize("text", [

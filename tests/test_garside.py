@@ -169,6 +169,15 @@ def test_b2_is_infinite_cyclic():
         assert nf.factors == ()
 
 
+def test_b1_has_only_the_empty_word():
+    # the word refuses every letter, so the normal form needs no check
+    with pytest.raises(DomainError, match="out of range for braid index 1"):
+        BraidWord(1, ((1, 1),))
+    nf = normal_form(BraidWord(1, ()))
+    assert (nf.index, nf.infimum, nf.factors) == (1, 0, ())
+    assert is_trivial(BraidWord(1, ()))
+
+
 def test_nontrivial_words():
     assert not is_trivial(parse_braid("s1^2", 2))
     assert not words_equal(parse_braid("s1", 3), parse_braid("s2", 3))
