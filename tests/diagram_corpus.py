@@ -1,4 +1,5 @@
-"""Generator of the standing diagram corpus, ``diagram_corpus.json``.
+"""Generator of the standing diagram corpus, ``diagram_corpus.json``,
+and of its coloured slice, ``colored_corpus.json``.
 
 Every record is one link diagram drawn from SEED: the trace or plat
 closure of a B1-B8 word of 0-14 letters, or that closure after each of
@@ -8,6 +9,12 @@ from it: the diagram's text, its faces, every move's site list, every
 move applied at a seeded site, its component edge sets and, up to
 BRACKET_CROSSINGS crossings, its Kauffman bracket.
 
+Every record of the coloured slice is one seeded B2-B8 plat closure
+with one colour of spin 1/2 to 3/2 per component, at a root r = 5..12.
+It stores ``colored_invariant`` and ``jones_value_from_plat`` as
+``repr`` (compared within FLOAT_TOL) and a short hash of the ``_twist``
+gather indices that the coloured contraction reads, letter by letter.
+
 ``test_diagram_corpus.py`` rebuilds the records and compares them with
 the file.  The file pins the outputs of a known-good tree: when a change
 alters one, mend the program, never the file.  Regenerate it only for a
@@ -15,6 +22,8 @@ deliberate change of output, and then name every changed record and why
 in CHANGES.md.  To regenerate:
 
     PYTHONPATH=src python tests/diagram_corpus.py
+
+which rewrites both files.
 """
 
 from __future__ import annotations
@@ -24,8 +33,11 @@ import json
 import random
 from pathlib import Path
 
+import numpy as np
+
+from knit import su2q
 from knit.braid import BraidWord
-from knit.diagram import closure_plat, closure_trace
+from knit.diagram import closure_plat, closure_trace, plat_profile
 from knit.jones import kauffman_bracket
 from knit.reidemeister import _faces, apply_reidemeister, reidemeister_sites
 
@@ -35,6 +47,11 @@ BRACKET_CROSSINGS = 12
 MOVES = ("RI+", "RI-", "RII+", "RII-", "RIII")
 FIELDS = ("recipe", "pd", "faces", "sites", "moved", "components", "bracket")
 PATH = Path(__file__).with_name("diagram_corpus.json")
+
+PLATS = 1000
+FLOAT_TOL = 1e-12
+COLORED_FIELDS = ("recipe", "colored", "jones", "twists")
+COLORED_PATH = Path(__file__).with_name("colored_corpus.json")
 
 
 def _digest(value) -> str:
@@ -90,12 +107,50 @@ def records() -> list[list]:
     return out
 
 
-def main():
-    rows = records()
+def _twists_digest(w: BraidWord, colors: list[int], r: int) -> str:
+    """Hash of every ``_twist`` index table the coloured plat contraction
+    of ``w`` reads, in letter order, as little-endian int64."""
+    pair_colors = [colors[comp] for comp in plat_profile(w).pair_component]
+    current = tuple(t for t in pair_colors for _ in (0, 1))
+    digest = hashlib.sha256()
+    for generator, sign in w.letters:
+        current, idx, _ = su2q._twist(current, generator, sign, r)
+        digest.update(repr(idx.shape).encode())
+        digest.update(idx.astype("<i8").tobytes())
+    return digest.hexdigest()[:12]
+
+
+def colored_records() -> list[list]:
+    """The coloured slice: one record per seeded plat."""
+    rng = random.Random(f"{SEED} colored")
+    out = []
+    for _ in range(PLATS):
+        n = 2 * rng.randint(1, 4)
+        length = rng.randint(0, 14)
+        letters = tuple((rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(length))
+        w = BraidWord(n, letters)
+        r = rng.randint(5, 12)
+        count = plat_profile(w).component_count
+        colors = [rng.randint(1, 3) for _ in range(count)]
+        out.append([
+            f"plat B{n} [{w}] colors {colors} r={r}",
+            repr(su2q.colored_invariant(w, colors, r)),
+            repr(su2q.jones_value_from_plat(w, r)),
+            _twists_digest(w, colors, r),
+        ])
+    return out
+
+
+def _write(path: Path, fields, rows: list[list]):
     lines = ",\n".join(json.dumps(row) for row in rows)
-    header = json.dumps({"seed": SEED, "fields": FIELDS})[:-1]
-    PATH.write_text(f'{header}, "records": [\n{lines}\n]}}\n')
-    print(f"wrote {len(rows)} records to {PATH.name}")
+    header = json.dumps({"seed": SEED, "fields": fields})[:-1]
+    path.write_text(f'{header}, "records": [\n{lines}\n]}}\n')
+    print(f"wrote {len(rows)} records to {path.name}")
+
+
+def main():
+    _write(PATH, FIELDS, records())
+    _write(COLORED_PATH, COLORED_FIELDS, colored_records())
 
 
 if __name__ == "__main__":
