@@ -23,11 +23,12 @@ isotopy invariant normalized to ``[2j+1]_q`` on the color-``j`` unknot.
 One engine computes that element: ``plat_branch`` streams the top bend
 state through the word one elementary twist per letter and returns the
 scalar prefactor, the bottom bend state and the braided branch state.
-A twist changes only the fusion label between its two strands, so
-``_twist`` builds it once per (colors, position, sign, root) as a cached
-gather table: each output path reads at most ``2j + 1`` source paths,
-and a letter costs O(D b) on D paths instead of a dense D x D matrix;
-``_bend`` caches the bend states beside it, once per (colors, root).
+The D paths are the rows of one int array.  A twist changes only the
+label between its two strands; sorted on every other label, both bases
+show the same groups of paths that differ only there, since fusion is
+commutative, so ``_twist`` builds each twist once as a cached gather
+table whose rows read at most ``2j + 1`` paths: a letter costs O(D b),
+not a dense D x D matrix.  ``_bend`` caches the bend states beside it.
 ``colored_invariant``, ``jones_value_from_plat`` and the sampled
 estimators of ``qsim`` all contract or sample those three pieces.  The
 dense operators of ``r_matrix`` and ``braiding_operator_for_word``
@@ -308,26 +309,25 @@ def _braid_phase(ta: int, tb: int, tch: int, r: int) -> complex:
 
 
 @lru_cache(maxsize=None)
-def _paths(colors: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
-    """All fusion paths for the given doubled colors, lexicographic.
+def _paths(colors: tuple[int, ...], r: int) -> np.ndarray:
+    """All fusion paths for the given doubled colors: the rows of a
+    read-only int array, in lexicographic order.
 
     A path starts at total 0 and absorbs one color per step through the
-    nondegenerate channels; the final total is unconstrained.
+    nondegenerate channels; the final total is unconstrained.  The color
+    sum bounds every total, and sizes the one dtype of all the arithmetic.
     """
-    found: list[tuple[int, ...]] = []
-
-    def extend(prefix: list[int]):
-        depth = len(prefix) - 1
-        if depth == len(colors):
-            found.append(tuple(prefix))
-            return
-        for nxt in _channels(prefix[-1], colors[depth], r):
-            prefix.append(nxt)
-            extend(prefix)
-            prefix.pop()
-
-    extend([0])
-    return tuple(found)
+    dtype = np.result_type(np.int16, np.min_scalar_type(-4 * sum(colors) - 4))
+    rows = np.zeros((1, 1), dtype=dtype)
+    for t in colors:
+        last = rows[:, -1]
+        cut = min(2 * (r - 2) - t, 2 * sum(colors) + 2)  # past that, last + t binds first
+        low, high = np.abs(last - t), np.minimum(last + t, cut - last)
+        channels = low[:, None] + 2 * np.arange(t + 1, dtype=dtype)
+        grown = np.repeat(rows, (high - low) // 2 + 1, axis=0)  # a row per channel
+        rows = np.column_stack((grown, channels[channels <= high[:, None]]))
+    rows.flags.writeable = False
+    return rows
 
 
 @dataclass(frozen=True)
@@ -348,21 +348,12 @@ class ColoredSpace:
         _check_colors(self.doubled, r)
 
     def paths(self) -> tuple[tuple[int, ...], ...]:
-        """The coupled fusion-path basis, in lexicographic order."""
-        return _paths(self.doubled, self.r)
+        """The coupled fusion-path basis, in lexicographic order, as tuples."""
+        return tuple(map(tuple, _paths(self.doubled, self.r).tolist()))
 
     @property
     def coupled_dimension(self) -> int:
-        return len(self.paths())
-
-    def bend_index(self) -> int:
-        """Position in ``paths()`` of the cap/cup contraction path (see ``_bend``)."""
-        doubled = self.doubled
-        for i in range(0, len(doubled), 2):
-            if doubled[i : i + 2] != (doubled[i],) * 2:
-                pair = ", ".join(_spin(t) for t in doubled[i : i + 2])
-                raise DomainError(f"bend ({i + 1}, {i + 2}) of {self} cannot join colors {pair}")
-        return int(_bend(doubled, self.r).argmax())
+        return len(_paths(self.doubled, self.r))
 
     def __str__(self) -> str:
         return "(" + ", ".join(_spin(t) for t in self.doubled) + f") at r={self.r}"
@@ -412,32 +403,40 @@ def _twist(colors: tuple[int, ...], position: int, sign: int, r: int):
     sign), and recouples back.  Only the label between the strands
     changes, so an output path reads the source paths that differ from it
     there, one per open coupling channel; ``b <= 2j + 1`` is the most any
-    path reads, and shorter rows are padded with weight 0.
+    path reads, and shorter rows are padded with index 0 and weight 0.
+
+    Sorted stably on every other label, a basis groups the paths that
+    differ only there, ascending.  A group's size counts the ways its
+    ``below`` label fuses with the two colors into its ``above``, in either
+    order, so both bases have the same groups, sizes and order: the j-th
+    target of a group reads its sources with row j of their block.
     """
     ci, cj = colors[position - 1], colors[position]
     swapped = colors[: position - 1] + (cj, ci) + colors[position + 1 :]
-    source_index = {path: k for k, path in enumerate(_paths(colors, r))}
     exponent = _POSITIVE_CROSSING_EXPONENT * sign
-    phase_of = {
-        chan: _braid_phase(ci, cj, chan, r) ** exponent for chan in _channels(ci, cj, r)
-    }
-    targets = _paths(swapped, r)
-    blocks = {}
-    for below, above in {(path[position - 1], path[position + 1]) for path in targets}:
-        mids_in, channels, rec_in = _recoupling(below, ci, cj, above, r)
-        mids_out, channels_out, rec_out = _recoupling(below, cj, ci, above, r)
+    others = np.delete(_paths(swapped, r), position, axis=1)
+    target_order = np.lexsort(others.T[::-1])
+    source_order = np.lexsort(np.delete(_paths(colors, r), position, axis=1).T[::-1])
+    others = others[target_order]
+    starts = np.flatnonzero(np.r_[True, (others[1:] != others[:-1]).any(axis=1)])
+    sizes = np.diff(starts, append=len(others))
+    group = np.repeat(np.arange(len(starts)), sizes)
+    radix = int(others.max()) + 1  # a group's labels as one key, below * radix + above
+    keys = others[starts, position - 1].astype(np.int64) * radix + others[starts, position]
+    keys, pair = np.unique(keys, return_inverse=True)
+    width = int(sizes.max())
+    blocks = np.zeros((len(keys), width, width), dtype=complex)
+    for k, (below, above) in enumerate(divmod(key, radix) for key in keys.tolist()):
+        _, channels, rec_in = _recoupling(below, ci, cj, above, r)
+        _, channels_out, rec_out = _recoupling(below, cj, ci, above, r)
         # coupling channels ignore the order of the pair
         assert channels == channels_out
-        phases = np.array([phase_of[chan] for chan in channels])
-        blocks[below, above] = mids_in, mids_out, (rec_out * phases) @ rec_in.T
-    width = max(len(mids_in) for mids_in, _, _ in blocks.values())
-    idx = np.zeros((len(targets), width), dtype=np.intp)
-    wts = np.zeros(idx.shape, dtype=complex)
-    for row, path in enumerate(targets):
-        mids_in, mids_out, block = blocks[path[position - 1], path[position + 1]]
-        head, tail = path[:position], path[position + 1 :]
-        idx[row, : len(mids_in)] = [source_index[head + (mid,) + tail] for mid in mids_in]
-        wts[row, : len(mids_in)] = block[mids_out.index(path[position])]
+        phases = np.array([_braid_phase(ci, cj, chan, r) ** exponent for chan in channels])
+        blocks[k, : len(channels), : len(channels)] = (rec_out * phases) @ rec_in.T
+    head, reads, rank = starts[group], np.arange(width), np.argsort(target_order)
+    sources = source_order[np.minimum(head[:, None] + reads, len(others) - 1)]
+    idx = np.where(reads < sizes[group][:, None], sources, 0)[rank]
+    wts = blocks[pair[group], np.arange(len(others)) - head][rank]
     idx.flags.writeable = wts.flags.writeable = False
     return swapped, idx, wts
 
@@ -448,12 +447,12 @@ def _bend(colors: tuple[int, ...], r: int) -> np.ndarray:
 
     Its one path climbs to each odd strand's color and returns to 0 after
     its partner, so it exists exactly when consecutive strands pair up
-    with equal colors, which is what the plat boundary requires.
+    with equal colors, as the plat boundary requires (else ValueError).
     """
     paths = _paths(colors, r)
     vector = np.zeros(len(paths), dtype=complex)
     path = (0,) + tuple(t if k % 2 == 0 else 0 for k, t in enumerate(colors))
-    vector[paths.index(path)] = 1.0
+    vector[np.flatnonzero((paths == path).all(axis=1)).item()] = 1.0
     vector.flags.writeable = False
     return vector
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from knit import qsim
+from knit import qsim, su2q
 from knit.braid import BraidWord, parse_braid
 from knit.cli import main, run
 from knit.diagram import closure_plat
@@ -338,8 +338,8 @@ class TestEstimateMarkovTrace:
         seed, delta = 9, 0.3
         est = estimate_markov_trace(TREFOIL_PLAT, [HALF], 5, delta, seed=seed)
         op = braiding_operator_for_word(TREFOIL_PLAT, [HALF] * 4, 5)
-        reference = np.eye(op.matrix.shape[0])[op.codomain.bend_index()]
-        branch = op.matrix[:, op.domain.bend_index()]
+        reference = su2q._bend(op.codomain.doubled, 5)
+        branch = op.matrix[:, su2q._bend(op.domain.doubled, 5).argmax()]
         overlap = complex(np.vdot(reference, branch))
         prefactor = est.exact / overlap
         planned = est.samples_used // 2

@@ -183,10 +183,28 @@ class TestColoredSpace:
 
     def test_bend_index_is_the_cap_path(self):
         space = ColoredSpace((1, 1, 2, 2), 10)
-        assert space.paths()[space.bend_index()] == (0, 1, 0, 2, 0)
-        for unpaired in ((1, 2, 2, 1), (1, 1, 1)):
-            with pytest.raises(DomainError):
-                ColoredSpace(unpaired, 10).bend_index()
+        assert space.paths()[su2q._bend(space.doubled, 10).argmax()] == (0, 1, 0, 2, 0)
+        for unpaired in ((1, 2, 2, 1), (1, 2, 1, 2)):
+            with pytest.raises(ValueError):
+                su2q._bend(unpaired, 10)
+
+    def test_basis_is_one_small_int_array(self):
+        # 41,473 paths of 13 labels: one int16 array, not a tuple per path
+        su2q._paths.cache_clear()
+        tracemalloc.start()
+        try:
+            paths = su2q._paths((2,) * 12, 10)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 2e6
+        assert paths.shape == (41473, 13) and not paths.flags.writeable
+
+    def test_wide_labels_keep_their_dtype(self):
+        # 2j = 80,000 takes labels past int16; the unknot is still [2j + 1]
+        r = 10**6
+        value = colored_invariant(parse_braid("", 2), [80000], r)
+        assert value == pytest.approx(q_integer(80001, r), abs=1e-9)
 
 
 class TestBraidingOperatorForWord:
@@ -242,29 +260,22 @@ class TestBraidingOperatorForPlat:
         op = braiding_operator_for_word(w, (2, 2, 1, 1, 3, 3), 10)
         # the word swaps the first two cap pairs and fixes the third
         assert op.codomain.doubled == (1, 1, 2, 2, 3, 3)
-        assert op.codomain.paths()[op.codomain.bend_index()] == (0, 1, 0, 2, 0, 3, 0)
+        bend = su2q._bend(op.codomain.doubled, 10)
+        assert op.codomain.paths()[bend.argmax()] == (0, 1, 0, 2, 0, 3, 0)
 
     def test_rejects_odd_index(self):
         with pytest.raises(DomainError):
             plat_branch(parse_braid("s1", 3), (1, 1), 5)
 
     def test_rejects_top_color_mismatch(self):
-        with pytest.raises(DomainError):
-            ColoredSpace((1, 2, 2, 1), 7).bend_index()
+        with pytest.raises(ValueError):
+            su2q._bend((1, 2, 2, 1), 7)
 
     def test_rejects_bottom_color_mismatch(self):
         op = braiding_operator_for_word(parse_braid("s2", 4), (1, 1, 2, 2), 7)
-        op.domain.bend_index()
-        with pytest.raises(DomainError):
-            op.codomain.bend_index()
-
-    def test_bottom_mismatch_names_the_pair(self):
-        bottom = r"bend \(1, 2\) of \(1/2, 1, 1/2, 1\) at r=7 cannot join colors 1/2, 1"
-        with pytest.raises(DomainError, match=bottom):
-            ColoredSpace((1, 2, 1, 2), 7).bend_index()
-        top = r"bend \(1, 2\) of \(1/2, 1, 1, 1/2\) at r=7 cannot join colors 1/2, 1"
-        with pytest.raises(DomainError, match=top):
-            ColoredSpace((1, 2, 2, 1), 7).bend_index()
+        su2q._bend(op.domain.doubled, 7)
+        with pytest.raises(ValueError):
+            su2q._bend(op.codomain.doubled, 7)
 
 
 class TestColoredInvariant:
@@ -377,7 +388,8 @@ class TestColoredInvariant:
             w = random_braid(n, 4 + 3 * seed, seed=100 * n + 10 * twice_j + r + seed)
             colors = [twice_j] * plat_profile(w).component_count
             op = braiding_operator_for_word(w, [twice_j] * n, r)
-            element = op.matrix[op.codomain.bend_index(), op.domain.bend_index()]
+            bottom, top = (su2q._bend(s.doubled, r).argmax() for s in (op.codomain, op.domain))
+            element = op.matrix[bottom, top]
             prefactor = plat_branch(w, colors, r)[0]
             want = prefactor * element
             assert colored_invariant(w, colors, r) == pytest.approx(want, abs=1e-12)
@@ -465,6 +477,25 @@ class TestTwist:
             space = step.codomain
         assert op.codomain == space
         assert np.abs(op.matrix - composite).max() < 1e-12
+
+    @pytest.mark.parametrize("seed", range(32))
+    def test_sources_differ_from_the_target_only_between_the_strands(self, seed):
+        # read off the tuple bases, independent of how the tables are built
+        rng = np.random.default_rng(900 + seed)
+        r = int(rng.integers(5, 11))
+        colors = tuple(int(c) for c in rng.integers(0, min(4, r - 2) + 1, size=int(rng.integers(2, 7))))
+        sources = ColoredSpace(colors, r).paths()
+        for position in range(1, len(colors)):
+            outside = {}
+            for k, path in enumerate(sources):
+                outside.setdefault(path[:position] + path[position + 1 :], []).append(k)
+            for sign in (1, -1):
+                swapped, idx, wts = su2q._twist(colors, position, sign, r)
+                assert idx.shape[1] <= min(colors[position - 1 : position + 1]) + 1
+                for row, path in enumerate(ColoredSpace(swapped, r).paths()):
+                    want = outside[path[:position] + path[position + 1 :]]
+                    assert idx[row, : len(want)].tolist() == want
+                    assert not idx[row, len(want) :].any() and not wts[row, len(want) :].any()
 
     def test_tables_are_read_only(self):
         _, idx, wts = su2q._twist((2, 2, 1, 1), 2, 1, 7)
