@@ -272,11 +272,11 @@ def _six_j(ta: int, tb: int, te: int, tc: int, td: int, tf: int, r: int) -> floa
 def _recoupling(tx: int, t1: int, t2: int, ty: int, r: int):
     """Unitary change of coupling order between (x(12))y and ((x1)2)y.
 
-    In a run ``x -> t1 -> t2`` of a fusion path from ``x`` to ``y``,
-    rows are the possible middle labels (x absorbing t1) and columns the
-    coupling channels of the pair (t1, t2); the matrix converts between
-    the path basis and the basis where the pair couples to a definite
-    channel first.
+    Returns the pair's channels and the matrix.  In a run ``x -> t1 -> t2``
+    of a fusion path from ``x`` to ``y``, its rows are the possible middle
+    labels (x absorbing t1) and its columns the coupling channels of the
+    pair (t1, t2); it converts between the path basis and the basis where
+    the pair couples to a definite channel first.
     """
     middles = tuple(a for a in _channels(tx, t1, r) if _triple_allowed(a, t2, ty, r))
     channels = tuple(e for e in _channels(t1, t2, r) if _triple_allowed(tx, e, ty, r))
@@ -290,7 +290,7 @@ def _recoupling(tx: int, t1: int, t2: int, ty: int, r: int):
                 * _six_j(tx, t1, mid, t2, ty, chan, r)
             )
     mat.flags.writeable = False
-    return middles, channels, mat
+    return channels, mat
 
 
 def _braid_phase(ta: int, tb: int, tch: int, r: int) -> complex:
@@ -427,8 +427,8 @@ def _twist(colors: tuple[int, ...], position: int, sign: int, r: int):
     width = int(sizes.max())
     blocks = np.zeros((len(keys), width, width), dtype=complex)
     for k, (below, above) in enumerate(divmod(key, radix) for key in keys.tolist()):
-        _, channels, rec_in = _recoupling(below, ci, cj, above, r)
-        _, channels_out, rec_out = _recoupling(below, cj, ci, above, r)
+        channels, rec_in = _recoupling(below, ci, cj, above, r)
+        channels_out, rec_out = _recoupling(below, cj, ci, above, r)
         # coupling channels ignore the order of the pair
         assert channels == channels_out
         phases = np.array([_braid_phase(ci, cj, chan, r) ** exponent for chan in channels])

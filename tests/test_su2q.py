@@ -483,7 +483,8 @@ class TestTwist:
         # read off the tuple bases, independent of how the tables are built
         rng = np.random.default_rng(900 + seed)
         r = int(rng.integers(5, 11))
-        colors = tuple(int(c) for c in rng.integers(0, min(4, r - 2) + 1, size=int(rng.integers(2, 7))))
+        size = int(rng.integers(2, 7))
+        colors = tuple(int(c) for c in rng.integers(0, min(4, r - 2) + 1, size=size))
         sources = ColoredSpace(colors, r).paths()
         for position in range(1, len(colors)):
             outside = {}
