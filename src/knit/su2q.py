@@ -24,11 +24,11 @@ One engine computes that element: ``plat_branch`` streams the top bend
 state through the word one elementary twist per letter and returns the
 scalar prefactor, the bottom bend state and the braided branch state.
 The D paths are the rows of one int array.  A twist changes only the
-label between its two strands; sorted on every other label, both bases
-show the same groups of paths that differ only there, since fusion is
-commutative, so ``_twist`` builds each twist once as a cached gather
-table whose rows read at most ``2j + 1`` paths: a letter costs O(D b),
-not a dense D x D matrix.  ``_bend`` caches the bend states beside it.
+label between its two strands; sorted on every other label, its source
+and target bases show the same groups of paths that differ only there
+(fusion is commutative), so ``_twist`` builds each twist once as a
+cached gather table whose rows read at most ``2j + 1`` paths: O(D b) per
+letter, not D x D.  ``_bend`` caches the bend states.
 ``colored_invariant``, ``jones_value_from_plat`` and the sampled
 estimators of ``qsim`` all contract or sample those three pieces.  The
 dense operators of ``r_matrix`` and ``braiding_operator_for_word``

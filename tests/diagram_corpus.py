@@ -33,8 +33,6 @@ import json
 import random
 from pathlib import Path
 
-import numpy as np
-
 from knit import su2q
 from knit.braid import BraidWord
 from knit.diagram import closure_plat, closure_trace, plat_profile
