@@ -1,5 +1,6 @@
 """Generator of the standing diagram corpus, ``diagram_corpus.json``,
-and of its coloured slice, ``colored_corpus.json``.
+and of its coloured and exact slices, ``colored_corpus.json`` and
+``exact_corpus.json``.
 
 Every record is one link diagram drawn from SEED: the trace or plat
 closure of a B1-B8 word of 0-14 letters, or that closure after each of
@@ -15,6 +16,15 @@ It stores ``colored_invariant`` and ``jones_value_from_plat`` as
 ``repr`` (compared within FLOAT_TOL) and a short hash of the ``_twist``
 gather indices that the coloured contraction reads, letter by letter.
 
+The exact slice has two kinds of record.  Each Jones record is a seeded
+B1-B8 word of 0-12 letters, with short hashes of the Jones polynomial
+of its trace closure by the state sum, of the same polynomial by the
+Temperley-Lieb route (``markov_trace_jones``), of its plat closure's
+Jones polynomial when the index is even, and of its normal form.  Each
+normal-form record is a seeded word with the hash of its normal form
+only: B2-B12 words of 0-150 letters, long same-sign runs, and a few
+words at n = 50-200; its recipe names the word by a hash.
+
 ``test_diagram_corpus.py`` rebuilds the records and compares them with
 the file.  The file pins the outputs of a known-good tree: when a change
 alters one, mend the program, never the file.  Regenerate it only for a
@@ -23,7 +33,7 @@ in CHANGES.md.  To regenerate:
 
     PYTHONPATH=src python tests/diagram_corpus.py
 
-which rewrites both files.
+which rewrites all three files.
 """
 
 from __future__ import annotations
@@ -36,7 +46,8 @@ from pathlib import Path
 from knit import su2q
 from knit.braid import BraidWord
 from knit.diagram import closure_plat, closure_trace, plat_profile
-from knit.jones import kauffman_bracket
+from knit.garside import normal_form
+from knit.jones import jones_polynomial, kauffman_bracket, markov_trace_jones
 from knit.reidemeister import _faces, apply_reidemeister, reidemeister_sites
 
 SEED = 2028
@@ -50,6 +61,11 @@ PLATS = 1000
 FLOAT_TOL = 1e-12
 COLORED_FIELDS = ("recipe", "colored", "jones", "twists")
 COLORED_PATH = Path(__file__).with_name("colored_corpus.json")
+
+JONES_WORDS = 600
+FORMS = 600
+EXACT_FIELDS = ("recipe", "trace", "markov", "plat", "normal_form")
+EXACT_PATH = Path(__file__).with_name("exact_corpus.json")
 
 
 def _digest(value) -> str:
@@ -139,6 +155,57 @@ def colored_records() -> list[list]:
     return out
 
 
+def _letters(rng: random.Random, n: int, length: int, signs=(1, -1)) -> tuple:
+    return tuple((rng.randint(1, n - 1), rng.choice(signs)) for _ in range(length))
+
+
+def _form_digest(w: BraidWord) -> str:
+    nf = normal_form(w)
+    return _digest((nf.index, nf.infimum, [f.targets for f in nf.factors]))
+
+
+def _form_words(rng: random.Random):
+    """The words of the normal-form records: FORMS random B2-B12 words,
+    then same-sign words and words of long alternating runs, then a few
+    wide words."""
+    for _ in range(FORMS):
+        n = rng.randint(2, 12)
+        yield BraidWord(n, _letters(rng, n, rng.randint(0, 150)))
+    for _ in range(40):
+        n = rng.randint(2, 12)
+        yield BraidWord(n, _letters(rng, n, rng.randint(50, 150), (rng.choice((1, -1)),)))
+    for _ in range(40):
+        n = rng.randint(3, 12)
+        letters = ()
+        for k in range(rng.randint(2, 5)):
+            letters += _letters(rng, n, rng.randint(10, 40), ((-1) ** k,))
+        yield BraidWord(n, letters)
+    for _ in range(8):
+        n = rng.randint(50, 200)
+        yield BraidWord(n, _letters(rng, n, rng.randint(10, 40), (1, 1, 1, -1)))
+
+
+def exact_records() -> list[list]:
+    """The exact slice: the Jones records, then the normal-form records."""
+    rng = random.Random(f"{SEED} exact")
+    out = []
+    for _ in range(JONES_WORDS):
+        n = rng.randint(1, 8)
+        w = BraidWord(n, _letters(rng, n, rng.randint(0, 12) if n > 1 else 0))
+        plat = _digest(jones_polynomial(closure_plat(w)).terms) if n % 2 == 0 else None
+        out.append([
+            f"B{n} [{w}]",
+            _digest(jones_polynomial(closure_trace(w)).terms),
+            _digest(markov_trace_jones(w).terms),
+            plat,
+            _form_digest(w),
+        ])
+    for w in _form_words(rng):
+        recipe = f"B{w.index} {len(w)} letters {_digest(w.letters)}"
+        out.append([recipe, None, None, None, _form_digest(w)])
+    return out
+
+
 def _write(path: Path, fields, rows: list[list]):
     lines = ",\n".join(json.dumps(row) for row in rows)
     header = json.dumps({"seed": SEED, "fields": fields})[:-1]
@@ -149,6 +216,7 @@ def _write(path: Path, fields, rows: list[list]):
 def main():
     _write(PATH, FIELDS, records())
     _write(COLORED_PATH, COLORED_FIELDS, colored_records())
+    _write(EXACT_PATH, EXACT_FIELDS, exact_records())
 
 
 if __name__ == "__main__":

@@ -1,11 +1,12 @@
 """The standing diagram corpus: each record of ``diagram_corpus.json``
 is rebuilt from its seed and must match the file field by field, and so
-must each record of its coloured slice, ``colored_corpus.json``.
+must each record of its coloured and exact slices, ``colored_corpus.json``
+and ``exact_corpus.json``.
 
 The files were written once from a known-good tree by
 ``diagram_corpus.py``.  A change that alters an output of the diagram
-layers or of the coloured plat engine must show up here: mend the
-program, never the files.
+layers, of the coloured plat engine, of either exact Jones route or of
+the normal form must show up here: mend the program, never the files.
 """
 
 import json
@@ -13,26 +14,37 @@ import json
 from diagram_corpus import (
     COLORED_FIELDS,
     COLORED_PATH,
+    EXACT_FIELDS,
+    EXACT_PATH,
     FIELDS,
     FLOAT_TOL,
     PATH,
     SEED,
     colored_records,
+    exact_records,
     records,
 )
 
 
-def test_every_record_matches_the_corpus():
-    pinned = json.loads(PATH.read_text())
-    assert (pinned["seed"], pinned["fields"]) == (SEED, list(FIELDS))
-    rows = records()
-    assert len(rows) == len(pinned["records"]) >= 1000
+def _check_exact(path, fields, rows, least):
+    """Every rebuilt row equals its pinned record, field by field."""
+    pinned = json.loads(path.read_text())
+    assert (pinned["seed"], pinned["fields"]) == (SEED, list(fields))
+    assert len(rows) == len(pinned["records"]) >= least
     changed = [
-        f"{got[0]} ({', '.join(f for f, a, b in zip(FIELDS, got, want) if a != b)})"
+        f"{got[0]} ({', '.join(f for f, a, b in zip(fields, got, want) if a != b)})"
         for got, want in zip(rows, pinned["records"])
         if got != want
     ]
     assert not changed, f"{len(changed)} records changed, first: " + "; ".join(changed[:5])
+
+
+def test_every_record_matches_the_corpus():
+    _check_exact(PATH, FIELDS, records(), 1000)
+
+
+def test_every_exact_record_matches_the_corpus():
+    _check_exact(EXACT_PATH, EXACT_FIELDS, exact_records(), 1000)
 
 
 def _colored_fields_changed(got, want):
