@@ -61,26 +61,6 @@ class LaurentPoly:
                 d[n] = d.get(n, 0) + c1 * c2
         return LaurentPoly.from_dict(d)
 
-    def evaluate(self, value: complex) -> complex:
-        """Evaluate at an arbitrary finite nonzero complex number, principal powers.
-
-        Raises DomainError at 0 and at a non-finite value, and LimitError
-        when the value or one of its powers leaves the float range.
-        """
-        try:
-            if not cmath.isfinite(value):
-                raise DomainError(f"cannot evaluate a Laurent polynomial at {value!r}")
-            if value == 0:
-                raise DomainError("cannot evaluate a Laurent polynomial at 0")
-            total = 0j
-            for n, c in self.terms:
-                total += c * value ** (n / EXPONENT_DENOMINATOR)
-        except (OverflowError, ZeroDivisionError):  # a power out of float range
-            total = complex("nan")
-        if not cmath.isfinite(total):
-            raise LimitError(f"powers of {value!r:.40} leave the float range")
-        return total
-
     def to_json_terms(self) -> list[dict[str, object]]:
         return [
             {"num": n, "den": EXPONENT_DENOMINATOR, "coeff": str(c)}

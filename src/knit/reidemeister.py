@@ -4,18 +4,23 @@ Faces of the diagram come from the rotation system: a corner state is
 (crossing index, slot), that is point 4 * crossing + slot of the
 diagram's edge-end index; the next corner walks the edge at that point
 to its partner and turns one slot clockwise.  Orbits of that map are
-the faces, so kinks are 1-corner faces, bigons 2-corner faces and
-triangles 3-corner faces.  Site enumeration reads moves straight off
-the face list:
+the faces, and side k of a face is the edge from its corner k to its
+corner k + 1.  Every removal site is a face, read straight off the face
+list:
 
-- RI-  : a face with one corner (an edge occupying two adjacent slots)
-- RII- : a two-corner face whose sides are one all-over and one
-         all-under edge with opposite crossing signs
-- RIII : a three-corner face with one all-over side, one all-under side
-         and one mixed side (the cyclic all-mixed triangle admits no
-         slide)
-- RI+ / RII+ : creation moves, parameterized by target edges (or a free
-         circle for RI+)
+- RI-  : a face with one corner (a kink); its site is that corner
+- RII- : a face with two corners on two crossings of opposite signs
+- RIII : a face with three corners on three crossings
+
+where a RII- or RIII face must also have one all-over side, one
+all-under side and, on a triangle, one mixed side: counting each side's
+over-ends, the counts sorted are [0, 2] or [0, 1, 2].  (The cyclic
+all-mixed triangle admits no slide.)  RI+ and RII+ are creation moves,
+parameterized by target edges, or by a free circle for RI+.
+
+RI- and RII- take one removal step: drop the face's crossings and join
+the strand of each side to its continuations beyond the face.  A joined
+edge left on no crossing closes into one free circle.
 
 Applying a move returns a new diagram; the input is never touched.
 """
@@ -81,12 +86,7 @@ def reidemeister_sites(d: LinkDiagram, move: str) -> tuple[Site, ...]:
         return tuple(sorted(sites, key=lambda s: repr(s.data)))
 
     if move == "RI-":
-        sites = []
-        for ci, c in enumerate(d.crossings):
-            for s in range(4):
-                if c.edges[s] == c.edges[(s + 1) % 4]:
-                    sites.append(Site("RI-", (ci, s)))
-        return tuple(sites)
+        return tuple(Site("RI-", orbit[0]) for orbit in _faces(d) if len(orbit) == 1)
 
     if move == "RII+":
         pairs = set()
@@ -103,61 +103,35 @@ def reidemeister_sites(d: LinkDiagram, move: str) -> tuple[Site, ...]:
             Site("RII+", p) for p in sorted(pairs)
         )
 
-    if move == "RII-":
-        sites = []
-        for orbit in _faces(d):
-            if len(orbit) != 2:
-                continue
-            (c1, s1), (c2, s2) = orbit
-            if c1 == c2:
-                continue
-            x = d.crossings[c1].edges[s1]
-            y = d.crossings[c2].edges[s2]
-            if x == y:
-                continue
-            if d.crossings[c1].sign == d.crossings[c2].sign:
-                continue
-            x_over = _is_over_slot(s1) and _is_over_slot((s2 + 1) % 4)
-            x_under = not _is_over_slot(s1) and not _is_over_slot((s2 + 1) % 4)
-            y_over = _is_over_slot(s2) and _is_over_slot((s1 + 1) % 4)
-            y_under = not _is_over_slot(s2) and not _is_over_slot((s1 + 1) % 4)
-            if (x_over and y_under) or (x_under and y_over):
-                sites.append(Site("RII-", orbit))
-        return tuple(sites)
-
+    size, wanted = (2, [0, 2]) if move == "RII-" else (3, [0, 1, 2])
     sites = []
     for orbit in _faces(d):
-        if len(orbit) != 3:
+        # with its corners on distinct crossings, a face's sides are distinct edges
+        if len(orbit) != size or len({ci for ci, _ in orbit}) != size:
             continue
-        cs = [ci for ci, _ in orbit]
-        if len(set(cs)) != 3:
-            continue
-        # side k runs from corner k to corner k+1
-        side_edges = [d.crossings[ci].edges[si] for ci, si in orbit]
-        if len(set(side_edges)) != 3:
-            continue
-        over_ends = []
-        for k in range(3):
-            ci, si = orbit[k]
-            cj, sj = orbit[(k + 1) % 3]
-            ends = int(_is_over_slot(si)) + int(_is_over_slot((sj + 1) % 4))
-            over_ends.append(ends)
-        if sorted(over_ends) == [0, 1, 2]:
-            sites.append(Site("RIII", orbit))
+        # side k leaves corner k at slot si and reaches corner k + 1 at sj + 1
+        over_ends = sorted(
+            _is_over_slot(si) + _is_over_slot((sj + 1) % 4)
+            for (_, si), (_, sj) in zip(orbit, orbit[1:] + orbit[:1])
+        )
+        signs = {d.crossings[ci].sign for ci, _ in orbit}
+        if over_ends == wanted and (move == "RIII" or len(signs) == 2):
+            sites.append(Site(move, orbit))
     return tuple(sites)
 
 
-def _join_edges(d: LinkDiagram, rest, joins):
-    """``rest`` with the two edges of each join merged under one label.
-
-    Each merged class keeps its smallest label; also returns the map
-    from every label of ``d`` to its merged label.
-    """
+def _remove(d: LinkDiagram, doomed, joins) -> LinkDiagram:
+    """``d`` without the ``doomed`` crossings, the two edges of each join
+    merged under the smallest label of their class; a merged edge left on
+    no crossing becomes one free circle."""
     labels = d.edges
     index = {e: k for k, e in enumerate(labels)}
     root = component_labels(len(labels), [(index[a], index[b]) for a, b in joins])
     mapping = {e: labels[root[k]] for k, e in enumerate(labels)}
-    return tuple(c.relabel(mapping) for c in rest), mapping
+    rest = [c.relabel(mapping) for k, c in enumerate(d.crossings) if k not in doomed]
+    left = {e for c in rest for e in c.edges}
+    circles = {mapping[e] for join in joins for e in join} - left
+    return LinkDiagram(tuple(rest), d.unknot_count + len(circles))
 
 
 def _fresh_labels(d: LinkDiagram, count: int) -> list[int]:
@@ -193,19 +167,16 @@ def apply_reidemeister(d: LinkDiagram, move: str, site: Site) -> LinkDiagram:
             tuple(crossings) + (Crossing(slots, sign),), d.unknot_count
         )
 
-    if move == "RI-":
-        ci, s = site.data
-        c = d.crossings[ci]
-        p = c.edges[(s + 2) % 4]
-        q = c.edges[(s + 3) % 4]
-        rest = tuple(x for k, x in enumerate(d.crossings) if k != ci)
-        if p == q:
-            return LinkDiagram(rest, d.unknot_count + 1)
-        merged, mapping = _join_edges(d, rest, [(p, q)])
-        circles = d.unknot_count
-        if not any(mapping[p] in c2.edges for c2 in merged):
-            circles += 1
-        return LinkDiagram(merged, circles)
+    if move in ("RI-", "RII-"):
+        corners = (site.data,) if move == "RI-" else site.data
+        # a strand's two ends at a crossing sit two slots apart: side k
+        # leaves corner k at slot si and reaches the next at sj + 1, so its
+        # strand runs on beyond the face at slots si + 2 and sj + 3
+        joins = [
+            (d.crossings[ci].edges[(si + 2) % 4], d.crossings[cj].edges[(sj + 3) % 4])
+            for (ci, si), (cj, sj) in zip(corners, corners[1:] + corners[:1])
+        ]
+        return _remove(d, {ci for ci, _ in corners}, joins)
 
     if move == "RII+":
         e, f, parallel = site.data
@@ -223,21 +194,6 @@ def apply_reidemeister(d: LinkDiagram, move: str, site: Site) -> LinkDiagram:
             k1 = Crossing.from_strands(fm, f2, e, em, -1)
             k2 = Crossing.from_strands(f, fm, em, e2, 1)
         return LinkDiagram(tuple(crossings) + (k1, k2), d.unknot_count)
-
-    if move == "RII-":
-        (c1, s1), (c2, s2) = site.data
-        # outer continuations of the two strands through the bigon: a
-        # strand's two ends at a crossing sit two slots apart
-        e1, e2 = d.crossings[c1].edges, d.crossings[c2].edges
-        a1, a2 = e1[(s1 + 2) % 4], e2[(s2 + 3) % 4]
-        b1, b2 = e1[(s1 + 3) % 4], e2[(s2 + 2) % 4]
-        rest = tuple(
-            x for k, x in enumerate(d.crossings) if k not in (c1, c2)
-        )
-        merged, mapping = _join_edges(d, rest, [(a1, a2), (b1, b2)])
-        remaining = {e for c in merged for e in c.edges}
-        vanished = {mapping[z] for z in (a1, a2, b1, b2)} - remaining
-        return LinkDiagram(merged, d.unknot_count + len(vanished))
 
     # RIII: flip the triangle by swapping each strand's crossing order
     orbit = site.data

@@ -355,9 +355,6 @@ class ColoredSpace:
     def coupled_dimension(self) -> int:
         return len(_paths(self.doubled, self.r))
 
-    def __str__(self) -> str:
-        return "(" + ", ".join(_spin(t) for t in self.doubled) + f") at r={self.r}"
-
 
 @dataclass(frozen=True, eq=False)
 class BraidingOperator:
@@ -432,7 +429,11 @@ def _twist(colors: tuple[int, ...], position: int, sign: int, r: int):
         # coupling channels ignore the order of the pair
         assert channels == channels_out
         phases = np.array([_braid_phase(ci, cj, chan, r) ** exponent for chan in channels])
-        blocks[k, : len(channels), : len(channels)] = (rec_out * phases) @ rec_in.T
+        # a block past float range holds NaN without a numpy warning: the
+        # norm check of the plat contraction, or the dense operator's
+        # unitarity check, refuses what it reaches
+        with np.errstate(all="ignore"):
+            blocks[k, : len(channels), : len(channels)] = (rec_out * phases) @ rec_in.T
     head, reads, rank = starts[group], np.arange(width), np.argsort(target_order)
     sources = source_order[np.minimum(head[:, None] + reads, len(others) - 1)]
     idx = np.where(reads < sizes[group][:, None], sources, 0)[rank]

@@ -7,6 +7,7 @@ import random
 import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -394,6 +395,17 @@ class TestColored:
         assert res.payload["kind"] == "limit"
         assert "NaN" not in res.rendered
         assert "NaN" not in json.dumps(res.payload)
+
+    def test_numerical_breakdown_is_one_line_without_a_numpy_warning(self, capsys):
+        # built afresh, the twist tables of this request hold NaN (about 4 s)
+        su2q._twist.cache_clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["colored", "s2", "-n", "4", "--colors", "64", "--root", "1000"]) == 3
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: plat contraction broke down numerically")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("mode", [[], ["--json"]])
     def test_non_finite_payload_is_a_limit_error(self, monkeypatch, mode):

@@ -57,7 +57,8 @@ def test_evaluate_at_root_quarter_powers():
 def test_evaluate_matches_generic():
     p = poly({-4: 2, 2: -3, 7: 1})
     q = cmath.exp(2j * cmath.pi / 7)
-    assert abs(evaluate_at_root(p, 7) - p.evaluate(q)) < 1e-10
+    generic = sum(c * q ** (n / 4) for n, c in p.terms)
+    assert abs(evaluate_at_root(p, 7) - generic) < 1e-10
 
 
 @pytest.mark.parametrize("r", [0, -3, True, False, 2.0, float("nan"), float("inf"), "5", None])
@@ -73,27 +74,10 @@ def test_evaluate_at_root_takes_any_integral_order():
     assert evaluate_at_root(poly({-4: 2, 8: -3}), 1) == pytest.approx(-1, abs=1e-12)
 
 
-@pytest.mark.parametrize(
-    "value",
-    [float("nan"), float("inf"), -float("inf"), complex(1, float("nan")), complex(float("inf"), 0)],
-)
-def test_evaluate_rejects_a_non_finite_value(value):
-    with pytest.raises(DomainError):
-        poly({-4: 2, 2: -3}).evaluate(value)
-
-
-@pytest.mark.parametrize("value", [1e-100, 1e-100 + 0j, 1e100j, 10**400])
-def test_evaluate_out_of_the_float_range_is_a_limit_error(value):
-    with pytest.raises(LimitError, match="float range"):
-        poly({-40: 1}).evaluate(value)
-
-
 @pytest.mark.parametrize("terms", [{0: 10**400}, {0: 10**308, 4: 10**308}])
 def test_coefficients_past_the_float_range_are_a_limit_error(terms):
     with pytest.raises(LimitError, match="float range"):
         evaluate_at_root(poly(terms), 1)
-    with pytest.raises(LimitError, match="float range"):
-        poly(terms).evaluate(1.0)
 
 
 def test_evaluate_at_root_of_a_huge_order_is_finite():
@@ -144,9 +128,8 @@ def test_ring_axioms(p, q, r):
 
 @given(polys, polys)
 def test_evaluation_is_ring_map(p, q):
-    z = cmath.exp(2j * cmath.pi / 9)
-    lhs = (p * q).evaluate(z)
-    rhs = p.evaluate(z) * q.evaluate(z)
+    lhs = evaluate_at_root(p * q, 9)
+    rhs = evaluate_at_root(p, 9) * evaluate_at_root(q, 9)
     assert abs(lhs - rhs) < 1e-6 * max(1.0, abs(lhs), abs(rhs))
 
 
