@@ -72,6 +72,11 @@ def _digest(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()[:12]
 
 
+def _letters(rng: random.Random, n: int, length: int, signs=(1, -1)) -> tuple:
+    """``length`` seeded letters of B_n, each sign drawn from ``signs``."""
+    return tuple((rng.randint(1, n - 1), rng.choice(signs)) for _ in range(length))
+
+
 def _record(recipe: str, d, rng: random.Random) -> tuple[list, dict]:
     """The record of ``d``, and each move applied at its seeded site as
     move -> (site index, diagram)."""
@@ -105,8 +110,7 @@ def records() -> list[list]:
     for _ in range(CHAINS):
         n = rng.randint(1, 8)
         length = rng.randint(0, 14) if n > 1 else 0
-        letters = tuple((rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(length))
-        w = BraidWord(n, letters)
+        w = BraidWord(n, _letters(rng, n, length))
         plat = n % 2 == 0 and rng.random() < 0.5
         d = closure_plat(w) if plat else closure_trace(w)
         recipe = f"{'plat' if plat else 'trace'} B{n} [{w}]"
@@ -141,8 +145,7 @@ def colored_records() -> list[list]:
     for _ in range(PLATS):
         n = 2 * rng.randint(1, 4)
         length = rng.randint(0, 14)
-        letters = tuple((rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(length))
-        w = BraidWord(n, letters)
+        w = BraidWord(n, _letters(rng, n, length))
         r = rng.randint(5, 12)
         count = plat_profile(w).component_count
         colors = [rng.randint(1, 3) for _ in range(count)]
@@ -153,10 +156,6 @@ def colored_records() -> list[list]:
             _twists_digest(w, colors, r),
         ])
     return out
-
-
-def _letters(rng: random.Random, n: int, length: int, signs=(1, -1)) -> tuple:
-    return tuple((rng.randint(1, n - 1), rng.choice(signs)) for _ in range(length))
 
 
 def _form_digest(w: BraidWord) -> str:
