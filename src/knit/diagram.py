@@ -10,8 +10,12 @@ in/out role of each edge end and needs no separate flags.
 Slot s of crossing k is point 4k + s.  A diagram indexes its edge ends
 once, when it is built: ``ends`` maps each edge label to its (outgoing
 point, incoming point), and ``partner[p]`` is the point at the other
-end of the edge at point p.  The bracket, the faces and the
-Reidemeister moves read this index.
+end of the edge at point p.  The same pass walks the faces: corner
+(k, s) leads to the corner one slot clockwise of ``partner[4k + s]``,
+and ``faces`` lists the orbits as corner tuples, each from its smallest
+corner, in order of that corner.  By Euler's formula, c crossings in k
+connected pieces lie in the plane exactly when they bound c + 2k faces;
+no other diagram is built.  The bracket and the moves read this index.
 
 Crossing-free circle components cannot be expressed by PD crossings, so
 the diagram carries an explicit count of them.
@@ -53,22 +57,6 @@ class Crossing:
             raise DomainError(f"crossing sign must be +-1, got {self.sign}")
         if len(self.edges) != 4:
             raise DomainError("a crossing has exactly four edge ends")
-
-    @property
-    def under_in(self) -> int:
-        return self.edges[0]
-
-    @property
-    def under_out(self) -> int:
-        return self.edges[2]
-
-    @property
-    def over_in(self) -> int:
-        return self.edges[1] if self.sign > 0 else self.edges[3]
-
-    @property
-    def over_out(self) -> int:
-        return self.edges[3] if self.sign > 0 else self.edges[1]
 
     @staticmethod
     def from_strands(
@@ -114,10 +102,10 @@ class LinkDiagram:
     """An oriented link diagram: PD crossings plus free circles.
 
     Construction refuses a diagram that breaks the PD invariants, raising
-    DomainError that names every problem, so each method may assume a
-    sound diagram.  The same pass builds the edge-end index: ``edges``
-    (the sorted labels), ``ends`` and ``partner``, as the module
-    docstring defines them.
+    DomainError that names every problem, or, once those hold, one that
+    is not planar, so each method may assume a sound diagram.  The same
+    pass builds the edge-end index (``edges``, the sorted labels, ``ends``
+    and ``partner``) and ``faces``, as the module docstring defines them.
     """
 
     crossings: tuple[Crossing, ...]
@@ -125,6 +113,9 @@ class LinkDiagram:
     edges: tuple[int, ...] = field(init=False, repr=False, compare=False)
     ends: dict[int, tuple[int, int]] = field(init=False, repr=False, compare=False)
     partner: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    faces: tuple[tuple[tuple[int, int], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         problems = []
@@ -161,9 +152,33 @@ class LinkDiagram:
                 )
         if problems:
             raise DomainError("invalid diagram: " + "; ".join(problems))
+        seen = [False] * len(partner)
+        faces = []
+        for start in range(len(partner)):
+            if seen[start]:
+                continue
+            # every smaller point lies on a face already walked
+            orbit = []
+            p = start
+            while not seen[p]:
+                seen[p] = True
+                orbit.append(divmod(p, 4))
+                q = partner[p]
+                p = q - 1 if q & 3 else q + 3
+            faces.append(tuple(orbit))
+        # Euler: a connected piece of c crossings is planar iff it has c + 2 faces
+        count = len(self.crossings)
+        joins = [(p >> 2, q >> 2) for p, q in ends.values()]
+        pieces = len(set(component_labels(count, joins)))
+        if len(faces) != count + 2 * pieces:
+            raise DomainError(
+                f"invalid diagram: not planar: {len(faces)} faces, where {count} "
+                f"crossings in {pieces} connected pieces need {count + 2 * pieces}"
+            )
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "ends", ends)
         object.__setattr__(self, "partner", tuple(partner))
+        object.__setattr__(self, "faces", tuple(faces))
 
     def writhe(self) -> int:
         return sum(c.sign for c in self.crossings)
@@ -176,10 +191,9 @@ class LinkDiagram:
         in order of each component's smallest label."""
         edges = self.edges
         index = {e: i for i, e in enumerate(edges)}
-        joins = []
-        for c in self.crossings:
-            joins.append((index[c.under_in], index[c.under_out]))
-            joins.append((index[c.over_in], index[c.over_out]))
+        # a strand's two ends sit two slots apart
+        joins = [(index[c.edges[s]], index[c.edges[s + 2]])
+                 for c in self.crossings for s in (0, 1)]
         groups: dict[int, set[int]] = {}
         # edges ascend, so each class first appears at its smallest label
         for e, root in zip(edges, component_labels(len(edges), joins)):

@@ -1,22 +1,24 @@
 """Reidemeister moves on PD diagrams, with admissible-site enumeration.
 
-Faces of the diagram come from the rotation system: a corner state is
-(crossing index, slot), that is point 4 * crossing + slot of the
-diagram's edge-end index; the next corner walks the edge at that point
-to its partner and turns one slot clockwise.  Orbits of that map are
-the faces, and side k of a face is the edge from its corner k to its
-corner k + 1.  Every removal site is a face, read straight off the face
-list:
+Every site but RI+'s is read off the diagram's faces (see ``diagram``):
+a corner is (crossing index, slot), and side k of a face is the edge at
+its corner k, which runs to its corner k + 1.
 
 - RI-  : a face with one corner (a kink); its site is that corner
 - RII- : a face with two corners on two crossings of opposite signs
 - RIII : a face with three corners on three crossings
+- RII+ : two distinct corners of one face, ``((ci, si), (cj, sj))``
 
 where a RII- or RIII face must also have one all-over side, one
 all-under side and, on a triangle, one mixed side: counting each side's
 over-ends, the counts sorted are [0, 2] or [0, 1, 2].  (The cyclic
-all-mixed triangle admits no slide.)  RI+ and RII+ are creation moves,
-parameterized by target edges, or by a free circle for RI+.
+all-mixed triangle admits no slide.)  RI+ kinks an edge or a circle.
+
+RII+ pushes side e, which leaves the first corner, over side f, which
+leaves the second, inside their face.  A side is *along* when it runs
+away from its corner.  e first meets f's second new crossing when both
+sides or neither are along, else f's first; that crossing's sign is -1
+when f is along, +1 otherwise, and e's second has the other sign.
 
 RI- and RII- take one removal step: drop the face's crossings and join
 the strand of each side to its continuations beyond the face.  A joined
@@ -45,27 +47,6 @@ class Site:
     data: tuple
 
 
-def _faces(d: LinkDiagram) -> list[tuple[tuple[int, int], ...]]:
-    """All faces as corner tuples (crossing, slot), each starting at its
-    smallest corner, in order of that corner."""
-    partner = d.partner
-    seen = [False] * len(partner)
-    out = []
-    for start in range(len(partner)):
-        if seen[start]:
-            continue
-        # every smaller point lies on a face already walked
-        orbit = []
-        p = start
-        while not seen[p]:
-            seen[p] = True
-            orbit.append(divmod(p, 4))
-            q = partner[p]
-            p = q - 1 if q & 3 else q + 3
-        out.append(tuple(orbit))
-    return out
-
-
 def _is_over_slot(s: int) -> bool:
     return s in (1, 3)
 
@@ -86,26 +67,15 @@ def reidemeister_sites(d: LinkDiagram, move: str) -> tuple[Site, ...]:
         return tuple(sorted(sites, key=lambda s: repr(s.data)))
 
     if move == "RI-":
-        return tuple(Site("RI-", orbit[0]) for orbit in _faces(d) if len(orbit) == 1)
+        return tuple(Site("RI-", orbit[0]) for orbit in d.faces if len(orbit) == 1)
 
     if move == "RII+":
-        pairs = set()
-        for orbit in _faces(d):
-            along = []
-            for ci, si in orbit:
-                e = d.crossings[ci].edges[si]
-                along.append((e, d.ends[e][0] == 4 * ci + si))
-            for e, de in along:
-                for f, df in along:
-                    if e != f:
-                        pairs.add((e, f, de != df))
-        return tuple(
-            Site("RII+", p) for p in sorted(pairs)
-        )
+        return tuple(Site("RII+", (a, b)) for orbit in d.faces
+                     for a in orbit for b in orbit if a != b)
 
     size, wanted = (2, [0, 2]) if move == "RII-" else (3, [0, 1, 2])
     sites = []
-    for orbit in _faces(d):
+    for orbit in d.faces:
         # with its corners on distinct crossings, a face's sides are distinct edges
         if len(orbit) != size or len({ci for ci, _ in orbit}) != size:
             continue
@@ -179,20 +149,24 @@ def apply_reidemeister(d: LinkDiagram, move: str, site: Site) -> LinkDiagram:
         return _remove(d, {ci for ci, _ in corners}, joins)
 
     if move == "RII+":
-        e, f, parallel = site.data
+        (ci, si), (cj, sj) = site.data
+        e, f = d.crossings[ci].edges[si], d.crossings[cj].edges[sj]
+        along_e = d.ends[e][0] == 4 * ci + si
+        along_f = d.ends[f][0] == 4 * cj + sj
         em, e2, fm, f2 = _fresh_labels(d, 4)
         crossings = list(d.crossings)
         for target, new in ((e, e2), (f, f2)):
-            ci, si = divmod(d.ends[target][1], 4)
-            edges = list(crossings[ci].edges)
-            edges[si] = new
-            crossings[ci] = Crossing(tuple(edges), crossings[ci].sign)
-        if parallel:
-            k1 = Crossing.from_strands(f, fm, e, em, 1)
-            k2 = Crossing.from_strands(fm, f2, em, e2, -1)
-        else:
-            k1 = Crossing.from_strands(fm, f2, e, em, -1)
-            k2 = Crossing.from_strands(f, fm, em, e2, 1)
+            k, s = divmod(d.ends[target][1], 4)
+            edges = list(crossings[k].edges)
+            edges[s] = new
+            crossings[k] = Crossing(tuple(edges), crossings[k].sign)
+        # e becomes e, em, e2 and passes over f, which becomes f, fm, f2
+        first, second = (fm, f2), (f, fm)
+        if along_e != along_f:
+            first, second = second, first
+        sign = -1 if along_f else 1
+        k1 = Crossing.from_strands(*first, e, em, sign)
+        k2 = Crossing.from_strands(*second, em, e2, -sign)
         return LinkDiagram(tuple(crossings) + (k1, k2), d.unknot_count)
 
     # RIII: flip the triangle by swapping each strand's crossing order

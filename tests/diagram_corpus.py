@@ -48,7 +48,7 @@ from knit.braid import BraidWord
 from knit.diagram import closure_plat, closure_trace, plat_profile
 from knit.garside import normal_form
 from knit.jones import jones_polynomial, kauffman_bracket, markov_trace_jones
-from knit.reidemeister import _faces, apply_reidemeister, reidemeister_sites
+from knit.reidemeister import apply_reidemeister, reidemeister_sites
 
 SEED = 2028
 CHAINS = 260
@@ -92,7 +92,7 @@ def _record(recipe: str, d, rng: random.Random) -> tuple[list, dict]:
     row = [
         recipe,
         _digest(d.to_text()),
-        _digest(_faces(d)),
+        _digest(list(d.faces)),
         _digest([[(s.move, s.data) for s in sites[m]] for m in MOVES]),
         _digest([moved[m][1].to_text() if m in moved else None for m in MOVES]),
         _digest([sorted(s) for s in d.component_edge_sets()]),

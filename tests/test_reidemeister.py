@@ -3,13 +3,12 @@ import random
 import pytest
 
 from knit.braid import parse_braid, random_braid
-from knit.diagram import LinkDiagram, closure_trace
+from knit.diagram import LinkDiagram, closure_plat, closure_trace
 from knit.errors import DomainError
 from knit.jones import jones_polynomial, kauffman_bracket
 from knit.laurent import LaurentPoly
 from knit.reidemeister import (
     Site,
-    _faces,
     apply_reidemeister,
     reidemeister_sites,
 )
@@ -38,16 +37,61 @@ def borromean():
 def test_face_count_euler():
     # connected 4-valent planar graph: V - E + F = 2 with E = 2V
     d = trefoil()
-    assert len(_faces(d)) == d.crossing_count() + 2
+    assert len(d.faces) == d.crossing_count() + 2
     d = borromean()
-    assert len(_faces(d)) == d.crossing_count() + 2
+    assert len(d.faces) == d.crossing_count() + 2
 
 
 def test_faces_partition_corners():
     d = borromean()
-    corners = [corner for face in _faces(d) for corner in face]
+    corners = [corner for face in d.faces for corner in face]
     assert len(corners) == 4 * d.crossing_count()
     assert len(set(corners)) == len(corners)
+
+
+def _pieces(d):
+    """The connected pieces of ``d``'s crossing graph, where two crossings
+    touch when they share an edge."""
+    touching = {}
+    for k, c in enumerate(d.crossings):
+        for e in c.edges:
+            touching.setdefault(e, set()).add(k)
+    seen = set()
+    pieces = 0
+    for start in range(d.crossing_count()):
+        if start in seen:
+            continue
+        pieces += 1
+        stack = [start]
+        seen.add(start)
+        while stack:
+            for e in d.crossings[stack.pop()].edges:
+                stack += touching[e] - seen
+                seen |= touching[e]
+    return pieces
+
+
+def test_every_finger_move_stays_in_the_plane():
+    # each RII+ site is two corners of one face, and the push it names
+    # leaves a diagram with c + 2k faces: one that the plane can hold
+    rng = random.Random(3131)
+    moves = ("RI+", "RI-", "RII+", "RII-", "RIII")
+    pushes = 0
+    for _ in range(50):
+        n = rng.randint(1, 6)
+        w = random_braid(n, rng.randint(0, 8) if n > 1 else 0, seed=rng.randrange(10**6))
+        d = closure_plat(w) if n % 2 == 0 and rng.random() < 0.5 else closure_trace(w)
+        for _ in range(2):
+            for site in reidemeister_sites(d, "RII+"):
+                a, b = site.data
+                assert a != b and any(a in face and b in face for face in d.faces)
+                d2 = apply_reidemeister(d, "RII+", site)
+                assert len(d2.faces) == d2.crossing_count() + 2 * _pieces(d2)
+                pushes += 1
+            move = rng.choice([m for m in moves if reidemeister_sites(d, m)])
+            sites = reidemeister_sites(d, move)
+            d = apply_reidemeister(d, move, sites[rng.randrange(len(sites))])
+    assert pushes >= 2000
 
 
 def test_trefoil_has_no_removal_sites():
