@@ -416,15 +416,13 @@ def _invariance_trial(family: str, seed_text: str) -> bool:
         )
     # triangle slides can be scarce on alternating closures: open sites
     # with strand slides first, falling back to a closure known to have one
+    sites = reidemeister_sites(d, "RIII")
     for _ in range(3):
-        sites = reidemeister_sites(d, "RIII")
-        if sites:
-            break
-        pushes = reidemeister_sites(d, "RII+")
+        pushes = () if sites else reidemeister_sites(d, "RII+")
         if not pushes:
             break
         d = apply_reidemeister(d, "RII+", pushes[rng.randrange(len(pushes))])
-    sites = reidemeister_sites(d, "RIII")
+        sites = reidemeister_sites(d, "RIII")
     if not sites:
         d = closure_trace(parse_braid("s1 s2 s1", 3))
         sites = reidemeister_sites(d, "RIII")

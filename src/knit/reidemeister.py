@@ -1,8 +1,8 @@
 """Reidemeister moves on PD diagrams, with admissible-site enumeration.
 
-Every site but RI+'s is read off the diagram's faces (see ``diagram``):
-a corner is (crossing index, slot), and side k of a face is the edge at
-its corner k, which runs to its corner k + 1.
+Every site but RI+'s is read off one face of the diagram (see
+``diagram``): a corner is (crossing index, slot), and side k of a face is
+the edge at its corner k, which runs to its corner k + 1.
 
 - RI-  : a face with one corner (a kink); its site is that corner
 - RII- : a face with two corners on two crossings of opposite signs
@@ -13,6 +13,9 @@ where a RII- or RIII face must also have one all-over side, one
 all-under side and, on a triangle, one mixed side: counting each side's
 over-ends, the counts sorted are [0, 2] or [0, 1, 2].  (The cyclic
 all-mixed triangle admits no slide.)  RI+ kinks an edge or a circle.
+Listing a move's sites runs the rule of each face in turn, and applying
+a move checks a site against the rule of the face that holds its first
+corner (RI+'s against its list), so it admits exactly the listed sites.
 
 RII+ pushes side e, which leaves the first corner, over side f, which
 leaves the second, inside their face.  A side is *along* when it runs
@@ -51,43 +54,38 @@ def _is_over_slot(s: int) -> bool:
     return s in (1, 3)
 
 
+def _face_sites(d: LinkDiagram, move: str, orbit: tuple) -> list[Site]:
+    """The sites of a move other than RI+ that the face ``orbit`` gives."""
+    if move == "RI-":
+        return [Site(move, orbit[0])] if len(orbit) == 1 else []
+    if move == "RII+":
+        return [Site(move, (a, b)) for a in orbit for b in orbit if a != b]
+    size, wanted = (2, [0, 2]) if move == "RII-" else (3, [0, 1, 2])
+    # with its corners on distinct crossings, a face's sides are distinct edges
+    if len(orbit) != size or len({ci for ci, _ in orbit}) != size:
+        return []
+    # side k leaves corner k at slot si and reaches corner k + 1 at sj + 1
+    over_ends = sorted(
+        _is_over_slot(si) + _is_over_slot((sj + 1) % 4)
+        for (_, si), (_, sj) in zip(orbit, orbit[1:] + orbit[:1])
+    )
+    signs = {d.crossings[ci].sign for ci, _ in orbit}
+    if over_ends == wanted and (move == "RIII" or len(signs) == 2):
+        return [Site(move, orbit)]
+    return []
+
+
 def reidemeister_sites(d: LinkDiagram, move: str) -> tuple[Site, ...]:
     """All admissible sites for the move on this diagram, sorted."""
     if move not in _MOVES:
         raise DomainError(f"unknown move {move!r}")
-
     if move == "RI+":
-        sites = []
-        for e in d.edges:
-            for sign in (1, -1):
-                sites.append(Site("RI+", ("edge", e, sign)))
+        sites = [Site(move, ("edge", e, sign)) for e in d.edges for sign in (1, -1)]
         if d.unknot_count > 0:
-            for sign in (1, -1):
-                sites.append(Site("RI+", ("circle", 0, sign)))
+            sites += [Site(move, ("circle", 0, sign)) for sign in (1, -1)]
         return tuple(sorted(sites, key=lambda s: repr(s.data)))
 
-    if move == "RI-":
-        return tuple(Site("RI-", orbit[0]) for orbit in d.faces if len(orbit) == 1)
-
-    if move == "RII+":
-        return tuple(Site("RII+", (a, b)) for orbit in d.faces
-                     for a in orbit for b in orbit if a != b)
-
-    size, wanted = (2, [0, 2]) if move == "RII-" else (3, [0, 1, 2])
-    sites = []
-    for orbit in d.faces:
-        # with its corners on distinct crossings, a face's sides are distinct edges
-        if len(orbit) != size or len({ci for ci, _ in orbit}) != size:
-            continue
-        # side k leaves corner k at slot si and reaches corner k + 1 at sj + 1
-        over_ends = sorted(
-            _is_over_slot(si) + _is_over_slot((sj + 1) % 4)
-            for (_, si), (_, sj) in zip(orbit, orbit[1:] + orbit[:1])
-        )
-        signs = {d.crossings[ci].sign for ci, _ in orbit}
-        if over_ends == wanted and (move == "RIII" or len(signs) == 2):
-            sites.append(Site(move, orbit))
-    return tuple(sites)
+    return tuple(site for orbit in d.faces for site in _face_sites(d, move, orbit))
 
 
 def _remove(d: LinkDiagram, doomed, joins) -> LinkDiagram:
@@ -109,36 +107,43 @@ def _fresh_labels(d: LinkDiagram, count: int) -> list[int]:
     return [start + k + 1 for k in range(count)]
 
 
+def _relabel_head(d: LinkDiagram, crossings: list, e: int, label: int) -> None:
+    """Give the head of ``d``'s edge e, in ``crossings``, the label."""
+    ci, si = divmod(d.ends[e][1], 4)
+    edges = list(crossings[ci].edges)
+    edges[si] = label
+    crossings[ci] = Crossing(tuple(edges), crossings[ci].sign)
+
+
 def apply_reidemeister(d: LinkDiagram, move: str, site: Site) -> LinkDiagram:
-    """Apply the move at the site; the site must come from enumeration."""
+    """Apply the move at a site that listing the move's sites would give."""
     if site.move != move:
         raise DomainError(f"site is for {site.move!r}, not {move!r}")
-    if site not in reidemeister_sites(d, move):
+    corners = (site.data,) if move == "RI-" else site.data
+    if move in _MOVES[1:]:
+        # a face move's site is checked against the rule of the one face
+        # that holds its first corner
+        first = corners[0] if isinstance(corners, tuple) and corners else None
+        sites = next((_face_sites(d, move, f) for f in d.faces if first in f), [])
+    else:
+        sites = reidemeister_sites(d, move)  # RI+, or an unknown move
+    if site not in sites:
         raise DomainError(f"site {site.data!r} does not admit {move}")
 
     if move == "RI+":
-        kind = site.data[0]
-        sign = site.data[-1]
-        if kind == "circle":
-            e, loop = _fresh_labels(d, 2)
-            slots = (e, loop, loop, e) if sign > 0 else (e, e, loop, loop)
-            return LinkDiagram(
-                d.crossings + (Crossing(slots, sign),), d.unknot_count - 1
-            )
-        _, e, sign = site.data
+        kind, e, sign = site.data
         loop, tail = _fresh_labels(d, 2)
-        ci, si = divmod(d.ends[e][1], 4)
-        crossings = list(d.crossings)
-        edges = list(crossings[ci].edges)
-        edges[si] = tail
-        crossings[ci] = Crossing(tuple(edges), crossings[ci].sign)
+        crossings, circles = list(d.crossings), d.unknot_count
+        if kind == "circle":
+            # the circle's kink is its only crossing: e is fresh and its own tail
+            e, loop, tail = loop, tail, loop
+            circles -= 1
+        else:
+            _relabel_head(d, crossings, e, tail)
         slots = (e, loop, loop, tail) if sign > 0 else (e, tail, loop, loop)
-        return LinkDiagram(
-            tuple(crossings) + (Crossing(slots, sign),), d.unknot_count
-        )
+        return LinkDiagram(tuple(crossings) + (Crossing(slots, sign),), circles)
 
     if move in ("RI-", "RII-"):
-        corners = (site.data,) if move == "RI-" else site.data
         # a strand's two ends at a crossing sit two slots apart: side k
         # leaves corner k at slot si and reaches the next at sj + 1, so its
         # strand runs on beyond the face at slots si + 2 and sj + 3
@@ -155,11 +160,8 @@ def apply_reidemeister(d: LinkDiagram, move: str, site: Site) -> LinkDiagram:
         along_f = d.ends[f][0] == 4 * cj + sj
         em, e2, fm, f2 = _fresh_labels(d, 4)
         crossings = list(d.crossings)
-        for target, new in ((e, e2), (f, f2)):
-            k, s = divmod(d.ends[target][1], 4)
-            edges = list(crossings[k].edges)
-            edges[s] = new
-            crossings[k] = Crossing(tuple(edges), crossings[k].sign)
+        _relabel_head(d, crossings, e, e2)
+        _relabel_head(d, crossings, f, f2)
         # e becomes e, em, e2 and passes over f, which becomes f, fm, f2
         first, second = (fm, f2), (f, fm)
         if along_e != along_f:
@@ -180,15 +182,13 @@ def apply_reidemeister(d: LinkDiagram, move: str, site: Site) -> LinkDiagram:
         ci, si = orbit[k]
         side = d.ends[d.crossings[ci].edges[si]]
         (c_first, s_first), (c_second, s_second) = (divmod(p, 4) for p in side)
-        over = _is_over_slot(s_first)
-        over2 = _is_over_slot(s_second)
         # a strand's two ends at a crossing sit two slots apart
         entry = d.crossings[c_first].edges[(s_first + 2) % 4]
         exit_edge = d.crossings[c_second].edges[(s_second + 2) % 4]
         mid = fresh[k]
         # after the flip the strand meets its old second crossing first
-        new_ends[(c_second, over2)] = (entry, mid)
-        new_ends[(c_first, over)] = (mid, exit_edge)
+        new_ends[(c_second, _is_over_slot(s_second))] = (entry, mid)
+        new_ends[(c_first, _is_over_slot(s_first))] = (mid, exit_edge)
 
     crossings = list(d.crossings)
     for ci in tri:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -235,6 +236,53 @@ def test_apply_rejects_foreign_site():
         apply_reidemeister(d, "RIII", Site("RI-", (0, 1)))
     with pytest.raises(DomainError):
         reidemeister_sites(d, "RX")
+
+    # a kink, two bigons and two triangles; every malformed or foreign
+    # site is refused with the text that names it
+    d = closure_trace(parse_braid("s1 s2 s1 s1^-1", 3))
+    kink, = (s.data for s in reidemeister_sites(d, "RI-"))
+    bigon = reidemeister_sites(d, "RII-")[0].data
+    triangle = reidemeister_sites(d, "RIII")[0].data
+    push = reidemeister_sites(d, "RII+")[0].data
+    nowhere = (d.crossing_count(), 0)
+    apart = (d.faces[0][0], d.faces[1][0])
+    refused = [
+        # another move's site data
+        ("RI-", bigon), ("RII+", kink), ("RII-", triangle), ("RIII", push),
+        ("RII-", ("edge", 1, 1)),
+        # a corner on no face, and a push whose corners lie on two faces
+        ("RI-", nowhere), ("RII+", (nowhere, push[0])), ("RII+", apart),
+        # no corner at all, a list in place of a tuple, and no tuple
+        ("RI-", ()), ("RII+", ()), ("RII-", ()), ("RIII", ()),
+        ("RI-", list(kink)), ("RII+", list(push)), ("RIII", list(triangle)),
+        ("RI-", None), ("RII-", 5), ("RIII", "ab"),
+    ]
+    for move, data in refused:
+        text = f"site {data!r} does not admit {move}"
+        with pytest.raises(DomainError, match=re.escape(text)):
+            apply_reidemeister(d, move, Site(move, data))
+
+
+def test_face_moves_are_admitted_without_listing_every_site(monkeypatch):
+    # a face move's site is checked against its own face's rule alone
+    rng = random.Random(3232)
+    listed = []
+    for _ in range(30):
+        w = random_braid(rng.randint(2, 5), rng.randint(2, 10), seed=rng.randrange(10**6))
+        d = closure_trace(w)
+        for move in ("RI-", "RII+", "RII-", "RIII"):
+            listed += [(d, move, site) for site in reidemeister_sites(d, move)]
+
+    def refuse(d, move):
+        raise AssertionError(f"listed every {move} site to admit one")
+
+    monkeypatch.setattr("knit.reidemeister.reidemeister_sites", refuse)
+    for d, move, site in listed:
+        moved = apply_reidemeister(d, move, site)
+        assert moved.crossing_count() == d.crossing_count() + {
+            "RI-": -1, "RII+": 2, "RII-": -2, "RIII": 0
+        }[move]
+    assert {move for _, move, _ in listed} == {"RI-", "RII+", "RII-", "RIII"}
 
 
 def test_moves_preserve_jones_on_random_diagrams():
