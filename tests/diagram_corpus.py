@@ -29,7 +29,9 @@ words at n = 50-200; its recipe names the word by a hash.
 the file.  The file pins the outputs of a known-good tree: when a change
 alters one, mend the program, never the file.  Regenerate it only for a
 deliberate change of output, and then name every changed record and why
-in CHANGES.md.  To regenerate:
+in CHANGES.md.  Each chain of ``diagram_corpus.json`` draws from its own
+seeded stream, so such a change re-draws only the chains whose outputs
+it alters.  To regenerate:
 
     PYTHONPATH=src python tests/diagram_corpus.py
 
@@ -104,10 +106,11 @@ def _record(recipe: str, d, rng: random.Random) -> tuple[list, dict]:
 def records() -> list[list]:
     """All records, in the order of the file: each chain's closure, then
     the diagram after each of its moves, where every move is one of the
-    record's seeded applications."""
-    rng = random.Random(SEED)
+    record's seeded applications.  Each chain draws from its own stream,
+    so a change to one chain's outputs re-draws no other chain."""
     out = []
-    for _ in range(CHAINS):
+    for i in range(CHAINS):
+        rng = random.Random(f"{SEED} chain {i}")
         n = rng.randint(1, 8)
         length = rng.randint(0, 14) if n > 1 else 0
         w = BraidWord(n, _letters(rng, n, length))
