@@ -225,11 +225,12 @@ def markov_trace_jones(w: BraidWord) -> LaurentPoly:
     Propagates the identity diagram through the word, closes every basis
     diagram, tallies the closed diagrams by (A-exponent, loops), applies
     the writhe correction and lands in t.  Agrees exactly with the
-    state-sum route.
+    state-sum route.  Past ``DEFAULT_TL_STRANDS`` strands it raises
+    LimitError.
     """
     n = w.index
     if n > DEFAULT_TL_STRANDS:
-        raise DomainError(
+        raise LimitError(
             f"strand count {n} beyond the diagram-basis limit {DEFAULT_TL_STRANDS}"
         )
     tally: dict[tuple[int, int], int] = {}

@@ -107,7 +107,7 @@ class LaurentPoly:
 def evaluate_at_root(p: LaurentPoly, r: int) -> complex:
     """Evaluate p at the primitive root q = exp(2*pi*i/r).
 
-    Fractional powers use the principal branch q^(k/4) = exp(2*pi*i*k/(4*r)).
+    A quarter power q^(k/4) takes the principal branch exp(2*pi*i*k/(4*r)).
     Raises LimitError when a coefficient or the sum leaves the float range.
     """
     if not isinstance(r, numbers.Integral) or isinstance(r, bool) or r < 1:

@@ -12,10 +12,12 @@ the edge at its corner k, which runs to its corner k + 1.
 where a RII- or RIII face must also have one all-over side, one
 all-under side and, on a triangle, one mixed side: counting each side's
 over-ends, the counts sorted are [0, 2] or [0, 1, 2].  (The cyclic
-all-mixed triangle admits no slide.)  RI+ kinks an edge or a circle.
+all-mixed triangle admits no slide.)  RI+ kinks an edge or a circle:
+``("edge", e, sign)`` or ``("circle", 0, sign)``, with sign +1 or -1.
 Listing a move's sites runs the rule of each face in turn, and applying
 a move checks a site against the rule of the face that holds its first
-corner (RI+'s against its list), so it admits exactly the listed sites.
+corner (RI+'s against the edge labels and the free-circle count), so it
+admits exactly the listed sites.
 
 RII+ pushes side e, which leaves the first corner, over side f, which
 leaves the second, inside their face.  A side is *along* when it runs
@@ -75,6 +77,19 @@ def _face_sites(d: LinkDiagram, move: str, orbit: tuple) -> list[Site]:
     return []
 
 
+def _admits_kink(d: LinkDiagram, data) -> bool:
+    """Whether listing the RI+ sites would give ``data``, in O(1)."""
+    if not (isinstance(data, tuple) and len(data) == 3 and data[2] in (1, -1)):
+        return False
+    kind, e, _ = data
+    if kind == "circle":
+        return e == 0 and d.unknot_count > 0
+    try:
+        return kind == "edge" and e in d.ends
+    except TypeError:  # an unhashable label is no edge
+        return False
+
+
 def reidemeister_sites(d: LinkDiagram, move: str) -> tuple[Site, ...]:
     """All admissible sites for the move on this diagram, sorted."""
     if move not in _MOVES:
@@ -119,15 +134,17 @@ def apply_reidemeister(d: LinkDiagram, move: str, site: Site) -> LinkDiagram:
     """Apply the move at a site that listing the move's sites would give."""
     if site.move != move:
         raise DomainError(f"site is for {site.move!r}, not {move!r}")
+    if move not in _MOVES:
+        raise DomainError(f"unknown move {move!r}")
     corners = (site.data,) if move == "RI-" else site.data
-    if move in _MOVES[1:]:
+    if move == "RI+":
+        admitted = _admits_kink(d, site.data)
+    else:
         # a face move's site is checked against the rule of the one face
         # that holds its first corner
         first = corners[0] if isinstance(corners, tuple) and corners else None
-        sites = next((_face_sites(d, move, f) for f in d.faces if first in f), [])
-    else:
-        sites = reidemeister_sites(d, move)  # RI+, or an unknown move
-    if site not in sites:
+        admitted = site in next((_face_sites(d, move, f) for f in d.faces if first in f), [])
+    if not admitted:
         raise DomainError(f"site {site.data!r} does not admit {move}")
 
     if move == "RI+":

@@ -2,9 +2,9 @@
 
 Everything here works at ``q = exp(2*pi*i/r)`` for an integer root
 parameter ``r >= 3`` whose double fits a float; a larger root raises
-LimitError.  Colors are spins ``j`` in half-integer steps,
-held as the int ``2j`` (the doubled spin, which ``as_color`` returns)
-from each entry point's one color check to every table.
+LimitError.  Colors are spins ``j`` in half-integer steps, given and
+held as the int ``2j`` (the doubled spin: 1 is spin 1/2), checked once
+per entry point by ``_check_colors``.
 
 The braiding machinery acts on *coupled* bases rather than on tensor
 products of single-strand bases.  A basis vector for strands colored
@@ -44,14 +44,13 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .braid import BraidWord
 from .diagram import plat_profile
-from .errors import DomainError, LimitError, _shown
+from .errors import DomainError, LimitError, _quoted, _shown
 
 __all__ = [
     "DENSE_LIMIT",
@@ -60,7 +59,6 @@ __all__ = [
     "BraidingOperator",
     "ColoredSpace",
     "DegenerateColorError",
-    "as_color",
     "braiding_operator_for_word",
     "colored_invariant",
     "jones_plat_branch",
@@ -70,8 +68,7 @@ __all__ = [
     "r_matrix",
 ]
 
-# Bounds two counts: r_matrix's classical size (2j1 + 1)(2j2 + 1), and
-# the coupled dimension braiding_operator_for_word realizes densely.
+# Bounds the coupled dimension braiding_operator_for_word realizes densely.
 DENSE_LIMIT = 4096
 
 # Every constructed braiding operator is checked against this bound.
@@ -106,28 +103,6 @@ def _spin(t: int) -> str:
     return f"{t}/2" if t % 2 else str(t // 2)
 
 
-def as_color(value) -> int:
-    """Coerce ``value`` to a doubled spin ``2j``.
-
-    Accepts an integer doubled spin (the CLI convention: ``1`` means
-    spin 1/2) or an exact half-integral Fraction/float spin.
-    """
-    if isinstance(value, int) and not isinstance(value, bool):
-        doubled = value
-    elif isinstance(value, float) and not math.isfinite(value):
-        raise DomainError(f"spin must be a finite half-integer, got {value}")
-    elif isinstance(value, (Fraction, float)):
-        doubled = Fraction(value) * 2
-        if doubled.denominator != 1:
-            raise DomainError(f"spin must be a half-integer, got {value}")
-        doubled = int(doubled)
-    else:
-        raise DomainError(f"cannot read {value!r} as a color")
-    if doubled < 0:
-        raise DomainError(f"color spin must be nonnegative, got {doubled}/2")
-    return doubled
-
-
 def _check_root(r: int):
     if not isinstance(r, int) or isinstance(r, bool):
         raise DomainError(f"root parameter must be an integer, got {r!r}")
@@ -138,10 +113,17 @@ def _check_root(r: int):
         raise LimitError(f"root parameter {_shown(r)} is past float range")
 
 
-def _check_colors(doubled, r: int):
-    """Refuse the first color that does not exist at root ``r`` (j <= r)
-    or has no braiding headroom there (2j <= r - 2)."""
+def _check_colors(doubled: tuple, r: int):
+    """The one color check: refuse the first color that is not a doubled
+    spin ``2j`` (a nonnegative int), does not exist at root ``r``
+    (j <= r) or has no braiding headroom there (2j <= r - 2)."""
     for t in doubled:
+        if not isinstance(t, int) or isinstance(t, bool):
+            raise DomainError(
+                f"a color is an int doubled spin 2j (1 is spin 1/2), got {_quoted(repr(t))}"
+            )
+        if t < 0:
+            raise DomainError(f"a color is a nonnegative doubled spin 2j, got {_shown(t)}")
         if t > 2 * r:
             raise DomainError(f"color j = {_spin(t)} is not admissible at r = {r} (needs j <= r)")
         if t > r - 2:
@@ -342,7 +324,7 @@ class ColoredSpace:
     r: int
 
     def __init__(self, colors, r: int):
-        object.__setattr__(self, "doubled", tuple(as_color(c) for c in colors))
+        object.__setattr__(self, "doubled", tuple(colors))
         object.__setattr__(self, "r", r)
         _check_root(r)
         _check_colors(self.doubled, r)
@@ -472,21 +454,16 @@ def _braid(colors: tuple[int, ...], letters, r: int, state: np.ndarray):
 
 
 def r_matrix(j1, j2, r: int) -> BraidingOperator:
-    """The two-strand braiding operator for a positive crossing.
+    """The two-strand braiding operator for a positive crossing: the
+    one-letter ``braiding_operator_for_word`` on colors ``j1``, ``j2``
+    (doubled spins, as every color here).
 
     Diagonal on the coupled basis: channel ``j`` carries the phase
     ``(-1)^(j1 + j2 - j) q^((c_j - c_j1 - c_j2)/2)`` up to the global
     orientation convention pinned by the spin-1/2 Jones agreement.
     Composing with its inverse gives the identity exactly.
     """
-    colors = (as_color(j1), as_color(j2))
-    _check_root(r)
-    # a color past the root is named before the dense limit, a degenerate one after
-    _check_colors([t for t in colors if t > 2 * r], r)
-    size = (colors[0] + 1) * (colors[1] + 1)
-    if size > DENSE_LIMIT:
-        raise LimitError(f"dense limit exceeded: {size} > {DENSE_LIMIT}")
-    return braiding_operator_for_word(BraidWord(2, ((1, 1),)), colors, r)
+    return braiding_operator_for_word(BraidWord(2, ((1, 1),)), (j1, j2), r)
 
 
 def braiding_operator_for_word(w: BraidWord, colors, r: int) -> BraidingOperator:
@@ -496,7 +473,7 @@ def braiding_operator_for_word(w: BraidWord, colors, r: int) -> BraidingOperator
     the codomain's colors are the domain's pushed through the word's
     permutation.
     """
-    doubled = tuple(as_color(c) for c in colors)
+    doubled = tuple(colors)
     if len(doubled) != w.index:
         raise DomainError(f"need {w.index} strand colors, got {len(doubled)}")
     domain = ColoredSpace(doubled, r)
@@ -536,7 +513,7 @@ def _plat_branch(w: BraidWord, profile, colors, r: int):
         raise DomainError(
             f"root parameter must be at least the component count: r = {r} < {count}"
         )
-    doubled = tuple(as_color(c) for c in colors)
+    doubled = tuple(colors)
     if len(doubled) != count:
         raise DomainError(
             f"need one color per link component: got {len(doubled)} for {count} components"

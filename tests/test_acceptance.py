@@ -8,7 +8,6 @@ line per criterion at its stated tolerance and time bound.
 import math
 import random
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ from knit.su2q import (
     r_matrix,
 )
 
-HALF = Fraction(1, 2)
+HALF = 1  # spin 1/2, as a doubled spin
 
 TREFOIL_PLAT = parse_braid("s2^3", 4)
 HOPF_PLAT = parse_braid("s2^2", 4)
@@ -141,7 +140,7 @@ def test_criterion_3_word_problem():
 
 def test_criterion_4_yang_baxter_and_unitarity():
     """Three-strand relation residual and unitarity defect <= 1e-10."""
-    colors = [0, HALF, 1, Fraction(3, 2)]
+    colors = [0, 1, 2, 3]  # doubled spins 0 to 3/2
     left_word = parse_braid("s1 s2 s1", 3)
     right_word = parse_braid("s2 s1 s2", 3)
     for r in (5, 7, 10):
@@ -179,7 +178,7 @@ def test_criterion_6_quantum_dimension_contract():
     """Color-j unknot gives [2j+1]_q (j <= 2, r=10); [r]_q vanishes."""
     unknot = BraidWord(2, ())
     for doubled in range(5):
-        value = colored_invariant(unknot, [Fraction(doubled, 2)], 10)
+        value = colored_invariant(unknot, [doubled], 10)
         expected = q_integer(doubled + 1, 10)
         assert abs(value - expected) <= 1e-10, (
             f"unknot at 2j={doubled}: |{value} - {expected}|"

@@ -99,13 +99,19 @@ class TestLazyExports:
         assert done.returncode == 0, done.stderr
 
     def test_exact_commands_do_not_load_fractions(self):
+        # nor do the coloured and sampled commands: a color is an int
+        numeric = [
+            ["colored", "s2^3", "-n", "4", "--colors", "2", "--root", "7", "--json"],
+            ["approx", "s2^3", "-n", "4", "--root", "5", "--delta", "0.5"],
+        ]
         done = _python(
             "-c",
             "import sys\n"
             "from knit.cli import run\n"
-            f"for argv in {EXACT_COMMANDS!r}:\n"
+            f"for argv in {EXACT_COMMANDS + numeric!r}:\n"
             "    assert run(argv).exit_code == 0, argv\n"
-            "assert 'fractions' not in sys.modules\n",
+            "assert 'fractions' not in sys.modules\n"
+            "assert 'decimal' not in sys.modules\n",
         )
         assert done.returncode == 0, done.stderr
 

@@ -1,7 +1,6 @@
 """Tests for the sampled estimation of plat invariants."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from knit.su2q import (
     q_integer,
 )
 
-HALF = Fraction(1, 2)
+HALF = 1  # spin 1/2, as a doubled spin
 
 # Three-component plat word in B_6 whose closure is the Borromean rings.
 BORROMEAN_PLAT = "s2 s1 s4^-1 s3 s4^-1 s3 s2^-1 s4^-1"
@@ -315,7 +314,7 @@ class TestEstimateMarkovTrace:
 
     def test_distinct_colors_move_the_reference_space(self):
         w = parse_braid(BORROMEAN_PLAT, 6)
-        colors = [HALF, 1, Fraction(3, 2)]
+        colors = [1, 2, 3]
         exact = colored_invariant(w, colors, 10)
         est = estimate_markov_trace(w, colors, 10, 0.5, seed=6)
         assert est.exact == pytest.approx(exact)

@@ -264,14 +264,32 @@ def test_apply_rejects_foreign_site():
 
 
 def test_face_moves_are_admitted_without_listing_every_site(monkeypatch):
-    # a face move's site is checked against its own face's rule alone
+    # a face move's site is checked against its own face's rule alone, and
+    # an RI+ site against the edge labels and the free-circle count
     rng = random.Random(3232)
-    listed = []
+    diagrams = []
     for _ in range(30):
         w = random_braid(rng.randint(2, 5), rng.randint(2, 10), seed=rng.randrange(10**6))
-        d = closure_trace(w)
-        for move in ("RI-", "RII+", "RII-", "RIII"):
-            listed += [(d, move, site) for site in reidemeister_sites(d, move)]
+        diagrams.append(closure_trace(w))
+    # the two strands no letter touches close into free circles
+    circles = closure_trace(parse_braid("s1 s1", 4))
+    assert circles.unknot_count == 2
+    listed = [
+        (d, move, site)
+        for d in diagrams
+        for move in ("RI+", "RI-", "RII+", "RII-", "RIII")
+        for site in reidemeister_sites(d, move)
+    ]
+    listed += [(circles, "RI+", site) for site in reidemeister_sites(circles, "RI+")]
+    closed = diagrams[0]
+    assert closed.unknot_count == 0
+    edge = closed.edges[0]
+    refused = [
+        (closed, ("circle", 0, 1)), (circles, ("circle", 1, 1)),
+        (closed, ("edge", max(closed.edges) + 1, 1)), (closed, ("edge", edge, 0)),
+        (closed, ("edge", [edge], 1)), (closed, ("edge", edge)), (closed, ["edge", edge, 1]),
+        (closed, ("edge", float("nan"), 1)), (closed, None),
+    ]
 
     def refuse(d, move):
         raise AssertionError(f"listed every {move} site to admit one")
@@ -280,9 +298,15 @@ def test_face_moves_are_admitted_without_listing_every_site(monkeypatch):
     for d, move, site in listed:
         moved = apply_reidemeister(d, move, site)
         assert moved.crossing_count() == d.crossing_count() + {
-            "RI-": -1, "RII+": 2, "RII-": -2, "RIII": 0
+            "RI+": 1, "RI-": -1, "RII+": 2, "RII-": -2, "RIII": 0
         }[move]
-    assert {move for _, move, _ in listed} == {"RI-", "RII+", "RII-", "RIII"}
+    assert {move for _, move, _ in listed} == {"RI+", "RI-", "RII+", "RII-", "RIII"}
+    assert apply_reidemeister(circles, "RI+", Site("RI+", ("circle", 0, -1))).unknot_count == 1
+    for d, data in refused:
+        with pytest.raises(DomainError, match=re.escape(f"site {data!r} does not admit RI+")):
+            apply_reidemeister(d, "RI+", Site("RI+", data))
+    with pytest.raises(DomainError, match="unknown move 'RV'"):
+        apply_reidemeister(closed, "RV", Site("RV", ("edge", edge, 1)))
 
 
 def test_moves_preserve_jones_on_random_diagrams():

@@ -18,11 +18,11 @@ from knit.diagram import closure_plat, plat_profile
 from knit.errors import DomainError, LimitError
 from knit.jones import jones_polynomial
 from knit.laurent import evaluate_at_root
+from knit.qsim import estimate_markov_trace
 from knit.su2q import (
     BraidingOperator,
     ColoredSpace,
     DegenerateColorError,
-    as_color,
     braiding_operator_for_word,
     colored_invariant,
     jones_value_from_plat,
@@ -58,30 +58,40 @@ def oracle_value(word, n, r):
     return evaluate_at_root(jones_polynomial(closure_plat(w)), r)
 
 
-class TestColorLabel:
-    """Colors are doubled spins 2j, held as plain ints."""
+def refused_at_every_entry_point(color, match):
+    """Each su2q entry point, and the sampler through them, refuses ``color``."""
+    calls = [
+        lambda: colored_invariant(parse_braid("s2^3", 4), [color], 7),
+        lambda: r_matrix(color, 1, 7),
+        lambda: r_matrix(1, color, 7),
+        lambda: braiding_operator_for_word(parse_braid("s1", 2), [1, color], 7),
+        lambda: ColoredSpace([color], 7),
+        lambda: estimate_markov_trace(parse_braid("s2^3", 4), [color], 7, 0.5),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match=match):
+            call()
 
-    def test_coercions(self):
-        for value, doubled in ((1, 1), (Fraction(1, 2), 1), (1.5, 3), (4, 4), (2.0, 4)):
-            color = as_color(value)
-            assert color == doubled and type(color) is int
+
+class TestColorLabel:
+    """A color is the doubled spin 2j, a nonnegative int, and nothing else."""
+
+    def test_an_int_color_is_the_doubled_spin(self):
+        # any iterable of ints is read as given; two spin-1 strands couple
+        # to spins 0, 1 and 2
+        assert ColoredSpace(iter([1, 4]), 7).doubled == (1, 4)
+        assert [path[-1] for path in r_matrix(2, 2, 7).domain.paths()] == [0, 2, 4]
 
     def test_rejects_bad_spins(self):
-        with pytest.raises(DomainError, match="nonnegative"):
-            as_color(-1)
-        with pytest.raises(DomainError):
-            as_color(0.3)
-        with pytest.raises(DomainError):
-            as_color("1/2")
+        for color in (Fraction(1, 2), 0.5, 1.0, True, "1/2", np.int64(1)):
+            refused_at_every_entry_point(color, r"an int doubled spin 2j \(1 is spin 1/2\)")
+        refused_at_every_entry_point(-1, "a nonnegative doubled spin 2j, got -1")
+        # a long bad value is quoted short
+        refused_at_every_entry_point([1] * 1000, r"got '\[1, 1, 1,'\.\.\. \(3000 characters\)$")
 
     @pytest.mark.parametrize("spin", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
     def test_rejects_non_finite_spins(self, spin):
-        with pytest.raises(DomainError, match="finite"):
-            colored_invariant(parse_braid("s2^3", 4), [spin], 5)
-        with pytest.raises(DomainError, match="finite"):
-            r_matrix(spin, 1, 5)
-        with pytest.raises(DomainError, match="finite"):
-            r_matrix(Fraction(1, 2), spin, 5)
+        refused_at_every_entry_point(spin, r"\(1 is spin 1/2\), got '(nan|inf|-inf|np\.float64\(nan\))'")
 
     def test_admissibility_bound(self):
         # j <= r exists but has no braiding headroom; j > r does not exist
@@ -158,8 +168,14 @@ class TestRMatrix:
         assert op.codomain.doubled == (2, 1)
 
     def test_dense_limit(self):
-        with pytest.raises(LimitError):
-            r_matrix(63, 65, 70)
+        # the limit bounds the coupled dimension: 16 spin-1/2 strands have
+        # C(16, 8) fusion paths, while 63/2 and 65/2 couple through four
+        # channels at r = 70
+        with pytest.raises(LimitError, match="dense limit exceeded: 12870 > 4096"):
+            braiding_operator_for_word(BraidWord(16, ()), [1] * 16, 100)
+        op = r_matrix(63, 65, 70)
+        assert op.matrix.shape == (4, 4)
+        assert op.unitarity_defect() <= 1e-10
 
     def test_rejects_inadmissible(self):
         with pytest.raises(DomainError):
@@ -293,7 +309,7 @@ class TestColoredInvariant:
         assert value == pytest.approx(2.0, abs=1e-12)
 
     def test_unknot_is_quantum_dimension_at_five(self):
-        value = colored_invariant(parse_braid("", 2), [Fraction(1, 2)], 5)
+        value = colored_invariant(parse_braid("", 2), [1], 5)
         assert value.real == pytest.approx(1.6180339887, abs=1e-9)
         assert abs(value.imag) < 1e-12
 
