@@ -22,7 +22,7 @@ standard library; ``su2q`` and ``qsim`` need numpy, so importing
 
 from importlib import import_module as _import_module
 
-from .braid import BraidWord, Permutation, parse_braid, random_braid
+from .braid import BraidWord, parse_braid, random_braid
 from .errors import DomainError, KnitError, LimitError, ParseError
 from .garside import NormalForm, is_trivial, normal_form, words_equal
 
@@ -53,7 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BraidWord",
-    "Permutation",
     "parse_braid",
     "random_braid",
     "DomainError",

@@ -8,7 +8,8 @@ word of length L always stores L letters of exponent +-1.
 
 The leftmost letter acts first.  Mapping each letter si to the adjacent
 transposition (i, i+1) and composing in word order yields the underlying
-permutation; its cycles are the components of the trace closure.
+permutation, kept as its 1-based image tuple; its cycles are the
+components of the trace closure.
 """
 
 from __future__ import annotations
@@ -17,13 +18,12 @@ import random
 import re
 from dataclasses import dataclass
 
-from .errors import DomainError, LimitError, ParseError, _quoted, _shown
+from .errors import DomainError, LimitError, ParseError, _quoted, _shown, _shown_repr
 
 __all__ = [
     "BraidWord",
     "LETTER_LIMIT",
     "STRAND_LIMIT",
-    "Permutation",
     "parse_braid",
     "random_braid",
 ]
@@ -41,44 +41,33 @@ STRAND_LIMIT = 1_000
 
 
 @dataclass(frozen=True)
-class Permutation:
-    """A permutation of {1..n}, stored as the tuple of images (1-based)."""
-
-    targets: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.targets)
-        if sorted(self.targets) != list(range(1, n + 1)):
-            raise DomainError(f"not a permutation of 1..{n}: {self.targets}")
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.targets)
-        for i, t in enumerate(self.targets):
-            inv[t - 1] = i + 1
-        return Permutation(tuple(inv))
-
-
-@dataclass(frozen=True)
 class BraidWord:
     """A word in B_n: ``index`` strands and a letter sequence.
 
     Each letter is a pair (generator, sign) with 1 <= generator < index and
-    sign in {+1, -1}.
+    sign in {+1, -1}.  The index, generators and signs are ints; a bool or
+    a float is refused.
     """
 
     index: int
     letters: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.index < 1:
-            raise DomainError(f"braid index must be >= 1, got {self.index}")
+        n = self.index
+        if not _is_int(n):
+            raise DomainError(f"braid index must be an int, got {_shown_repr(n)}")
+        if n < 1:
+            raise DomainError(f"braid index must be >= 1, got {_shown(n)}")
         for gen, sign in self.letters:
-            if not 1 <= gen < self.index:
+            # the exact type test is a fast path for the usual letter
+            if not (type(gen) is type(sign) is int or _is_int(gen) and _is_int(sign)):
+                raise DomainError(f"a letter is a pair of ints, got {_shown_repr((gen, sign))}")
+            if not 1 <= gen < n:
                 raise DomainError(
-                    f"generator s{gen} out of range for braid index {self.index}"
+                    f"generator s{_shown(gen)} out of range for braid index {_shown(n)}"
                 )
             if sign not in (1, -1):
-                raise DomainError(f"letter sign must be +-1, got {sign}")
+                raise DomainError(f"letter sign must be +-1, got {_shown(sign)}")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -86,7 +75,7 @@ class BraidWord:
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if self.index != other.index:
             raise DomainError(
-                f"cannot concatenate words in B_{self.index} and B_{other.index}"
+                f"cannot concatenate words in B_{_shown(self.index)} and B_{_shown(other.index)}"
             )
         return BraidWord(self.index, self.letters + other.letters)
 
@@ -99,12 +88,14 @@ class BraidWord:
         """Sum of letter signs; the writhe of the trace closure."""
         return sum(s for _, s in self.letters)
 
-    def permutation(self) -> Permutation:
-        # strand[k] is the strand at position k + 1 after the letters so far
-        strand = list(range(1, self.index + 1))
-        for gen, _ in self.letters:
-            strand[gen - 1], strand[gen] = strand[gen], strand[gen - 1]
-        return Permutation(tuple(strand)).inverse()
+    def permutation(self) -> tuple[int, ...]:
+        """The underlying permutation as its 1-based image tuple p: the
+        strand that starts at position i ends at position p[i - 1]."""
+        # prepending a letter to a word swaps its two entries of the images
+        images = list(range(1, self.index + 1))
+        for gen, _ in reversed(self.letters):
+            images[gen - 1], images[gen] = images[gen], images[gen - 1]
+        return tuple(images)
 
     def conjugate_by(self, a: "BraidWord") -> "BraidWord":
         """Markov move of the first kind: a * self * a^-1."""
@@ -113,7 +104,7 @@ class BraidWord:
     def stabilize(self, sign: int = 1) -> "BraidWord":
         """Markov move of the second kind: include into B_(n+1), append sn^+-1."""
         if sign not in (1, -1):
-            raise DomainError(f"stabilization sign must be +-1, got {sign}")
+            raise DomainError(f"stabilization sign must be +-1, got {_shown(sign)}")
         n = self.index
         return BraidWord(n + 1, self.letters + ((n, sign),))
 
@@ -125,6 +116,11 @@ class BraidWord:
         for gen, sign in self.letters:
             parts.append(f"s{gen}" if sign > 0 else f"s{gen}^-1")
         return " ".join(parts)
+
+
+def _is_int(x) -> bool:
+    """An int that is not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _bounded_int(digits: str, width: int) -> int | None:

@@ -219,7 +219,7 @@ _Output = tuple[dict, list[str], list[str]]
 def _cmd_parse(args) -> _Output:
     w = parse_braid(args.word, args.strands)
     word, exponent_sum = str(w), w.exponent_sum()
-    permutation = list(w.permutation().targets)
+    permutation = list(w.permutation())
     payload = {
         "word": word,
         "strands": w.index,
@@ -245,7 +245,7 @@ def _cmd_nf(args) -> _Output:
         "strands": nf.index,
         "half_twist_power": nf.infimum,
         "canonical_length": length,
-        "factors": [list(f.targets) for f in nf.factors],
+        "factors": [list(f) for f in nf.factors],
         "normal_form": form,
         "trivial": trivial,
     }
@@ -272,7 +272,7 @@ def _cmd_closure_info(args) -> _Output:
     if args.closure_kind == "trace":
         # read off the word, without building the closure: a component per
         # cycle of the permutation, a crossing per letter, writhe = exponent sum
-        cycles = component_labels(w.index, enumerate(t - 1 for t in w.permutation().targets))
+        cycles = component_labels(w.index, enumerate(t - 1 for t in w.permutation()))
         payload.update(
             components=len(set(cycles)), crossings=len(w.letters), writhe=w.exponent_sum()
         )

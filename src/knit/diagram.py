@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass, field
 
 from .braid import BraidWord
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, _shown, _shown_repr
 
 __all__ = [
     "Crossing",
@@ -54,7 +54,7 @@ class Crossing:
 
     def __post_init__(self):
         if self.sign not in (1, -1):
-            raise DomainError(f"crossing sign must be +-1, got {self.sign}")
+            raise DomainError(f"crossing sign must be +-1, got {_shown(self.sign)}")
         if len(self.edges) != 4:
             raise DomainError("a crossing has exactly four edge ends")
 
@@ -133,7 +133,7 @@ class LinkDiagram:
         ends = {}
         partner = [0] * (4 * len(self.crossings))
         if bad:
-            problems.append(f"edge multiplicity: labels {bad} do not appear twice")
+            problems.append(f"edge multiplicity: labels {_shown_repr(bad)} do not appear twice")
         else:
             wrong = []
             for e in edges:
@@ -147,7 +147,7 @@ class LinkDiagram:
                 ends[e] = (p, q) if p_out else (q, p)
             if wrong:
                 problems.append(
-                    f"orientation: labels {wrong} lack one incoming and one "
+                    f"orientation: labels {_shown_repr(wrong)} lack one incoming and one "
                     "outgoing end"
                 )
         if problems:
@@ -258,7 +258,7 @@ def parse_diagram(text: str) -> LinkDiagram:
 def require_plat_index(w: BraidWord):
     """Raise DomainError unless ``w`` has an even index, as a plat needs."""
     if w.index % 2:
-        raise DomainError(f"plat closure needs an even braid index, got {w.index}")
+        raise DomainError(f"plat closure needs an even braid index, got {_shown(w.index)}")
 
 
 def _walk(w: BraidWord, plat: bool):

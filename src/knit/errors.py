@@ -43,14 +43,27 @@ def _quoted(text: str) -> str:
     return f"{text[:9]!r}... ({len(text)} characters)"
 
 
-def _shown(n: int) -> str:
-    """The int n for a message: in full up to 20 digits, else named by its
-    digit count and, when negative, its sign, so a long number is never
-    echoed in full.  The digits are counted from the logarithm (nearest
-    power of ten), since str() refuses ints past ~4,300 digits."""
-    size = abs(n)
+def _shown(n) -> str:
+    """``str(n)`` for a message, except that an int past 20 digits is named
+    by its digit count and, when negative, its sign, so a long number is
+    never echoed in full.  The digits are counted from the logarithm
+    (nearest power of ten), since str() refuses ints past ~4,300 digits."""
+    size = abs(n) if isinstance(n, int) else 0
     if size < 10**20:
         return str(n)
     d = round(math.log10(size))
     digits = f"of {d + (size >= 10**d)} digits"
     return f"a negative number {digits}" if n < 0 else digits
+
+
+def _shown_repr(value) -> str:
+    """``repr(value)`` for a message, with each int in it, or in the tuples
+    and lists it nests, written by _shown."""
+    if type(value) is int:
+        return _shown(value)
+    if type(value) in (tuple, list):
+        inner = ", ".join(map(_shown_repr, value))
+        if type(value) is list:
+            return f"[{inner}]"
+        return f"({inner},)" if len(value) == 1 else f"({inner})"
+    return repr(value)

@@ -42,8 +42,8 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
-from .braid import BraidWord, Permutation
-from .errors import DomainError, LimitError
+from .braid import BraidWord
+from .errors import DomainError, LimitError, _shown
 
 __all__ = ["COST_LIMIT", "NormalForm", "normal_form", "words_equal", "is_trivial"]
 
@@ -98,11 +98,13 @@ def _left_weight_pair(x: tuple[int, ...], y: tuple[int, ...]):
 
 @dataclass(frozen=True)
 class NormalForm:
-    """Left-canonical data (power of Delta, then left-weighted simple factors) of a braid."""
+    """Left-canonical data of a braid: the power of Delta, then the
+    left-weighted simple factors, each the 1-based image tuple of its
+    permutation (as ``BraidWord.permutation`` gives it)."""
 
     index: int
     infimum: int
-    factors: tuple[Permutation, ...]
+    factors: tuple[tuple[int, ...], ...]
 
     def canonical_length(self) -> int:
         return len(self.factors)
@@ -115,8 +117,9 @@ class NormalForm:
         return f"D^{self.infimum}" + (f" . {fs}" if fs else "")
 
 
-def _positive_lift_word(p: Permutation) -> list[int]:
-    """A reduced word (generator indices) for the permutation braid of p.
+def _positive_lift_word(p: tuple[int, ...]) -> list[int]:
+    """A reduced word (generator indices) for the permutation braid of the
+    1-based image tuple p.
 
     An insertion sort of the image list: the value at position k moves
     left past the k - j larger values before it, which strips s(k),
@@ -125,7 +128,7 @@ def _positive_lift_word(p: Permutation) -> list[int]:
     """
     word: list[int] = []
     seen: list[int] = []  # the values left of position k, sorted
-    for k, v in enumerate(p.targets):
+    for k, v in enumerate(p):
         j = bisect.bisect(seen, v)
         seen.insert(j, v)
         word.extend(range(k, j, -1))
@@ -143,8 +146,8 @@ def normal_form(w: BraidWord) -> NormalForm:
     cost = letters * (letters * (n + 16) + 2 * inverse * n * n)
     if cost > COST_LIMIT:
         raise LimitError(
-            f"normal form of {letters} letters ({inverse} inverse) in B_{n} "
-            f"has cost estimate {cost}, past {COST_LIMIT}"
+            f"normal form of {letters} letters ({inverse} inverse) in B_{_shown(n)} "
+            f"has cost estimate {_shown(cost)}, past {COST_LIMIT}"
         )
     identity = tuple(range(n))
     delta = identity[::-1]
@@ -193,16 +196,14 @@ def normal_form(w: BraidWord) -> NormalForm:
         # identities can only surface at the back
         while factors and factors[-1] == identity:
             factors.pop()
-    return NormalForm(
-        n, infimum, tuple(Permutation(tuple(v + 1 for v in f)) for f in factors)
-    )
+    return NormalForm(n, infimum, tuple(tuple(v + 1 for v in f) for f in factors))
 
 
 def words_equal(a: BraidWord, b: BraidWord) -> bool:
     """Whether two words represent the same element of B_n."""
     if a.index != b.index:
         raise DomainError(
-            f"cannot compare words in B_{a.index} and B_{b.index}"
+            f"cannot compare words in B_{_shown(a.index)} and B_{_shown(b.index)}"
         )
     return normal_form(a) == normal_form(b)
 

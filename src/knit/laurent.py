@@ -19,7 +19,7 @@ import numbers
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import DomainError, LimitError, ParseError
+from .errors import DomainError, LimitError, ParseError, _shown, _shown_repr
 
 __all__ = ["LaurentPoly", "evaluate_at_root"]
 
@@ -44,7 +44,7 @@ class LaurentPoly:
     def monomial(coeff: int, num: int, den: int = 1) -> "LaurentPoly":
         """coeff * t^(num/den) with den dividing 4."""
         if EXPONENT_DENOMINATOR % den != 0:
-            raise DomainError(f"exponent denominator must divide 4, got {den}")
+            raise DomainError(f"exponent denominator must divide 4, got {_shown(den)}")
         return LaurentPoly.from_dict({num * (EXPONENT_DENOMINATOR // den): coeff})
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -111,7 +111,7 @@ def evaluate_at_root(p: LaurentPoly, r: int) -> complex:
     Raises LimitError when a coefficient or the sum leaves the float range.
     """
     if not isinstance(r, numbers.Integral) or isinstance(r, bool) or r < 1:
-        raise DomainError(f"root order must be an integer >= 1, got {r!r}")
+        raise DomainError(f"root order must be an integer >= 1, got {_shown_repr(r)}")
     total = 0j
     try:
         for n, c in p.terms:

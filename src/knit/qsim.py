@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .braid import BraidWord
-from .errors import DomainError, LimitError
+from .errors import DomainError, LimitError, _shown, _shown_repr
 from .su2q import jones_plat_branch, plat_branch
 
 __all__ = [
@@ -175,7 +175,7 @@ def _check_error_budget(delta, confidence) -> tuple[float, float]:
     if not _is_real(delta):
         raise DomainError(f"additive error target must be a number, got {delta!r}")
     if not delta > 0:
-        raise DomainError(f"additive error target must be positive, got {delta}")
+        raise DomainError(f"additive error target must be positive, got {_shown(delta)}")
     if not delta < math.inf:
         raise DomainError(f"additive error target must be finite, got {delta}")
     if isinstance(delta, int) and delta > sys.float_info.max:
@@ -185,7 +185,7 @@ def _check_error_budget(delta, confidence) -> tuple[float, float]:
         raise DomainError(f"confidence must be a number, got {confidence!r}")
     if not 0.5 < confidence < 1.0:
         raise DomainError(
-            f"confidence must lie strictly between 1/2 and 1, got {confidence}"
+            f"confidence must lie strictly between 1/2 and 1, got {_shown(confidence)}"
         )
     return float(delta), float(confidence)
 
@@ -272,7 +272,7 @@ class TraceEstimate:
 
 def _check_run_seed(seed):
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
+        raise DomainError(f"seed must be a nonnegative integer, got {_shown_repr(seed)}")
 
 
 def _sampled_overlap(reference, branch, planned: int, seed: int) -> complex:

@@ -1,5 +1,6 @@
 """Reidemeister moves on PD diagrams, with admissible-site enumeration.
 
+A site is its data, a tuple, and the move it is for is passed beside it.
 Every site but RI+'s is read off one face of the diagram (see
 ``diagram``): a corner is (crossing index, slot), and side k of a face is
 the edge at its corner k, which runs to its corner k + 1.
@@ -34,34 +35,24 @@ Applying a move returns a new diagram; the input is never touched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .diagram import Crossing, LinkDiagram, component_labels
-from .errors import DomainError
+from .errors import DomainError, _shown_repr
 
-__all__ = ["Site", "reidemeister_sites", "apply_reidemeister"]
+__all__ = ["reidemeister_sites", "apply_reidemeister"]
 
 _MOVES = ("RI+", "RI-", "RII+", "RII-", "RIII")
-
-
-@dataclass(frozen=True)
-class Site:
-    """An admissible location for one move, as returned by enumeration."""
-
-    move: str
-    data: tuple
 
 
 def _is_over_slot(s: int) -> bool:
     return s in (1, 3)
 
 
-def _face_sites(d: LinkDiagram, move: str, orbit: tuple) -> list[Site]:
+def _face_sites(d: LinkDiagram, move: str, orbit: tuple) -> list[tuple]:
     """The sites of a move other than RI+ that the face ``orbit`` gives."""
     if move == "RI-":
-        return [Site(move, orbit[0])] if len(orbit) == 1 else []
+        return [orbit[0]] if len(orbit) == 1 else []
     if move == "RII+":
-        return [Site(move, (a, b)) for a in orbit for b in orbit if a != b]
+        return [(a, b) for a in orbit for b in orbit if a != b]
     size, wanted = (2, [0, 2]) if move == "RII-" else (3, [0, 1, 2])
     # with its corners on distinct crossings, a face's sides are distinct edges
     if len(orbit) != size or len({ci for ci, _ in orbit}) != size:
@@ -73,7 +64,7 @@ def _face_sites(d: LinkDiagram, move: str, orbit: tuple) -> list[Site]:
     )
     signs = {d.crossings[ci].sign for ci, _ in orbit}
     if over_ends == wanted and (move == "RIII" or len(signs) == 2):
-        return [Site(move, orbit)]
+        return [orbit]
     return []
 
 
@@ -90,15 +81,16 @@ def _admits_kink(d: LinkDiagram, data) -> bool:
         return False
 
 
-def reidemeister_sites(d: LinkDiagram, move: str) -> tuple[Site, ...]:
-    """All admissible sites for the move on this diagram, sorted."""
+def reidemeister_sites(d: LinkDiagram, move: str) -> tuple[tuple, ...]:
+    """The data of every admissible site for the move on this diagram:
+    RI+'s sorted by ``repr``, the others face by face."""
     if move not in _MOVES:
-        raise DomainError(f"unknown move {move!r}")
+        raise DomainError(f"unknown move {_shown_repr(move)}")
     if move == "RI+":
-        sites = [Site(move, ("edge", e, sign)) for e in d.edges for sign in (1, -1)]
+        sites = [("edge", e, sign) for e in d.edges for sign in (1, -1)]
         if d.unknot_count > 0:
-            sites += [Site(move, ("circle", 0, sign)) for sign in (1, -1)]
-        return tuple(sorted(sites, key=lambda s: repr(s.data)))
+            sites += [("circle", 0, sign) for sign in (1, -1)]
+        return tuple(sorted(sites, key=repr))
 
     return tuple(site for orbit in d.faces for site in _face_sites(d, move, orbit))
 
@@ -130,25 +122,24 @@ def _relabel_head(d: LinkDiagram, crossings: list, e: int, label: int) -> None:
     crossings[ci] = Crossing(tuple(edges), crossings[ci].sign)
 
 
-def apply_reidemeister(d: LinkDiagram, move: str, site: Site) -> LinkDiagram:
-    """Apply the move at a site that listing the move's sites would give."""
-    if site.move != move:
-        raise DomainError(f"site is for {site.move!r}, not {move!r}")
+def apply_reidemeister(d: LinkDiagram, move: str, site: tuple) -> LinkDiagram:
+    """Apply the move at a site that listing the move's sites would give;
+    any other data, another move's site among them, is refused."""
     if move not in _MOVES:
-        raise DomainError(f"unknown move {move!r}")
-    corners = (site.data,) if move == "RI-" else site.data
+        raise DomainError(f"unknown move {_shown_repr(move)}")
+    corners = (site,) if move == "RI-" else site
     if move == "RI+":
-        admitted = _admits_kink(d, site.data)
+        admitted = _admits_kink(d, site)
     else:
         # a face move's site is checked against the rule of the one face
         # that holds its first corner
         first = corners[0] if isinstance(corners, tuple) and corners else None
         admitted = site in next((_face_sites(d, move, f) for f in d.faces if first in f), [])
     if not admitted:
-        raise DomainError(f"site {site.data!r} does not admit {move}")
+        raise DomainError(f"site {_shown_repr(site)} does not admit {move}")
 
     if move == "RI+":
-        kind, e, sign = site.data
+        kind, e, sign = site
         loop, tail = _fresh_labels(d, 2)
         crossings, circles = list(d.crossings), d.unknot_count
         if kind == "circle":
@@ -171,7 +162,7 @@ def apply_reidemeister(d: LinkDiagram, move: str, site: Site) -> LinkDiagram:
         return _remove(d, {ci for ci, _ in corners}, joins)
 
     if move == "RII+":
-        (ci, si), (cj, sj) = site.data
+        (ci, si), (cj, sj) = site
         e, f = d.crossings[ci].edges[si], d.crossings[cj].edges[sj]
         along_e = d.ends[e][0] == 4 * ci + si
         along_f = d.ends[f][0] == 4 * cj + sj
@@ -189,14 +180,13 @@ def apply_reidemeister(d: LinkDiagram, move: str, site: Site) -> LinkDiagram:
         return LinkDiagram(tuple(crossings) + (k1, k2), d.unknot_count)
 
     # RIII: flip the triangle by swapping each strand's crossing order
-    orbit = site.data
     fresh = _fresh_labels(d, 3)
-    tri = {ci for ci, _ in orbit}
+    tri = {ci for ci, _ in site}
     new_ends: dict[tuple[int, bool], tuple[int, int]] = {}
     for k in range(3):
         # side k is one edge, from corner k to the next corner; its ends
         # are the strand's exit into the side, then its entry
-        ci, si = orbit[k]
+        ci, si = site[k]
         side = d.ends[d.crossings[ci].edges[si]]
         (c_first, s_first), (c_second, s_second) = (divmod(p, 4) for p in side)
         # a strand's two ends at a crossing sit two slots apart

@@ -50,7 +50,7 @@ import numpy as np
 
 from .braid import BraidWord
 from .diagram import plat_profile
-from .errors import DomainError, LimitError, _quoted, _shown
+from .errors import DomainError, LimitError, _quoted, _shown, _shown_repr
 
 __all__ = [
     "DENSE_LIMIT",
@@ -100,7 +100,7 @@ class DegenerateColorError(DomainError):
 
 def _spin(t: int) -> str:
     """The spin ``t / 2`` as text: "1/2", "1", "3/2"."""
-    return f"{t}/2" if t % 2 else str(t // 2)
+    return f"{_shown(t)}/2" if t % 2 else _shown(t // 2)
 
 
 def _check_root(r: int):
@@ -143,7 +143,7 @@ def q_integer(m: int, r: int) -> complex:
     which collapses to the real number ``sin(m*pi/r)/sin(pi/r)``.
     """
     if not isinstance(m, int) or isinstance(m, bool) or m <= 0:
-        raise DomainError(f"quantum integer index must be a positive integer, got {m!r}")
+        raise DomainError(f"quantum integer index must be a positive integer, got {_shown_repr(m)}")
     _check_root(r)
     return complex(math.sin(m * math.pi / r) / math.sin(math.pi / r))
 

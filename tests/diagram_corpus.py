@@ -95,7 +95,7 @@ def _record(recipe: str, d, rng: random.Random) -> tuple[list, dict]:
         recipe,
         _digest(d.to_text()),
         _digest(list(d.faces)),
-        _digest([[(s.move, s.data) for s in sites[m]] for m in MOVES]),
+        _digest([[(m, s) for s in sites[m]] for m in MOVES]),
         _digest([moved[m][1].to_text() if m in moved else None for m in MOVES]),
         _digest([sorted(s) for s in d.component_edge_sets()]),
         _digest(bracket),
@@ -163,7 +163,7 @@ def colored_records() -> list[list]:
 
 def _form_digest(w: BraidWord) -> str:
     nf = normal_form(w)
-    return _digest((nf.index, nf.infimum, [f.targets for f in nf.factors]))
+    return _digest((nf.index, nf.infimum, list(nf.factors)))
 
 
 def _form_words(rng: random.Random):

@@ -54,7 +54,7 @@ def test_trace_cancelling_pair():
 def test_trace_component_count_is_cycle_count():
     for seed in range(20):
         w = random_braid(4, 8, seed=seed)
-        targets = w.permutation().targets
+        targets = w.permutation()
         # each cycle of the permutation has exactly one smallest point
         cycles = 0
         for start in range(1, w.index + 1):

@@ -16,6 +16,8 @@ import pytest
 import knit
 from knit import su2q
 from knit.cli import run
+from knit.diagram import Crossing
+from knit.reidemeister import apply_reidemeister
 
 SRC = Path(knit.__file__).resolve().parents[1]
 README = SRC.parent / "README.md"
@@ -139,6 +141,54 @@ class TestSurfaceGuards:
         assert names
         public = importlib.import_module(f"knit.{module}").__all__
         assert [name for name in names if name not in public] == []
+
+
+#: A number whose digits str() refuses to write (past ~4,300 digits).
+BIG = 10**5000
+
+
+def _trefoil():
+    return knit.closure_trace(knit.parse_braid("s1^3"))
+
+
+#: Library calls handed a huge int, or a bool or float where a braid word
+#: takes an int, by name.
+REFUSED_CALLS = {
+    "colored color": lambda: knit.colored_invariant(knit.parse_braid("s2^3", 4), [BIG], 5),
+    "approx seed": lambda: knit.approx_jones(knit.parse_braid("s2^3", 4), 5, 0.5, seed=-BIG),
+    "approx delta": lambda: knit.approx_jones(knit.parse_braid("s2^3", 4), 5, -BIG),
+    "approx confidence": lambda: knit.approx_jones(
+        knit.parse_braid("s2^3", 4), 5, 0.5, confidence=BIG
+    ),
+    "plan confidence": lambda: knit.plan_samples(0.1, BIG),
+    "q_integer": lambda: knit.q_integer(-BIG, 5),
+    "root order": lambda: knit.evaluate_at_root(knit.LaurentPoly.from_dict({4: 1}), -BIG),
+    "monomial denominator": lambda: knit.LaurentPoly.monomial(1, 1, BIG),
+    "braid index": lambda: knit.BraidWord(-BIG, ()),
+    "generator": lambda: knit.BraidWord(3, ((BIG, 1),)),
+    "sign": lambda: knit.BraidWord(3, ((1, BIG),)),
+    "stabilize": lambda: knit.parse_braid("s1").stabilize(BIG),
+    "concatenate": lambda: knit.BraidWord(BIG, ()) * knit.parse_braid("s1"),
+    "words_equal": lambda: knit.words_equal(knit.BraidWord(BIG, ()), knit.parse_braid("s1")),
+    "crossing sign": lambda: Crossing((1, 2, 2, 1), BIG),
+    "edge label": lambda: knit.LinkDiagram((Crossing((BIG, 2, 2, 1), 1),)),
+    "kink site": lambda: apply_reidemeister(_trefoil(), "RI+", ("edge", BIG, 1)),
+    "float sign": lambda: knit.BraidWord(2, ((1, 1.0),) * 3),
+    "float generator": lambda: knit.BraidWord(2, ((1.0, 1),)),
+    "bool sign": lambda: knit.BraidWord(2, ((1, True),)),
+    "bool generator": lambda: knit.BraidWord(2, ((True, -1),)),
+    "float index": lambda: knit.BraidWord(2.0, ()),
+    "bool index": lambda: knit.BraidWord(True, ()),
+}
+
+
+class TestTypedRefusals:
+    @pytest.mark.parametrize("call", REFUSED_CALLS.values(), ids=REFUSED_CALLS)
+    def test_a_huge_int_or_a_non_int_letter_is_refused(self, call):
+        # a KnitError whose text names a long number by its digit count
+        with pytest.raises(knit.DomainError) as err:
+            call()
+        assert "0" * 21 not in str(err.value)
 
 
 class TestStartWithoutNumpy:

@@ -8,11 +8,7 @@ from knit.diagram import LinkDiagram, closure_plat, closure_trace
 from knit.errors import DomainError
 from knit.jones import jones_polynomial, kauffman_bracket
 from knit.laurent import LaurentPoly
-from knit.reidemeister import (
-    Site,
-    apply_reidemeister,
-    reidemeister_sites,
-)
+from knit.reidemeister import apply_reidemeister, reidemeister_sites
 
 MINUS_A_CUBED = LaurentPoly.from_dict({12: -1})
 MINUS_A_INV_CUBED = LaurentPoly.from_dict({-12: -1})
@@ -84,7 +80,7 @@ def test_every_finger_move_stays_in_the_plane():
         d = closure_plat(w) if n % 2 == 0 and rng.random() < 0.5 else closure_trace(w)
         for _ in range(2):
             for site in reidemeister_sites(d, "RII+"):
-                a, b = site.data
+                a, b = site
                 assert a != b and any(a in face and b in face for face in d.faces)
                 d2 = apply_reidemeister(d, "RII+", site)
                 assert len(d2.faces) == d2.crossing_count() + 2 * _pieces(d2)
@@ -105,7 +101,7 @@ def test_kink_add_then_remove_is_exact_inverse():
     d = trefoil()
     for sign in (1, -1):
         for site in reidemeister_sites(d, "RI+"):
-            if site.data[-1] != sign:
+            if site[-1] != sign:
                 continue
             d2 = apply_reidemeister(d, "RI+", site)
             assert d2.crossing_count() == 4
@@ -120,10 +116,10 @@ def test_kink_changes_bracket_by_frame_factor():
     d = trefoil()
     base = kauffman_bracket(d)
     site_plus = [
-        s for s in reidemeister_sites(d, "RI+") if s.data[-1] == 1
+        s for s in reidemeister_sites(d, "RI+") if s[-1] == 1
     ][0]
     site_minus = [
-        s for s in reidemeister_sites(d, "RI+") if s.data[-1] == -1
+        s for s in reidemeister_sites(d, "RI+") if s[-1] == -1
     ][0]
     assert kauffman_bracket(apply_reidemeister(d, "RI+", site_plus)) == (
         base * MINUS_A_CUBED
@@ -136,7 +132,7 @@ def test_kink_changes_bracket_by_frame_factor():
 def test_kink_on_free_circle():
     d = LinkDiagram((), 1)
     sites = reidemeister_sites(d, "RI+")
-    assert all(s.data[0] == "circle" for s in sites)
+    assert all(s[0] == "circle" for s in sites)
     d2 = apply_reidemeister(d, "RI+", sites[0])
     assert d2.crossing_count() == 1
     assert d2.unknot_count == 0
@@ -159,7 +155,7 @@ def test_finger_move_then_removal_is_exact_inverse():
         chosen = [
             s
             for s in removals
-            if {ci for ci, _ in s.data} == new_pair
+            if {ci for ci, _ in s} == new_pair
         ]
         assert chosen
         back = apply_reidemeister(d2, "RII-", chosen[0])
@@ -231,19 +227,19 @@ def test_triangle_flip_twice_restores_wiring():
 def test_apply_rejects_foreign_site():
     d = trefoil()
     with pytest.raises(DomainError):
-        apply_reidemeister(d, "RI-", Site("RI-", (0, 1)))
+        apply_reidemeister(d, "RI-", (0, 1))
     with pytest.raises(DomainError):
-        apply_reidemeister(d, "RIII", Site("RI-", (0, 1)))
+        apply_reidemeister(d, "RIII", (0, 1))
     with pytest.raises(DomainError):
         reidemeister_sites(d, "RX")
 
     # a kink, two bigons and two triangles; every malformed or foreign
     # site is refused with the text that names it
     d = closure_trace(parse_braid("s1 s2 s1 s1^-1", 3))
-    kink, = (s.data for s in reidemeister_sites(d, "RI-"))
-    bigon = reidemeister_sites(d, "RII-")[0].data
-    triangle = reidemeister_sites(d, "RIII")[0].data
-    push = reidemeister_sites(d, "RII+")[0].data
+    kink, = reidemeister_sites(d, "RI-")
+    bigon = reidemeister_sites(d, "RII-")[0]
+    triangle = reidemeister_sites(d, "RIII")[0]
+    push = reidemeister_sites(d, "RII+")[0]
     nowhere = (d.crossing_count(), 0)
     apart = (d.faces[0][0], d.faces[1][0])
     refused = [
@@ -260,7 +256,7 @@ def test_apply_rejects_foreign_site():
     for move, data in refused:
         text = f"site {data!r} does not admit {move}"
         with pytest.raises(DomainError, match=re.escape(text)):
-            apply_reidemeister(d, move, Site(move, data))
+            apply_reidemeister(d, move, data)
 
 
 def test_face_moves_are_admitted_without_listing_every_site(monkeypatch):
@@ -301,12 +297,12 @@ def test_face_moves_are_admitted_without_listing_every_site(monkeypatch):
             "RI+": 1, "RI-": -1, "RII+": 2, "RII-": -2, "RIII": 0
         }[move]
     assert {move for _, move, _ in listed} == {"RI+", "RI-", "RII+", "RII-", "RIII"}
-    assert apply_reidemeister(circles, "RI+", Site("RI+", ("circle", 0, -1))).unknot_count == 1
+    assert apply_reidemeister(circles, "RI+", ("circle", 0, -1)).unknot_count == 1
     for d, data in refused:
         with pytest.raises(DomainError, match=re.escape(f"site {data!r} does not admit RI+")):
-            apply_reidemeister(d, "RI+", Site("RI+", data))
+            apply_reidemeister(d, "RI+", data)
     with pytest.raises(DomainError, match="unknown move 'RV'"):
-        apply_reidemeister(closed, "RV", Site("RV", ("edge", edge, 1)))
+        apply_reidemeister(closed, "RV", ("edge", edge, 1))
 
 
 def test_moves_preserve_jones_on_random_diagrams():
