@@ -18,7 +18,7 @@ import random
 import re
 from dataclasses import dataclass
 
-from .errors import DomainError, LimitError, ParseError, _quoted, _shown, _shown_repr
+from .errors import DomainError, LimitError, ParseError, _is_int, _quoted, _shown, _shown_repr
 
 __all__ = [
     "BraidWord",
@@ -118,11 +118,6 @@ class BraidWord:
         return " ".join(parts)
 
 
-def _is_int(x) -> bool:
-    """An int that is not a bool."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _bounded_int(digits: str, width: int) -> int | None:
     """``int(digits)``, or None when it has more than ``width`` digits.
 
@@ -179,7 +174,8 @@ def parse_braid(text: str, index: int | None = None) -> BraidWord:
     Tokens are separated by whitespace; powers expand into repeated letters.
     Without ``index`` the word lives in B_(k+1) for its largest generator
     sk (B_1 when empty).  Raises ParseError (with a position) on malformed
-    text and on generator indices outside 1..index-1, and LimitError when
+    text and on generator indices outside 1..index-1, DomainError when
+    ``text`` is not a str or ``index`` is not an int, and LimitError when
     the word would pass LETTER_LIMIT letters or STRAND_LIMIT strands.
 
     The text is read once, token by token, split at the characters
@@ -187,7 +183,11 @@ def parse_braid(text: str, index: int | None = None) -> BraidWord:
     once, at its first occurrence; later occurrences reuse its run of
     letters and only count it against LETTER_LIMIT.
     """
+    if not isinstance(text, str):
+        raise DomainError(f"braid text must be a str, got {type(text).__name__}")
     if index is not None:
+        if not _is_int(index):
+            raise DomainError(f"braid index must be an int, got {_shown_repr(index)}")
         if index < 1:
             raise DomainError(f"braid index must be >= 1, got {_shown(index)}")
         if index > STRAND_LIMIT:

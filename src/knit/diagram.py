@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass, field
 
 from .braid import BraidWord
-from .errors import DomainError, ParseError, _shown, _shown_repr
+from .errors import DomainError, ParseError, _is_int, _shown, _shown_repr
 
 __all__ = [
     "Crossing",
@@ -47,16 +47,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Crossing:
-    """Four edge labels, counterclockwise from the incoming under-end."""
+    """Four int edge labels, counterclockwise from the incoming under-end."""
 
     edges: tuple[int, int, int, int]
     sign: int
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise DomainError(f"crossing sign must be +-1, got {_shown(self.sign)}")
+        if not _is_int(self.sign) or self.sign not in (1, -1):
+            raise DomainError(f"crossing sign must be +-1, got {_shown_repr(self.sign)}")
         if len(self.edges) != 4:
             raise DomainError("a crossing has exactly four edge ends")
+        for e in self.edges:
+            if not _is_int(e):
+                raise DomainError(f"an edge label is an int, got {_shown_repr(e)}")
 
     @staticmethod
     def from_strands(
@@ -120,7 +123,7 @@ class LinkDiagram:
     def __post_init__(self):
         problems = []
         circles = self.unknot_count
-        if not isinstance(circles, int) or isinstance(circles, bool):
+        if not _is_int(circles):
             problems.append(f"free-circle count must be an int, got {circles!r}")
         elif circles < 0:
             problems.append("free-circle count is negative")

@@ -35,6 +35,11 @@ class LimitError(KnitError):
     """A configured size or resource limit would be exceeded."""
 
 
+def _is_int(x) -> bool:
+    """An int that is not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _quoted(text: str) -> str:
     """``repr(text)`` up to 20 characters, else its first 9 and its length,
     so a bad value from outside the program is never echoed in full."""
@@ -58,7 +63,7 @@ def _shown(n) -> str:
 
 def _shown_repr(value) -> str:
     """``repr(value)`` for a message, with each int in it, or in the tuples
-    and lists it nests, written by _shown."""
+    and lists it nests, written by _shown, and each str by _quoted."""
     if type(value) is int:
         return _shown(value)
     if type(value) in (tuple, list):
@@ -66,4 +71,4 @@ def _shown_repr(value) -> str:
         if type(value) is list:
             return f"[{inner}]"
         return f"({inner},)" if len(value) == 1 else f"({inner})"
-    return repr(value)
+    return _quoted(value) if type(value) is str else repr(value)

@@ -1,20 +1,23 @@
 """Exact Jones polynomial by two independent routes.
 
-Route one is the Kauffman bracket as a state sum over all 2^c
-smoothings of a diagram.  It splices smoothing joins into copies of
-the diagram's edge partner list, counting a loop whenever a join meets
-its own partner; each state of the upper half of the crossings is
-spliced once and shared by every state of the lower half.  Route two
+Both routes rest on one splice, ``_splice``: joins are spliced into a
+partner list, and a join that meets its own partner closes a loop
+while any other join makes the two partners partners.  Route one is
+the Kauffman bracket as a state sum over all 2^c smoothings of a
+diagram, walked depth first on an explicit stack: each prefix of
+smoothing choices splices its joins into a copy of its parent's
+partner list once and is shared by every state below it.  Route two
 represents the braid group inside the Temperley-Lieb diagram algebra
-and takes the Markov trace of the trace closure.  It has one engine: a
-cup-cap action ``(n, i, diagram) -> (diagram times E_i, loop closed?)``,
-the same splice as a rewrite of a diagram's partner tuple, and one loop
-that propagates int coefficients keyed by (basis diagram, A-exponent)
-through a word over it.  Both routes tally their terms by
-(A-exponent, loops) as plain ints and share only the close, in int
-arithmetic: binomial rows of delta^(loops - 1) summed into the bracket,
-then one exponent map A^a -> (-1)^w t^((3w - a)/4).  The two must agree
-exactly, which is the backbone correctness check for the whole package.
+and takes the Markov trace of the trace closure.  It has one engine:
+a cup-cap action ``(n, i, diagram) -> (diagram times E_i, loop
+closed?)`` that splices the cap, and one loop that propagates int
+coefficients keyed by (basis diagram, A-exponent) through a word over
+it; a closed diagram's loops are the splice of the closure joins.
+Both routes tally their terms by (A-exponent, loops) as plain ints
+and share only the close, in int arithmetic: binomial rows of
+delta^(loops - 1) summed into the bracket, then one exponent map
+A^a -> (-1)^w t^((3w - a)/4).  The two must agree exactly, which is
+the backbone correctness check for the whole package.
 
 Conventions pinned here once and used everywhere: the bracket variable
 is A with loop value delta = -A^2 - A^-2; a positive crossing smooths
@@ -30,7 +33,7 @@ import os
 from math import comb
 
 from .braid import STRAND_LIMIT, BraidWord
-from .diagram import LinkDiagram, component_labels
+from .diagram import LinkDiagram
 from .errors import DomainError, LimitError, _quoted, _shown
 from .laurent import LaurentPoly
 
@@ -76,6 +79,22 @@ def _check_crossings(c: int):
         raise LimitError(f"state sum over {c} crossings exceeds the limit {cap}")
 
 
+def _splice(m: list[int], joins) -> int:
+    """Splice each join (a, b) into the partner list ``m`` in place and
+    return how many closed a loop.  A join of two partners closes one;
+    any other join makes their partners partners."""
+    loops = 0
+    for a, b in joins:
+        pa = m[a]
+        if pa == b:
+            loops += 1
+        else:
+            pb = m[b]
+            m[pa] = pb
+            m[pb] = pa
+    return loops
+
+
 def kauffman_bracket(d: LinkDiagram) -> LaurentPoly:
     """Bracket polynomial in A over all smoothing states, exactly.
 
@@ -83,15 +102,14 @@ def kauffman_bracket(d: LinkDiagram) -> LaurentPoly:
     B-smoothing joins 0-1 and 2-3.  Each state contributes
     A^(#A - #B) * delta^(loops - 1), counting free circles as loops.
 
-    Smoothing joins are spliced into a copy of the diagram's ``partner``
-    list (its points as the ``diagram`` module defines them) one at a
-    time by the rule of ``_cupcap_action``: joining two partners closes
-    a loop, and any other join makes their partners partners.  With
-    low = c // 2, an outer loop splices each of the 2^(c - low) states of
-    crossings low..c-1 once, noting its B count and loops, and an inner
-    loop copies that list for each of the 2^low states of crossings
-    0..low-1 and splices only their joins.  States are tallied by
-    (B count, loops) and the polynomial is built once.
+    The states are walked depth first, on an explicit stack of
+    (partner list, next crossing k, B count, loops) entries that starts
+    from the diagram's ``partner`` list (its points as the ``diagram``
+    module defines them).  An entry below crossing c pushes two children,
+    each a copy of its list with one smoothing of crossing k spliced in
+    by ``_splice``, so every prefix of smoothing choices is spliced once
+    and shared by all the states below it.  An entry at crossing c is a
+    state, tallied by (B count, loops); the polynomial is built once.
 
     Raises LimitError past the crossing limit (default 20, or the
     KNIT_CROSSING_LIMIT environment variable) or past FREE_CIRCLE_LIMIT
@@ -107,41 +125,17 @@ def kauffman_bracket(d: LinkDiagram) -> LaurentPoly:
     if c == 0 and d.unknot_count == 0:
         raise DomainError("the empty diagram has no bracket")
 
-    partner = list(d.partner)
-    smoothings = [
-        (((p, p + 3), (p + 1, p + 2)), ((p, p + 1), (p + 2, p + 3)))
-        for p in range(0, 4 * c, 4)
-    ]
-
-    low = c // 2
     tally: dict[tuple[int, int], int] = {}
-    for upper in range(1 << (c - low)):
-        half = partner.copy()
-        upper_loops = d.unknot_count
-        for k in range(low, c):
-            for a, b in smoothings[k][(upper >> (k - low)) & 1]:
-                pa = half[a]
-                if pa == b:
-                    upper_loops += 1
-                else:
-                    pb = half[b]
-                    half[pa] = pb
-                    half[pb] = pa
-        upper_b = upper.bit_count()
-        for lower in range(1 << low):
-            m = half.copy()
-            loops = upper_loops
-            for k in range(low):
-                for a, b in smoothings[k][(lower >> k) & 1]:
-                    pa = m[a]
-                    if pa == b:
-                        loops += 1
-                    else:
-                        pb = m[b]
-                        m[pa] = pb
-                        m[pb] = pa
-            key = (upper_b + lower.bit_count(), loops)
-            tally[key] = tally.get(key, 0) + 1
+    stack = [(list(d.partner), 0, 0, d.unknot_count)]
+    while stack:
+        m, k, b, loops = stack.pop()
+        if k == c:
+            tally[b, loops] = tally.get((b, loops), 0) + 1
+            continue
+        p = 4 * k
+        m_a, m_b = m.copy(), m.copy()
+        stack.append((m_a, k + 1, b, loops + _splice(m_a, ((p, p + 3), (p + 1, p + 2)))))
+        stack.append((m_b, k + 1, b + 1, loops + _splice(m_b, ((p, p + 1), (p + 2, p + 3)))))
     # A^(#A - #B) is A^(c - 2 #B)
     return _tally_to_bracket({(c - 2 * b, k): n for (b, k), n in tally.items()})
 
@@ -181,17 +175,14 @@ def _cupcap_action(
 ) -> tuple[tuple[int, ...], bool]:
     """``m`` times E_i: the resulting basis diagram and whether a loop closed.
 
-    E_i caps bottom points b and c of ``m`` and opens a fresh cup there.
-    If b and c were joined the cap closes a loop (a factor delta) and
-    leaves ``m`` as it was; otherwise it joins their partners.
+    E_i caps bottom points b and c of ``m``, a splice that closes a loop
+    (a factor delta) when b and c were joined, and opens a fresh cup there.
     """
     b, c = n + i - 1, n + i
-    if m[b] == c:
-        return m, True
     out = list(m)
-    out[m[b]], out[m[c]] = m[c], m[b]
+    closed = _splice(out, ((b, c),))
     out[b], out[c] = c, b
-    return tuple(out), False
+    return tuple(out), closed == 1
 
 
 def _propagate(n: int, letters, vector: dict) -> dict:
@@ -223,10 +214,10 @@ def markov_trace_jones(w: BraidWord) -> LaurentPoly:
     """Jones polynomial of the trace closure through the TL representation.
 
     Propagates the identity diagram through the word, closes every basis
-    diagram, tallies the closed diagrams by (A-exponent, loops), applies
-    the writhe correction and lands in t.  Agrees exactly with the
-    state-sum route.  Past ``DEFAULT_TL_STRANDS`` strands it raises
-    LimitError.
+    diagram by splicing in the closure joins, tallies the closed diagrams
+    by (A-exponent, loops), applies the writhe correction and lands in t.
+    Agrees exactly with the state-sum route.  Past ``DEFAULT_TL_STRANDS``
+    strands it raises LimitError.
     """
     n = w.index
     if n > DEFAULT_TL_STRANDS:
@@ -235,9 +226,9 @@ def markov_trace_jones(w: BraidWord) -> LaurentPoly:
         )
     tally: dict[tuple[int, int], int] = {}
     start = {(_identity_matching(n), 0): 1}
+    closure = [(p, n + p) for p in range(n)]
     for (m, e), coeff in _propagate(n, w.letters, start).items():
         # the trace closure joins top position p to bottom position p
-        joins = [*enumerate(m), *((p, n + p) for p in range(n))]
-        key = (e, len(set(component_labels(2 * n, joins))))
+        key = (e, _splice(list(m), closure))
         tally[key] = tally.get(key, 0) + coeff
     return _bracket_to_jones(_tally_to_bracket(tally), w.exponent_sum())

@@ -19,7 +19,7 @@ import numbers
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import DomainError, LimitError, ParseError, _shown, _shown_repr
+from .errors import DomainError, LimitError, ParseError, _is_int, _shown_repr
 
 __all__ = ["LaurentPoly", "evaluate_at_root"]
 
@@ -42,9 +42,9 @@ class LaurentPoly:
 
     @staticmethod
     def monomial(coeff: int, num: int, den: int = 1) -> "LaurentPoly":
-        """coeff * t^(num/den) with den dividing 4."""
-        if EXPONENT_DENOMINATOR % den != 0:
-            raise DomainError(f"exponent denominator must divide 4, got {_shown(den)}")
+        """coeff * t^(num/den) with den an int dividing 4."""
+        if not _is_int(den) or den == 0 or EXPONENT_DENOMINATOR % den != 0:
+            raise DomainError(f"exponent denominator must divide 4, got {_shown_repr(den)}")
         return LaurentPoly.from_dict({num * (EXPONENT_DENOMINATOR // den): coeff})
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":

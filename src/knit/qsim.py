@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .braid import BraidWord
-from .errors import DomainError, LimitError, _shown, _shown_repr
+from .errors import DomainError, LimitError, _is_int, _shown, _shown_repr
 from .su2q import jones_plat_branch, plat_branch
 
 __all__ = [
@@ -271,7 +271,7 @@ class TraceEstimate:
 
 
 def _check_run_seed(seed):
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise DomainError(f"seed must be a nonnegative integer, got {_shown_repr(seed)}")
 
 

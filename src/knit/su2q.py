@@ -50,7 +50,7 @@ import numpy as np
 
 from .braid import BraidWord
 from .diagram import plat_profile
-from .errors import DomainError, LimitError, _quoted, _shown, _shown_repr
+from .errors import DomainError, LimitError, _is_int, _quoted, _shown, _shown_repr
 
 __all__ = [
     "DENSE_LIMIT",
@@ -104,7 +104,7 @@ def _spin(t: int) -> str:
 
 
 def _check_root(r: int):
-    if not isinstance(r, int) or isinstance(r, bool):
+    if not _is_int(r):
         raise DomainError(f"root parameter must be an integer, got {r!r}")
     if r < 3:
         raise DomainError(f"root parameter too small: need r >= 3, got {_shown(r)}")
@@ -118,7 +118,7 @@ def _check_colors(doubled: tuple, r: int):
     spin ``2j`` (a nonnegative int), does not exist at root ``r``
     (j <= r) or has no braiding headroom there (2j <= r - 2)."""
     for t in doubled:
-        if not isinstance(t, int) or isinstance(t, bool):
+        if not _is_int(t):
             raise DomainError(
                 f"a color is an int doubled spin 2j (1 is spin 1/2), got {_quoted(repr(t))}"
             )
@@ -142,7 +142,7 @@ def q_integer(m: int, r: int) -> complex:
     Defined through ``(q^{m/2} - q^{-m/2}) / (q^{1/2} - q^{-1/2})``,
     which collapses to the real number ``sin(m*pi/r)/sin(pi/r)``.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or m <= 0:
+    if not _is_int(m) or m <= 0:
         raise DomainError(f"quantum integer index must be a positive integer, got {_shown_repr(m)}")
     _check_root(r)
     return complex(math.sin(m * math.pi / r) / math.sin(math.pi / r))

@@ -151,8 +151,8 @@ def _trefoil():
     return knit.closure_trace(knit.parse_braid("s1^3"))
 
 
-#: Library calls handed a huge int, or a bool or float where a braid word
-#: takes an int, by name.
+#: Library calls handed a huge int, or a bool, float, str or bytes where
+#: an int or a str is taken, by name.
 REFUSED_CALLS = {
     "colored color": lambda: knit.colored_invariant(knit.parse_braid("s2^3", 4), [BIG], 5),
     "approx seed": lambda: knit.approx_jones(knit.parse_braid("s2^3", 4), 5, 0.5, seed=-BIG),
@@ -179,6 +179,13 @@ REFUSED_CALLS = {
     "bool generator": lambda: knit.BraidWord(2, ((True, -1),)),
     "float index": lambda: knit.BraidWord(2.0, ()),
     "bool index": lambda: knit.BraidWord(True, ()),
+    "zero monomial denominator": lambda: knit.LaurentPoly.monomial(1, 1, 0),
+    "float monomial denominator": lambda: knit.LaurentPoly.monomial(1, 1, 2.0),
+    "bool crossing sign": lambda: Crossing((1, 2, 2, 1), True),
+    "str edge label": lambda: knit.LinkDiagram((Crossing((1, 2, "a", 4), 1),)),
+    "str parse index": lambda: knit.parse_braid("s1", "3"),
+    "bool parse index": lambda: knit.parse_braid("s1", True),
+    "bytes parse text": lambda: knit.parse_braid(b"s1"),
 }
 
 
