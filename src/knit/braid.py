@@ -44,9 +44,9 @@ STRAND_LIMIT = 1_000
 class BraidWord:
     """A word in B_n: ``index`` strands and a letter sequence.
 
-    Each letter is a pair (generator, sign) with 1 <= generator < index and
-    sign in {+1, -1}.  The index, generators and signs are ints; a bool or
-    a float is refused.
+    ``letters`` is a tuple of letters, each a 2-tuple (generator, sign)
+    with 1 <= generator < index and sign in {+1, -1}.  The index,
+    generators and signs are ints; a bool or a float is refused.
     """
 
     index: int
@@ -58,10 +58,16 @@ class BraidWord:
             raise DomainError(f"braid index must be an int, got {_shown_repr(n)}")
         if n < 1:
             raise DomainError(f"braid index must be >= 1, got {_shown(n)}")
-        for gen, sign in self.letters:
+        if not isinstance(self.letters, tuple):
+            raise DomainError(f"letters are a tuple of pairs, got a {type(self.letters).__name__}")
+        for letter in self.letters:
+            if not (isinstance(letter, tuple) and len(letter) == 2):
+                got = f"{len(letter)}-tuple" if type(letter) is tuple else type(letter).__name__
+                raise DomainError(f"a letter is a pair of ints, got a {got}")
+            gen, sign = letter
             # the exact type test is a fast path for the usual letter
             if not (type(gen) is type(sign) is int or _is_int(gen) and _is_int(sign)):
-                raise DomainError(f"a letter is a pair of ints, got {_shown_repr((gen, sign))}")
+                raise DomainError(f"a letter is a pair of ints, got {_shown_repr(letter)}")
             if not 1 <= gen < n:
                 raise DomainError(
                     f"generator s{_shown(gen)} out of range for braid index {_shown(n)}"

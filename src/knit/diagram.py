@@ -47,7 +47,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Crossing:
-    """Four int edge labels, counterclockwise from the incoming under-end."""
+    """A tuple of four int edge labels, counterclockwise from the incoming
+    under-end, and a sign."""
 
     edges: tuple[int, int, int, int]
     sign: int
@@ -55,6 +56,8 @@ class Crossing:
     def __post_init__(self):
         if not _is_int(self.sign) or self.sign not in (1, -1):
             raise DomainError(f"crossing sign must be +-1, got {_shown_repr(self.sign)}")
+        if not isinstance(self.edges, tuple):
+            raise DomainError(f"crossing edges are a tuple, got a {type(self.edges).__name__}")
         if len(self.edges) != 4:
             raise DomainError("a crossing has exactly four edge ends")
         for e in self.edges:
@@ -121,6 +124,8 @@ class LinkDiagram:
     )
 
     def __post_init__(self):
+        if not isinstance(self.crossings, tuple):
+            raise DomainError(f"crossings are a tuple, got a {type(self.crossings).__name__}")
         problems = []
         circles = self.unknot_count
         if not _is_int(circles):
@@ -129,6 +134,8 @@ class LinkDiagram:
             problems.append("free-circle count is negative")
         points: dict[int, list[int]] = {}
         for k, c in enumerate(self.crossings):
+            if not isinstance(c, Crossing):
+                raise DomainError(f"a crossing is a Crossing, got a {type(c).__name__}")
             for p, e in enumerate(c.edges, 4 * k):
                 points.setdefault(e, []).append(p)
         edges = tuple(sorted(points))

@@ -133,7 +133,7 @@ def kauffman_bracket(d: LinkDiagram) -> LaurentPoly:
             tally[b, loops] = tally.get((b, loops), 0) + 1
             continue
         p = 4 * k
-        m_a, m_b = m.copy(), m.copy()
+        m_a, m_b = m.copy(), m  # the popped list is spliced as the B child
         stack.append((m_a, k + 1, b, loops + _splice(m_a, ((p, p + 3), (p + 1, p + 2)))))
         stack.append((m_b, k + 1, b + 1, loops + _splice(m_b, ((p, p + 1), (p + 2, p + 3)))))
     # A^(#A - #B) is A^(c - 2 #B)

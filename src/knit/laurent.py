@@ -42,7 +42,9 @@ class LaurentPoly:
 
     @staticmethod
     def monomial(coeff: int, num: int, den: int = 1) -> "LaurentPoly":
-        """coeff * t^(num/den) with den an int dividing 4."""
+        """coeff * t^(num/den): int coeff and num, and den an int dividing 4."""
+        if not (_is_int(coeff) and _is_int(num)):
+            raise DomainError(f"monomial coeff and num are ints, got {_shown_repr((coeff, num))}")
         if not _is_int(den) or den == 0 or EXPONENT_DENOMINATOR % den != 0:
             raise DomainError(f"exponent denominator must divide 4, got {_shown_repr(den)}")
         return LaurentPoly.from_dict({num * (EXPONENT_DENOMINATOR // den): coeff})

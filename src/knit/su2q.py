@@ -4,7 +4,13 @@ Everything here works at ``q = exp(2*pi*i/r)`` for an integer root
 parameter ``r >= 3`` whose double fits a float; a larger root raises
 LimitError.  Colors are spins ``j`` in half-integer steps, given and
 held as the int ``2j`` (the doubled spin: 1 is spin 1/2), checked once
-per entry point by ``_check_colors``.
+per entry point by ``_check_colors``.  One level rule bounds every
+label: doubled spins ``(a, b, c)`` couple iff ``a + b + c`` is even,
+``|a - b| <= c <= a + b`` and ``a + b + c <= 2(r - 2)``.  It is written
+once, as ``_triple_allowed`` (a color ``t`` needs ``(t, t, 0)``), and
+``_paths`` applies it to all paths at once; nothing else bounds a plat,
+so any number of components answers at any ``r >= 3``.  The quantum
+integer ``[n]_q`` is written once, as ``_qnum``.
 
 The braiding machinery acts on *coupled* bases rather than on tensor
 products of single-strand bases.  A basis vector for strands colored
@@ -86,12 +92,8 @@ _POSITIVE_CROSSING_EXPONENT = -1
 
 
 class DegenerateColorError(DomainError):
-    """A color or coupling channel with no braiding headroom at this root.
-
-    The coupled-basis machinery needs every strand color to satisfy
-    ``2j <= r - 2``; beyond that bound the quantum weights that enter
-    square roots vanish or turn negative and no unitary braiding exists.
-    """
+    """A color with no braiding headroom at this root: ``(2j, 2j, 0)``
+    breaks the level rule (2j > r - 2), and no unitary braiding exists."""
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +128,7 @@ def _check_colors(doubled: tuple, r: int):
             raise DomainError(f"a color is a nonnegative doubled spin 2j, got {_shown(t)}")
         if t > 2 * r:
             raise DomainError(f"color j = {_spin(t)} is not admissible at r = {r} (needs j <= r)")
-        if t > r - 2:
+        if not _triple_allowed(t, t, 0, r):
             raise DegenerateColorError(
                 f"color j = {_spin(t)} is degenerate at r = {r}: braiding needs 2j <= r - 2"
             )
@@ -145,54 +147,31 @@ def q_integer(m: int, r: int) -> complex:
     if not _is_int(m) or m <= 0:
         raise DomainError(f"quantum integer index must be a positive integer, got {_shown_repr(m)}")
     _check_root(r)
-    return complex(math.sin(m * math.pi / r) / math.sin(math.pi / r))
+    return complex(_qnum(m, r))
 
 
 def _qnum(n: int, r: int) -> float:
-    """Real value of [n]_q; valid for 0 <= n <= r."""
+    """The one formula of [n]_q, real: positive for 0 < n < r."""
     return math.sin(n * math.pi / r) / math.sin(math.pi / r)
-
-
-def _qnum_positive(n: int, r: int) -> float:
-    """[n]_q restricted to the range where it is strictly positive."""
-    if n >= r:
-        raise DegenerateColorError(
-            f"quantum weight [{n}] vanishes or turns negative at r = {r}"
-        )
-    return _qnum(n, r)
 
 
 @lru_cache(maxsize=None)
 def _qfact(n: int, r: int) -> float:
-    """Quantum factorial [n]! over the strictly positive range."""
+    """Quantum factorial [n]!; every caller keeps n < r, so each factor is positive."""
     out = 1.0
     for k in range(2, n + 1):
-        out *= _qnum_positive(k, r)
+        out *= _qnum(k, r)
     return out
-
-
-def _qdim(twice_j: int, r: int) -> float:
-    """Quantum dimension [2j + 1]_q of the spin-j multiplet."""
-    return _qnum(twice_j + 1, r)
 
 
 # ---------------------------------------------------------------------------
 # fusion
 
 
-def _channels(t1: int, t2: int, r: int) -> range:
-    """Doubled labels of the nondegenerate coupling channels at root r.
-
-    The classical range ``|j1 - j2| <= j <= j1 + j2`` is cut at the root's
-    level so every listed channel has braiding headroom (see
-    DegenerateColorError).
-    """
-    hi = min(t1 + t2, 2 * (r - 2) - t1 - t2)
-    return range(abs(t1 - t2), hi + 1, 2)
-
-
 def _triple_allowed(ta: int, tb: int, tc: int, r: int) -> bool:
-    """Parity, triangle and level constraints on a coupling triple."""
+    """The level rule: doubled spins ta, tb and tc couple at root r iff
+    their sum is even, they obey the triangle inequality and the sum is
+    at most 2(r - 2).  Symmetric in the three labels."""
     return (
         (ta + tb + tc) % 2 == 0
         and abs(ta - tb) <= tc <= ta + tb
@@ -213,7 +192,6 @@ def _triangle_weight(ta: int, tb: int, tc: int, r: int) -> float:
     return math.sqrt(num / _qfact((ta + tb + tc) // 2 + 1, r))
 
 
-@lru_cache(maxsize=None)
 def _six_j(ta: int, tb: int, te: int, tc: int, td: int, tf: int, r: int) -> float:
     """Recoupling symbol on doubled labels; zero off the allowed triples."""
     for tri in ((ta, tb, te), (ta, td, tf), (tc, tb, tf), (tc, td, te)):
@@ -260,15 +238,21 @@ def _recoupling(tx: int, t1: int, t2: int, ty: int, r: int):
     pair (t1, t2); it converts between the path basis and the basis where
     the pair couples to a definite channel first.
     """
-    middles = tuple(a for a in _channels(tx, t1, r) if _triple_allowed(a, t2, ty, r))
-    channels = tuple(e for e in _channels(t1, t2, r) if _triple_allowed(tx, e, ty, r))
+    middles = tuple(
+        a for a in range(abs(tx - t1), tx + t1 + 1, 2)
+        if _triple_allowed(tx, t1, a, r) and _triple_allowed(a, t2, ty, r)
+    )
+    channels = tuple(
+        e for e in range(abs(t1 - t2), t1 + t2 + 1, 2)
+        if _triple_allowed(t1, t2, e, r) and _triple_allowed(tx, e, ty, r)
+    )
     mat = np.zeros((len(middles), len(channels)))
     sign = (-1) ** ((tx + t1 + t2 + ty) // 2)
     for i, mid in enumerate(middles):
         for k, chan in enumerate(channels):
             mat[i, k] = (
                 sign
-                * math.sqrt(_qdim(mid, r) * _qdim(chan, r))
+                * math.sqrt(_qnum(mid + 1, r) * _qnum(chan + 1, r))
                 * _six_j(tx, t1, mid, t2, ty, chan, r)
             )
     mat.flags.writeable = False
@@ -303,7 +287,8 @@ def _paths(colors: tuple[int, ...], r: int) -> np.ndarray:
     rows = np.zeros((1, 1), dtype=dtype)
     for t in colors:
         last = rows[:, -1]
-        cut = min(2 * (r - 2) - t, 2 * sum(colors) + 2)  # past that, last + t binds first
+        # _triple_allowed(last, t, next, r) on every row; past the color sum, last + t binds first
+        cut = min(2 * (r - 2) - t, 2 * sum(colors) + 2)
         low, high = np.abs(last - t), np.minimum(last + t, cut - last)
         channels = low[:, None] + 2 * np.arange(t + 1, dtype=dtype)
         grown = np.repeat(rows, (high - low) // 2 + 1, axis=0)  # a row per channel
@@ -509,10 +494,6 @@ def plat_branch(w: BraidWord, colors, r: int):
 def _plat_branch(w: BraidWord, profile, colors, r: int):
     count = profile.component_count
     _check_root(r)
-    if r < count:
-        raise DomainError(
-            f"root parameter must be at least the component count: r = {r} < {count}"
-        )
     doubled = tuple(colors)
     if len(doubled) != count:
         raise DomainError(
@@ -525,7 +506,7 @@ def _plat_branch(w: BraidWord, profile, colors, r: int):
 
     prefactor = 1.0 + 0.0j
     for t in pair_colors:
-        prefactor *= _qdim(t, r)
+        prefactor *= _qnum(t + 1, r)  # the quantum dimension [2j + 1]_q
     for comp, t in enumerate(doubled):
         framing = _braid_phase(t, t, 0, r)
         prefactor *= framing ** (-profile.self_writhe[comp])
@@ -552,7 +533,7 @@ def jones_plat_branch(w: BraidWord, r: int):
     prefactor, reference, branch = _plat_branch(w, profile, (1,) * count, r)
     framing = _braid_phase(1, 1, 0, r)
     prefactor *= (-1) ** (count - 1) * framing ** (-2 * profile.linking_sum())
-    return prefactor / _qdim(1, r), reference, branch
+    return prefactor / _qnum(2, r), reference, branch
 
 
 def colored_invariant(w: BraidWord, colors, r: int) -> complex:

@@ -186,6 +186,18 @@ REFUSED_CALLS = {
     "str parse index": lambda: knit.parse_braid("s1", "3"),
     "bool parse index": lambda: knit.parse_braid("s1", True),
     "bytes parse text": lambda: knit.parse_braid(b"s1"),
+    "list of letters": lambda: knit.BraidWord(2, [(1, 1)]),
+    "list letter": lambda: knit.BraidWord(2, ([1, 1],)),
+    "no letters": lambda: knit.BraidWord(2, None),
+    "short letter": lambda: knit.BraidWord(2, ((1,),)),
+    "no edge labels": lambda: Crossing(None, 1),
+    "list of edge labels": lambda: Crossing([1, 2, 2, 1], 1),
+    "list of crossings": lambda: knit.LinkDiagram([Crossing((1, 2, 2, 1), 1)]),
+    "tuple crossing": lambda: knit.LinkDiagram(((1, 2, 2, 1),)),
+    "no crossings": lambda: knit.LinkDiagram(None),
+    "float monomial numerator": lambda: knit.LaurentPoly.monomial(1, 0.3),
+    "bool monomial numerator": lambda: knit.LaurentPoly.monomial(1, True),
+    "float monomial coefficient": lambda: knit.LaurentPoly.monomial(1.5, 1),
 }
 
 

@@ -410,9 +410,23 @@ class TestColoredInvariant:
             want = prefactor * element
             assert colored_invariant(w, colors, r) == pytest.approx(want, abs=1e-12)
 
-    def test_rejects_root_below_component_count(self):
-        with pytest.raises(DomainError):
-            colored_invariant(parse_braid("", 8), [1, 1, 1, 1], 3)
+    def test_more_components_than_the_root_answer(self):
+        # the level rule alone bounds a plat: the spin-1/2 unlink of k
+        # components is [2]_q^k at any r >= 3
+        assert colored_invariant(parse_braid("", 8), [1] * 4, 3) == pytest.approx(1, abs=1e-12)
+        assert colored_invariant(parse_braid("", 10), [1] * 5, 4) == pytest.approx(
+            4 * math.sqrt(2), abs=1e-12
+        )
+        assert 4 * math.sqrt(2) == pytest.approx(q_integer(2, 4) ** 5, abs=1e-12)
+        plats = 0
+        for seed in range(240):
+            w = random_braid((8, 10)[seed % 2], 2 + seed % 5, seed)
+            count = plat_profile(w).component_count
+            plats += count > 3
+            for r in range(3, count):
+                want = evaluate_at_root(jones_polynomial(closure_plat(w)), r)
+                assert jones_value_from_plat(w, r) == pytest.approx(want, abs=1e-12)
+        assert plats >= 100
 
     def test_rejects_wrong_color_count(self):
         with pytest.raises(DomainError):
@@ -536,7 +550,7 @@ class TestTwist:
     def test_cold_contraction_allocates_no_dense_twist(self):
         # 883 fusion paths: one dense D x D complex twist alone is 12.5 MB
         w = random_braid(8, 30, 0)
-        for cached in (su2q._twist, su2q._paths, su2q._recoupling, su2q._six_j):
+        for cached in (su2q._twist, su2q._paths, su2q._recoupling):
             cached.cache_clear()
         tracemalloc.start()
         try:
