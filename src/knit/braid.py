@@ -35,9 +35,16 @@ _WORD = re.compile(r"\S+")
 #: raises LimitError before any letter is stored.
 LETTER_LIMIT = 1_000_000
 
-#: Most strands a parsed word may have, given or inferred from its
-#: largest generator; past it parsing raises LimitError.
+#: Most strands a word may have, given or inferred from its largest
+#: generator; past it parsing raises LimitError, and so does any work on
+#: a wider word (its permutation, normal form or closures).
 STRAND_LIMIT = 1_000
+
+
+def _check_strands(n: int) -> None:
+    """Raise LimitError when ``n`` strands are past STRAND_LIMIT."""
+    if n > STRAND_LIMIT:
+        raise LimitError(f"braid index {_shown(n)} is past {STRAND_LIMIT} strands")
 
 
 @dataclass(frozen=True)
@@ -97,6 +104,7 @@ class BraidWord:
     def permutation(self) -> tuple[int, ...]:
         """The underlying permutation as its 1-based image tuple p: the
         strand that starts at position i ends at position p[i - 1]."""
+        _check_strands(self.index)
         # prepending a letter to a word swaps its two entries of the images
         images = list(range(1, self.index + 1))
         for gen, _ in reversed(self.letters):
@@ -196,8 +204,7 @@ def parse_braid(text: str, index: int | None = None) -> BraidWord:
             raise DomainError(f"braid index must be an int, got {_shown_repr(index)}")
         if index < 1:
             raise DomainError(f"braid index must be >= 1, got {_shown(index)}")
-        if index > STRAND_LIMIT:
-            raise LimitError(f"braid index {_shown(index)} is past {STRAND_LIMIT} strands")
+        _check_strands(index)
     limit = LETTER_LIMIT
     letters: list[tuple[int, int]] = []
     runs: dict[str, tuple] = {}  # token -> its letters

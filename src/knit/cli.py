@@ -33,7 +33,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 
-from .braid import BraidWord, parse_braid, random_braid
+from .braid import LETTER_LIMIT, BraidWord, parse_braid, random_braid
 from .diagram import (
     DIGIT_LIMIT,
     closure_plat,
@@ -47,11 +47,16 @@ from .garside import normal_form, words_equal
 from .jones import _check_crossings, jones_polynomial
 from .laurent import evaluate_at_root
 
-__all__ = ["CommandResult", "TRIAL_LIMIT", "run", "main"]
+__all__ = ["CommandResult", "STDIN_LIMIT", "TRIAL_LIMIT", "run", "main"]
 
 #: Most trials ``invariance-test`` runs; a trial of the five families takes
 #: about 10 ms, so the largest admitted run takes about 10 s.
 TRIAL_LIMIT = 1_000
+
+#: Most characters a word read from standard input may have: a word of
+#: LETTER_LIMIT letters written one token per letter, each at most
+#: ``s999^-1`` and a space, takes half of it.
+STDIN_LIMIT = 16 * LETTER_LIMIT
 
 _INVARIANCE_FAMILIES = (
     "markov-conjugate",
@@ -106,7 +111,9 @@ def _build_parser() -> _Parser:
     )
 
     word_args = argparse.ArgumentParser(add_help=False)
-    word_args.add_argument("word", help="braid word, e.g. 's1 s2^-1 s1^3'")
+    word_args.add_argument(
+        "word", help="braid word, e.g. 's1 s2^-1 s1^3'; '-' reads it from standard input"
+    )
     word_args.add_argument(
         "-n",
         "--strands",
@@ -142,8 +149,8 @@ def _build_parser() -> _Parser:
     eq = sub.add_parser(
         "eq", parents=[common], help="decide whether two braid words are equal"
     )
-    eq.add_argument("left", help="first braid word")
-    eq.add_argument("right", help="second braid word")
+    eq.add_argument("left", help="first braid word ('-' reads it from standard input)")
+    eq.add_argument("right", help="second braid word ('-' reads it from standard input)")
     eq.add_argument("-n", "--strands", type=_int, default=None)
     eq.set_defaults(handler=_cmd_eq)
 
@@ -455,6 +462,18 @@ def _cmd_invariance_test(args) -> _Output:
     return payload, [*lines, f"all passed: {str(all_passed).lower()}"], []
 
 
+def _read_stdin() -> str:
+    """The whole of standard input, refused past STDIN_LIMIT characters or
+    when it does not decode."""
+    try:
+        text = sys.stdin.read(STDIN_LIMIT + 1)
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"standard input is not {exc.encoding} text", "") from None
+    if len(text) > STDIN_LIMIT:
+        raise LimitError(f"standard input is past {STDIN_LIMIT} characters")
+    return text
+
+
 def run(argv: list[str]) -> CommandResult:
     """Execute one command line and return its result without printing."""
     parser = _build_parser()
@@ -463,6 +482,13 @@ def run(argv: list[str]) -> CommandResult:
     try:
         args = parser.parse_args(argv)
         command = args.command
+        # a word argument "-" is the whole of standard input, for words
+        # longer than one command-line argument may hold
+        piped = [name for name in ("word", "left", "right") if getattr(args, name, None) == "-"]
+        if len(piped) > 1:
+            raise _UsageError("only one word can be read from standard input", "")
+        for name in piped:
+            setattr(args, name, _read_stdin())
         payload, lines, notes = args.handler(args)
         diagnostics.extend(notes)
         try:

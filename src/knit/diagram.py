@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .braid import BraidWord
+from .braid import BraidWord, _check_strands
 from .errors import DomainError, ParseError, _is_int, _shown, _shown_repr
 
 __all__ = [
@@ -290,6 +290,7 @@ def _walk(w: BraidWord, plat: bool):
     n = w.index
     if plat:
         require_plat_index(w)
+    _check_strands(n)
     size = n + 2 * len(w.letters) + 1
     link = [0] * (2 * size)
     top = list(range(1, n + 1))

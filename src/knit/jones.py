@@ -110,6 +110,7 @@ def kauffman_bracket(d: LinkDiagram) -> LaurentPoly:
     by ``_splice``, so every prefix of smoothing choices is spliced once
     and shared by all the states below it.  An entry at crossing c is a
     state, tallied by (B count, loops); the polynomial is built once.
+    Each crossing's two joins are built once per call, in one table.
 
     Raises LimitError past the crossing limit (default 20, or the
     KNIT_CROSSING_LIMIT environment variable) or past FREE_CIRCLE_LIMIT
@@ -125,6 +126,11 @@ def kauffman_bracket(d: LinkDiagram) -> LaurentPoly:
     if c == 0 and d.unknot_count == 0:
         raise DomainError("the empty diagram has no bracket")
 
+    # joins[k]: the A and B joins of crossing k, whose slots are 4k .. 4k + 3
+    joins = [
+        (((p, p + 3), (p + 1, p + 2)), ((p, p + 1), (p + 2, p + 3)))
+        for p in range(0, 4 * c, 4)
+    ]
     tally: dict[tuple[int, int], int] = {}
     stack = [(list(d.partner), 0, 0, d.unknot_count)]
     while stack:
@@ -132,10 +138,10 @@ def kauffman_bracket(d: LinkDiagram) -> LaurentPoly:
         if k == c:
             tally[b, loops] = tally.get((b, loops), 0) + 1
             continue
-        p = 4 * k
+        a_joins, b_joins = joins[k]
         m_a, m_b = m.copy(), m  # the popped list is spliced as the B child
-        stack.append((m_a, k + 1, b, loops + _splice(m_a, ((p, p + 3), (p + 1, p + 2)))))
-        stack.append((m_b, k + 1, b + 1, loops + _splice(m_b, ((p, p + 1), (p + 2, p + 3)))))
+        stack.append((m_a, k + 1, b, loops + _splice(m_a, a_joins)))
+        stack.append((m_b, k + 1, b + 1, loops + _splice(m_b, b_joins)))
     # A^(#A - #B) is A^(c - 2 #B)
     return _tally_to_bracket({(c - 2 * b, k): n for (b, k), n in tally.items()})
 

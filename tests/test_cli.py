@@ -1,6 +1,7 @@
 """Tests for the `knit` command-line front end."""
 
 import cmath
+import io
 import json
 import math
 import random
@@ -155,6 +156,64 @@ class TestParse:
         res = run(["parse", "", "-n", "2"])
         assert res.exit_code == 0
         assert res.payload["length"] == 0
+
+
+class TestStandardInput:
+    @staticmethod
+    def _stdin(monkeypatch, text):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+
+    def test_a_long_word_is_read_from_standard_input(self, monkeypatch):
+        # 200,000 B8 tokens are about 930 KB, past the 128 KB one
+        # command-line argument may hold
+        rng = random.Random(8)
+        word = " ".join(
+            f"s{rng.randrange(1, 8)}" + rng.choice(("", "^-1", "^2")) for _ in range(200_000)
+        )
+        assert len(word) > 900_000
+        self._stdin(monkeypatch, word + "\n")
+        piped = run(["parse", "-", "-n", "8", "--json"])
+        assert piped.exit_code == 0
+        assert piped.payload == run(["parse", word, "-n", "8", "--json"]).payload
+
+    def test_jones_of_standard_input(self, monkeypatch):
+        word = "s1 s2^-1 s1 s2^-1 s3 s2"
+        self._stdin(monkeypatch, word)
+        piped = run(["jones", "-", "--json"])
+        assert piped.exit_code == 0
+        assert piped.rendered == run(["jones", word, "--json"]).rendered
+
+    def test_eq_with_one_word_from_standard_input(self, monkeypatch):
+        self._stdin(monkeypatch, "s2 s1 s2")
+        assert run(["eq", "s1 s2 s1", "-"]).payload == {"equal": True}
+
+    def test_eq_cannot_read_both_words_from_standard_input(self, monkeypatch):
+        self._stdin(monkeypatch, "s1 s2 s1")
+        res = run(["eq", "-", "-"])
+        assert (res.exit_code, res.payload["kind"]) == (2, "usage")
+        assert res.rendered == f"error: {res.payload['error']}"
+        assert "\n" not in res.rendered and len(res.rendered) < 200
+
+    def test_a_malformed_token_has_its_position_in_standard_input(self, monkeypatch):
+        self._stdin(monkeypatch, "s1 s2\n  s1x s2")
+        res = run(["parse", "-"])
+        assert (res.exit_code, res.payload["kind"]) == (2, "parse")
+        assert res.payload["position"] == 8
+
+    def test_standard_input_that_does_not_decode_is_one_usage_line(self, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"s1 \xff s2"), "utf-8"))
+        res = run(["parse", "-"])
+        assert (res.exit_code, res.payload["kind"]) == (2, "usage")
+        assert res.rendered == "error: standard input is not utf-8 text"
+
+    def test_standard_input_past_its_limit_is_refused(self, monkeypatch):
+        monkeypatch.setattr(cli, "STDIN_LIMIT", 8)
+        self._stdin(monkeypatch, "s1 s2 s1 s2")
+        res = run(["parse", "-"])
+        assert (res.exit_code, res.payload["kind"]) == (3, "limit")
+        assert res.rendered == "error: standard input is past 8 characters"
+        self._stdin(monkeypatch, "s1 s2 s1")
+        assert run(["parse", "-"]).exit_code == 0
 
 
 class TestNormalForm:

@@ -210,6 +210,68 @@ class TestTypedRefusals:
         assert "0" * 21 not in str(err.value)
 
 
+#: Library calls that work on a word's strands, as source text on a word ``w``.
+WIDE_CALLS = {
+    "normal_form": "normal_form(w)",
+    "permutation": "w.permutation()",
+    "closure_trace": "closure_trace(w)",
+    "closure_plat": "closure_plat(w)",
+    "plat_profile": "plat_profile(w)",
+}
+
+#: Address space of the interpreter that makes a wide call: past it an
+#: unguarded call raises MemoryError instead of allocating gigabytes.
+WIDE_CAP = 600 * 2**20
+
+
+def _wide_call(call: str, index: int):
+    """Make ``call`` on ``BraidWord(index, ())`` in an interpreter under
+    WIDE_CAP; print its KnitError, or "answered", and the call's seconds."""
+    return _python(
+        "-c",
+        "import resource, time\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({WIDE_CAP}, {WIDE_CAP}))\n"
+        "from knit.braid import BraidWord\n"
+        "from knit.diagram import closure_plat, closure_trace, plat_profile\n"
+        "from knit.errors import KnitError\n"
+        "from knit.garside import normal_form\n"
+        f"w = BraidWord({index}, ())\n"
+        "start = time.perf_counter()\n"
+        "try:\n"
+        f"    {call}\n"
+        "    print('answered')\n"
+        "except KnitError as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+        "print(time.perf_counter() - start)\n",
+    )
+
+
+class TestStrandLimitOnEveryWord:
+    @pytest.mark.parametrize("call", WIDE_CALLS.values(), ids=WIDE_CALLS)
+    def test_a_word_past_the_strand_limit_is_refused_before_any_work(self, call):
+        done = _wide_call(call, 10**9)
+        assert done.returncode == 0, done.stderr[-500:]
+        refusal, seconds = done.stdout.splitlines()
+        with pytest.raises(knit.LimitError) as err:
+            knit.parse_braid("", 10**9)
+        assert refusal == f"LimitError {err.value}"
+        assert refusal == "LimitError braid index 1000000000 is past 1000 strands"
+        assert float(seconds) < 1
+
+    @pytest.mark.parametrize("call", WIDE_CALLS.values(), ids=WIDE_CALLS)
+    def test_a_word_at_the_strand_limit_answers(self, call):
+        done = _wide_call(call, knit.braid.STRAND_LIMIT)
+        assert done.returncode == 0, done.stderr[-500:]
+        assert done.stdout.splitlines()[0] == "answered"
+
+    @pytest.mark.parametrize("call", ["closure_plat(w)", "plat_profile(w)"])
+    def test_an_odd_huge_plat_index_is_a_domain_error(self, call):
+        done = _wide_call(call, 10**9 + 1)
+        assert done.returncode == 0, done.stderr[-500:]
+        refusal = done.stdout.splitlines()[0]
+        assert refusal == "DomainError plat closure needs an even braid index, got 1000000001"
+
+
 class TestStartWithoutNumpy:
     def test_exact_commands_run_with_numpy_blocked(self):
         expected = [run(argv).rendered for argv in EXACT_COMMANDS]
