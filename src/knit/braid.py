@@ -35,16 +35,9 @@ _WORD = re.compile(r"\S+")
 #: raises LimitError before any letter is stored.
 LETTER_LIMIT = 1_000_000
 
-#: Most strands a word may have, given or inferred from its largest
-#: generator; past it parsing raises LimitError, and so does any work on
-#: a wider word (its permutation, normal form or closures).
+#: Most strands a word may have; a BraidWord past it is refused at
+#: construction with LimitError, so no wider word exists.
 STRAND_LIMIT = 1_000
-
-
-def _check_strands(n: int) -> None:
-    """Raise LimitError when ``n`` strands are past STRAND_LIMIT."""
-    if n > STRAND_LIMIT:
-        raise LimitError(f"braid index {_shown(n)} is past {STRAND_LIMIT} strands")
 
 
 @dataclass(frozen=True)
@@ -53,7 +46,8 @@ class BraidWord:
 
     ``letters`` is a tuple of letters, each a 2-tuple (generator, sign)
     with 1 <= generator < index and sign in {+1, -1}.  The index,
-    generators and signs are ints; a bool or a float is refused.
+    generators and signs are ints; a bool or a float is refused, and an
+    index past STRAND_LIMIT raises LimitError before any letter is read.
     """
 
     index: int
@@ -65,6 +59,8 @@ class BraidWord:
             raise DomainError(f"braid index must be an int, got {_shown_repr(n)}")
         if n < 1:
             raise DomainError(f"braid index must be >= 1, got {_shown(n)}")
+        if n > STRAND_LIMIT:
+            raise LimitError(f"braid index {_shown(n)} is past {STRAND_LIMIT} strands")
         if not isinstance(self.letters, tuple):
             raise DomainError(f"letters are a tuple of pairs, got a {type(self.letters).__name__}")
         for letter in self.letters:
@@ -104,7 +100,6 @@ class BraidWord:
     def permutation(self) -> tuple[int, ...]:
         """The underlying permutation as its 1-based image tuple p: the
         strand that starts at position i ends at position p[i - 1]."""
-        _check_strands(self.index)
         # prepending a letter to a word swaps its two entries of the images
         images = list(range(1, self.index + 1))
         for gen, _ in reversed(self.letters):
@@ -189,8 +184,10 @@ def parse_braid(text: str, index: int | None = None) -> BraidWord:
     Without ``index`` the word lives in B_(k+1) for its largest generator
     sk (B_1 when empty).  Raises ParseError (with a position) on malformed
     text and on generator indices outside 1..index-1, DomainError when
-    ``text`` is not a str or ``index`` is not an int, and LimitError when
-    the word would pass LETTER_LIMIT letters or STRAND_LIMIT strands.
+    ``text`` is not a str, and LimitError when the word would pass
+    LETTER_LIMIT letters or its largest generator STRAND_LIMIT strands.
+    A given ``index`` is checked by BraidWord, with its messages, before
+    any token is read.
 
     The text is read once, token by token, split at the characters
     ``str.isspace`` matches.  Each distinct token is parsed and checked
@@ -200,11 +197,7 @@ def parse_braid(text: str, index: int | None = None) -> BraidWord:
     if not isinstance(text, str):
         raise DomainError(f"braid text must be a str, got {type(text).__name__}")
     if index is not None:
-        if not _is_int(index):
-            raise DomainError(f"braid index must be an int, got {_shown_repr(index)}")
-        if index < 1:
-            raise DomainError(f"braid index must be >= 1, got {_shown(index)}")
-        _check_strands(index)
+        BraidWord(index, ())  # refuses a bad index before any token is read
     limit = LETTER_LIMIT
     letters: list[tuple[int, int]] = []
     runs: dict[str, tuple] = {}  # token -> its letters

@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .braid import BraidWord, _check_strands
+from .braid import BraidWord
 from .errors import DomainError, ParseError, _is_int, _shown, _shown_repr
 
 __all__ = [
@@ -285,12 +285,12 @@ def _walk(w: BraidWord, plat: bool):
     Returns the letters as arc quadruples ``(a, b, c, d, sign)`` (a
     upper-left, b upper-right, c lower-left, d lower-right), the arc
     pairs the boundary joins, the top and bottom arcs, and per arc its
-    direction (+1 down, -1 up) and component number.
+    direction (+1 down, -1 up) and component number.  The work is
+    O(n + letters), and BraidWord bounds n by STRAND_LIMIT.
     """
     n = w.index
     if plat:
         require_plat_index(w)
-    _check_strands(n)
     size = n + 2 * len(w.letters) + 1
     link = [0] * (2 * size)
     top = list(range(1, n + 1))

@@ -62,10 +62,13 @@ def _shown(n) -> str:
 
 
 def _shown_repr(value) -> str:
-    """``repr(value)`` for a message, with each int in it, or in the tuples
-    and lists it nests, written by _shown, and each str by _quoted."""
+    """``repr(value)`` for a message, with each int in it, or in the tuples,
+    lists and dicts it nests, written by _shown, and each str by _quoted."""
     if type(value) is int:
         return _shown(value)
+    if type(value) is dict:
+        inner = ", ".join(f"{_shown_repr(k)}: {_shown_repr(v)}" for k, v in value.items())
+        return f"{{{inner}}}"
     if type(value) in (tuple, list):
         inner = ", ".join(map(_shown_repr, value))
         if type(value) is list:

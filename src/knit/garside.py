@@ -42,7 +42,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
-from .braid import BraidWord, _check_strands
+from .braid import BraidWord
 from .errors import DomainError, LimitError, _shown
 
 __all__ = ["COST_LIMIT", "NormalForm", "normal_form", "words_equal", "is_trivial"]
@@ -138,13 +138,12 @@ def _positive_lift_word(p: tuple[int, ...]) -> list[int]:
 def normal_form(w: BraidWord) -> NormalForm:
     """Compute the left-canonical form of a braid word.
 
-    Past STRAND_LIMIT strands (from B_3 on) or past the cost estimate's
+    BraidWord bounds n by STRAND_LIMIT; past the cost estimate's
     COST_LIMIT it raises LimitError before any work."""
     n = w.index
     if n <= 2:
         # B_2 is infinite cyclic, generated by s1 = Delta
         return NormalForm(n, w.exponent_sum(), ())
-    _check_strands(n)
     inverse = sum(1 for _, sign in w.letters if sign < 0)
     letters = len(w.letters)
     cost = letters * (letters * (n + 16) + 2 * inverse * n * n)

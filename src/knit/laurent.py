@@ -19,7 +19,7 @@ import numbers
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import DomainError, LimitError, ParseError, _is_int, _shown_repr
+from .errors import DomainError, LimitError, ParseError, _is_int, _shown, _shown_repr
 
 __all__ = ["LaurentPoly", "evaluate_at_root"]
 
@@ -71,16 +71,18 @@ class LaurentPoly:
 
     @staticmethod
     def from_json_terms(items: list[dict[str, object]]) -> "LaurentPoly":
+        """Read terms written by to_json_terms: ``num`` and ``den`` are ints,
+        ``den`` is 4, and ``coeff`` is an int or its decimal str."""
         d: dict[int, int] = {}
         for item in items:
             try:
-                num = int(item["num"])  # type: ignore[arg-type]
-                den = int(item["den"])  # type: ignore[arg-type]
-                coeff = int(str(item["coeff"]))
-            except (KeyError, ValueError, TypeError) as exc:
-                raise ParseError(f"malformed polynomial term {item!r}") from exc
+                num, den, coeff = item["num"], item["den"], int(str(item["coeff"]))
+            except (KeyError, ValueError, TypeError):
+                num = den = None
+            if not (_is_int(num) and _is_int(den)):
+                raise ParseError(f"malformed polynomial term {_shown_repr(item)}")
             if den != EXPONENT_DENOMINATOR:
-                raise ParseError(f"expected denominator 4, got {den}")
+                raise ParseError(f"expected denominator 4, got {_shown(den)}")
             d[num] = d.get(num, 0) + coeff
         return LaurentPoly.from_dict(d)
 

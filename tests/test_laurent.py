@@ -103,6 +103,21 @@ def test_json_rejects_malformed():
         LaurentPoly.from_json_terms([{"num": "x", "den": 4, "coeff": "1"}])
 
 
+@pytest.mark.parametrize("term", [
+    {"num": 1.5, "den": 4, "coeff": "1"},
+    {"num": True, "den": 4.0, "coeff": "1"},
+    {"num": 1, "den": 4.0, "coeff": "1"},
+    {"num": "1" * 5000, "den": 4, "coeff": "1"},
+    {"num": 1, "den": 4, "coeff": "1" * 5000},
+    {"num": 1, "den": 4, "coeff": 10**5000},
+], ids=["float-num", "bool-num", "float-den", "long-num", "long-coeff", "huge-coeff"])
+def test_json_refuses_a_non_int_exponent_and_names_a_long_value_briefly(term):
+    with pytest.raises(ParseError) as err:
+        LaurentPoly.from_json_terms([term])
+    assert str(err.value).startswith("malformed polynomial term {'num': ")
+    assert len(str(err.value)) < 200
+
+
 def test_str_forms():
     assert str(poly({})) == "0"
     assert str(poly({0: -3})) == "-3"

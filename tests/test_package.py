@@ -168,8 +168,6 @@ REFUSED_CALLS = {
     "generator": lambda: knit.BraidWord(3, ((BIG, 1),)),
     "sign": lambda: knit.BraidWord(3, ((1, BIG),)),
     "stabilize": lambda: knit.parse_braid("s1").stabilize(BIG),
-    "concatenate": lambda: knit.BraidWord(BIG, ()) * knit.parse_braid("s1"),
-    "words_equal": lambda: knit.words_equal(knit.BraidWord(BIG, ()), knit.parse_braid("s1")),
     "crossing sign": lambda: Crossing((1, 2, 2, 1), BIG),
     "edge label": lambda: knit.LinkDiagram((Crossing((BIG, 2, 2, 1), 1),)),
     "kink site": lambda: apply_reidemeister(_trefoil(), "RI+", ("edge", BIG, 1)),
@@ -209,6 +207,11 @@ class TestTypedRefusals:
             call()
         assert "0" * 21 not in str(err.value)
 
+    def test_a_huge_braid_index_is_past_the_strand_limit(self):
+        with pytest.raises(knit.LimitError) as err:
+            knit.BraidWord(BIG, ())
+        assert str(err.value) == "braid index of 5001 digits is past 1000 strands"
+
 
 #: Library calls that work on a word's strands, as source text on a word ``w``.
 WIDE_CALLS = {
@@ -247,16 +250,14 @@ def _wide_call(call: str, index: int):
 
 
 class TestStrandLimitOnEveryWord:
-    @pytest.mark.parametrize("call", WIDE_CALLS.values(), ids=WIDE_CALLS)
-    def test_a_word_past_the_strand_limit_is_refused_before_any_work(self, call):
-        done = _wide_call(call, 10**9)
-        assert done.returncode == 0, done.stderr[-500:]
-        refusal, seconds = done.stdout.splitlines()
+    def test_a_word_past_the_strand_limit_cannot_be_built(self):
+        # refused at construction, so no routine ever sees a wider word
         with pytest.raises(knit.LimitError) as err:
+            knit.BraidWord(10**9, ())
+        with pytest.raises(knit.LimitError) as parsed:
             knit.parse_braid("", 10**9)
-        assert refusal == f"LimitError {err.value}"
-        assert refusal == "LimitError braid index 1000000000 is past 1000 strands"
-        assert float(seconds) < 1
+        assert str(err.value) == str(parsed.value)
+        assert str(err.value) == "braid index 1000000000 is past 1000 strands"
 
     @pytest.mark.parametrize("call", WIDE_CALLS.values(), ids=WIDE_CALLS)
     def test_a_word_at_the_strand_limit_answers(self, call):
@@ -264,12 +265,13 @@ class TestStrandLimitOnEveryWord:
         assert done.returncode == 0, done.stderr[-500:]
         assert done.stdout.splitlines()[0] == "answered"
 
-    @pytest.mark.parametrize("call", ["closure_plat(w)", "plat_profile(w)"])
-    def test_an_odd_huge_plat_index_is_a_domain_error(self, call):
-        done = _wide_call(call, 10**9 + 1)
-        assert done.returncode == 0, done.stderr[-500:]
-        refusal = done.stdout.splitlines()[0]
-        assert refusal == "DomainError plat closure needs an even braid index, got 1000000001"
+    def test_stabilizing_a_word_at_the_strand_limit_is_refused(self):
+        with pytest.raises(knit.LimitError, match="braid index 1001 is past 1000 strands"):
+            knit.BraidWord(knit.braid.STRAND_LIMIT, ()).stabilize()
+
+    def test_a_random_word_past_the_strand_limit_is_refused(self):
+        with pytest.raises(knit.LimitError, match="braid index 1001 is past 1000 strands"):
+            knit.random_braid(knit.braid.STRAND_LIMIT + 1, 3, 0)
 
 
 class TestStartWithoutNumpy:
